@@ -13,12 +13,16 @@ of its gradient form), consults the MACH ring, and either
 
 The engine also emits the frame's line-granular write traffic
 (coalesced or not) and the frozen MACH dump.
+
+A block's digest, CRC16 aux and DCC size depend on its bytes alone, so
+the engine computes them only for the blocks that changed since the
+previous frame (``_content_features``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -52,6 +56,25 @@ class FrameMatches:
     @property
     def match_rate(self) -> float:
         return (self.intra + self.inter) / self.total if self.total else 0.0
+
+
+class ContentFeatures(NamedTuple):
+    """Per-block values that depend on the block's bytes alone."""
+
+    tags: Optional[np.ndarray]  # int64 digests (MACH schemes)
+    aux: Optional[np.ndarray]  # int64 CRC16s; zeros for non-CRC digests
+    dcc_sizes: Optional[np.ndarray]  # int64 DCC-compressed sizes
+
+
+def _changed_rows(current: np.ndarray, previous: np.ndarray) -> np.ndarray:
+    """Mask of the rows of ``current`` whose bytes differ from ``previous``.
+
+    Both are C-contiguous matrices of one shape and dtype; each row is
+    compared as the widest unsigned words that tile it.
+    """
+    word = next(w for w in (8, 4, 2, 1) if current.shape[1] % w == 0)
+    dtype = np.dtype(f"u{word}")
+    return np.any(current.view(dtype) != previous.view(dtype), axis=1)
 
 
 @dataclass
@@ -116,6 +139,9 @@ class WritebackEngine:
                             else None)
         self._verify = (fault_plan.config.verify_digests
                         if fault_plan is not None else True)
+        # The previous frame's blocks (a private copy) and their
+        # content features, which _content_features carries over.
+        self._previous: Optional[Tuple[np.ndarray, ContentFeatures]] = None
 
     # -- public API -----------------------------------------------------------
 
@@ -137,7 +163,8 @@ class WritebackEngine:
                      slot_base: int) -> WritebackResult:
         n = frame.n_blocks
         if self.scheme.dcc:
-            sizes = compressed_sizes(frame.blocks)
+            sizes = self._content_features(frame.blocks).dcc_sizes
+            assert sizes is not None
             offsets = np.concatenate(
                 [[0], np.cumsum(sizes[:-1], dtype=np.int64)])
             data_bytes = int(sizes.sum())
@@ -165,37 +192,61 @@ class WritebackEngine:
         matches = FrameMatches(intra=0, inter=0, none=n)
         return WritebackResult(layout, write_lines, matches, None, data_bytes)
 
+    # -- content features --------------------------------------------------------
+
+    def _content_features(self, blocks: np.ndarray) -> ContentFeatures:
+        """Digest tags, CRC16 aux and DCC sizes of every block.
+
+        They depend on a block's bytes alone, so only the rows that
+        differ from the previous frame are computed; every other row
+        keeps the previous frame's values.  The first frame, and any
+        change of frame shape, computes every row.
+        """
+        current = np.array(blocks, order="C")  # callers may mutate theirs
+        if self._previous is None or self._previous[0].shape != current.shape:
+            features = self._compute_features(current)
+        else:
+            previous_blocks, previous = self._previous
+            changed = np.flatnonzero(_changed_rows(current, previous_blocks))
+            fresh = self._compute_features(current[changed])
+            merged: List[Optional[np.ndarray]] = []
+            for old, new in zip(previous, fresh):
+                if old is not None and new is not None:
+                    old = old.copy()
+                    old[changed] = new
+                merged.append(old)
+            features = ContentFeatures(*merged)
+        self._previous = (current, features)
+        return features
+
+    def _compute_features(self, blocks: np.ndarray) -> ContentFeatures:
+        """Features of ``blocks`` from scratch.
+
+        Under GAB the digest and the DCC size read the same gradient
+        rows, computed once.
+        """
+        rows = to_gradient(blocks)[0] if self._use_gradient else blocks
+        tags: Optional[np.ndarray] = None
+        aux: Optional[np.ndarray] = None
+        if self.ring is not None:
+            if self.mach_config.digest_scheme in ("crc32", "crc48"):
+                crc32s, crc16s = crc_pair_blocks(rows)
+                tags = crc32s.astype(np.int64)
+                aux = crc16s.astype(np.int64)
+            else:
+                tags = self._scheme_obj.digest_blocks(rows).astype(np.int64)
+                aux = np.zeros(len(tags), dtype=np.int64)
+        dcc_sizes = compressed_sizes(rows) if self.scheme.dcc else None
+        return ContentFeatures(tags, aux, dcc_sizes)
+
     # -- MACH path ---------------------------------------------------------------
-
-    def _digest_frame(self, frame: DecodedFrame) -> Tuple[np.ndarray, np.ndarray]:
-        """Digests (+CRC16 aux where available) for every block."""
-        if self._use_gradient:
-            tag_input, _ = to_gradient(frame.blocks)
-        else:
-            tag_input = frame.blocks
-        name = self.mach_config.digest_scheme
-        if name in ("crc32", "crc48"):
-            crc32s, crc16s = crc_pair_blocks(tag_input)
-            tags = crc32s.astype(np.int64)
-            aux = crc16s.astype(np.int64)
-        else:
-            tags = self._scheme_obj.digest_blocks(tag_input).astype(np.int64)
-            aux = np.zeros(len(tags), dtype=np.int64)
-        return tags, aux
-
-    def _dcc_sizes(self, frame: DecodedFrame) -> Optional[np.ndarray]:
-        if not self.scheme.dcc:
-            return None
-        return compressed_sizes(
-            to_gradient(frame.blocks)[0] if self._use_gradient
-            else frame.blocks)
 
     def _process_mach(self, frame: DecodedFrame,
                       slot_base: int) -> WritebackResult:
         assert self.ring is not None
         ring = self.ring
-        tags, aux = self._digest_frame(frame)
-        dcc_sizes = self._dcc_sizes(frame)
+        tags, aux, dcc_sizes = self._content_features(frame.blocks)
+        assert tags is not None and aux is not None
         if self.vectorized and self._fault_plan is None:
             ring.ensure_idle()
             found, addresses, clean = ring.lookup_batch(tags, aux)

@@ -116,26 +116,9 @@ def _positional_tables(length: int, width: int) -> Tuple[np.ndarray, int]:
     return tables, crc ^ final
 
 
-# Reused per-shape intermediates (the gather index and term matrix are
-# ~250 KB per call at simulator frame sizes; reallocating them every
-# frame costs more than the gather itself).  The simulator is
-# single-process/single-threaded per run, matching the rest of the
-# stateful models.
-_SCRATCH: dict = {}
-
-
-def _scratch(key: str, shape: Tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-    buf = _SCRATCH.get(key)
-    if buf is None or buf.shape != shape:
-        buf = np.empty(shape, dtype=dtype)
-        _SCRATCH[key] = buf
-    return buf
-
-
 def _flat_gather_index(blocks: np.ndarray) -> np.ndarray:
     """Per-byte index into a raveled ``(k, 256)`` table: ``j*256 | b``."""
-    index = _scratch("index", blocks.shape, np.dtype(np.uint16))
-    np.copyto(index, blocks, casting="unsafe")
+    index = blocks.astype(np.uint16)
     index |= (np.arange(blocks.shape[1], dtype=np.uint16) << np.uint16(8))
     return index
 
@@ -148,8 +131,7 @@ def _crc_blocks(blocks: np.ndarray, width: int,
         return np.full(blocks.shape[0], const, dtype=dtype)
     if index is None:
         index = _flat_gather_index(blocks)
-    terms = _scratch(f"terms{width}", blocks.shape, dtype)
-    tables.ravel().take(index, out=terms)
+    terms = tables.ravel().take(index)
     return np.bitwise_xor.reduce(terms, axis=1) ^ dtype.type(const)
 
 

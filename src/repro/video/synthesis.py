@@ -193,6 +193,10 @@ class _SceneState:
         self._flat_colors = np.zeros((1, 3), dtype=np.uint8)
         self._unique_textures = np.zeros((n_blocks, block_bytes),
                                          dtype=np.uint8)
+        # The last rendered frame, and the rows re-rolled since: render()
+        # redraws only those (and the noise rows).
+        self._frame = np.zeros((n_blocks, block_bytes), dtype=np.uint8)
+        self._dirty = np.ones(n_blocks, dtype=bool)
 
     # -- scene lifecycle -------------------------------------------------
 
@@ -215,7 +219,7 @@ class _SceneState:
             size=n,
             p=[prof.f_common, prof.f_unique, prof.f_noise],
         )
-        self._reroll(np.ones(n, dtype=bool))
+        self._reroll(np.ones(n, dtype=bool))  # marks every row dirty
 
     def churn(self) -> None:
         """Re-roll a ``p_update`` fraction of non-noise blocks."""
@@ -225,6 +229,7 @@ class _SceneState:
     def _reroll(self, mask: np.ndarray) -> None:
         """Assign fresh (texture, base) choices for the masked blocks."""
         rng, prof = self._rng, self._profile
+        self._dirty |= mask
         common = mask & (self._classes == _COMMON)
         n_common = int(common.sum())
         if n_common:
@@ -262,15 +267,21 @@ class _SceneState:
     # -- rendering ---------------------------------------------------------
 
     def render(self) -> np.ndarray:
-        """Materialize the current frame's block matrix."""
-        rng, n, k = self._rng, self._n, self._k
-        blocks = np.empty((n, k), dtype=np.uint8)
-        common = self._classes == _COMMON
+        """Materialize the current frame's block matrix as a new array.
+
+        A common or unique row changes only when it is re-rolled, so
+        only the rows marked dirty since the last render are redrawn.
+        Noise rows are drawn every frame, exactly as a full render draws
+        them, so the RNG call sequence is that of a full render.
+        """
+        rng, k = self._rng, self._k
+        blocks = self._frame
+        common = self._dirty & (self._classes == _COMMON)
         if common.any():
             textures = self._common_textures[self._texture_idx[common]]
             bases = np.tile(self._bases[common], (1, k // 3))
             blocks[common] = textures + bases  # uint8 wraparound by design
-        unique = self._classes == _UNIQUE
+        unique = self._dirty & (self._classes == _UNIQUE)
         if unique.any():
             blocks[unique] = self._unique_textures[unique]
         noise = self._classes == _NOISE
@@ -278,4 +289,5 @@ class _SceneState:
         if n_noise:
             blocks[noise] = rng.integers(
                 0, 256, size=(n_noise, k), dtype=np.uint8)
-        return blocks
+        self._dirty[:] = False
+        return blocks.copy()  # the caller may mutate it
