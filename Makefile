@@ -6,7 +6,7 @@ install:
 	pip install -e . --no-build-isolation || python setup.py develop
 
 test:
-	pytest tests/
+	PYTHONPATH=src python -m pytest tests/
 
 bench:
 	pytest benchmarks/ --benchmark-only
@@ -18,8 +18,6 @@ experiments:
 	python tools/make_experiments.py
 
 examples:
-	python examples/quickstart.py
-	python examples/streaming_session.py
-	python examples/design_space_exploration.py
-	python examples/custom_video_profile.py
-	python examples/codec_trace_analysis.py
+	for example in examples/*.py; do \
+		PYTHONPATH=src python "$$example" || exit 1; \
+	done

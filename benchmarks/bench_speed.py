@@ -15,9 +15,10 @@ itself rather than content synthesis.  Three reference points live in
 ``BENCH_speed.json``:
 
 * ``full.configs`` — vectorized frames/sec per configuration;
-* ``scalar_reference`` — the same matrix with ``vectorized=False``
-  (the retained scalar kernels, re-measurable at any commit — the
-  equivalence suite proves the two paths bit-identical);
+* ``scalar_reference`` — the same matrix with the pipeline's write
+  engine built on the scalar per-block walk (patched in, as the
+  equivalence suite does; re-measurable at any commit — the suite
+  proves the two paths bit-identical);
 * ``pre_pr`` — a frozen anchor measured on the pre-vectorization tree
   (regenerate with ``--emit-anchor`` from a checkout of that commit).
 
@@ -37,8 +38,10 @@ import json
 import math
 import platform
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, ContextManager, Dict, List, Optional, Sequence
+from unittest import mock
 
 import numpy as np
 
@@ -54,6 +57,8 @@ from repro.config import (
     SimulationConfig,
     ThermalConfig,
 )
+from repro.core import pipeline
+from repro.core.writeback import WritebackEngine
 from repro.video.frame import DecodedFrame
 from repro.video.synthesis import SyntheticVideo
 
@@ -96,6 +101,21 @@ MATRIX = (
 )
 
 
+class _ScalarWritebackEngine(WritebackEngine):
+    """The write engine with the batched kernel off (scalar walk)."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **{**kwargs, "vectorized": False})
+
+
+def _write_path(vectorized: bool) -> ContextManager[Any]:
+    """Inside the block, ``simulate`` writes through the chosen path."""
+    if vectorized:
+        return nullcontext()
+    return mock.patch.object(pipeline, "WritebackEngine",
+                             _ScalarWritebackEngine)
+
+
 def _materialize(cfg: SimulationConfig, n_frames: int) -> List[DecodedFrame]:
     """Pre-decode the reference stream so timing excludes synthesis."""
     return list(SyntheticVideo(
@@ -104,8 +124,8 @@ def _materialize(cfg: SimulationConfig, n_frames: int) -> List[DecodedFrame]:
 
 
 def _simulate_kwargs(entry: MatrixEntry, cfg: SimulationConfig,
-                     n_frames: int, vectorized: bool) -> Dict[str, object]:
-    kwargs: Dict[str, object] = {"vectorized": vectorized}
+                     n_frames: int) -> Dict[str, object]:
+    kwargs: Dict[str, object] = {}
     if entry.network:
         from repro.network import DeliveredNetworkModel, deliver_for_config
 
@@ -127,13 +147,14 @@ def _measure(entry: MatrixEntry, stream: Sequence[DecodedFrame],
              vectorized: bool = True) -> Dict[str, float]:
     """Best-of-``repeats`` wall time for one configuration."""
     run_cfg = _entry_config(entry, cfg)
-    kwargs = _simulate_kwargs(entry, run_cfg, n_frames, vectorized)
+    kwargs = _simulate_kwargs(entry, run_cfg, n_frames)
     best = math.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        simulate(stream, entry.scheme, n_frames=n_frames, config=run_cfg,
-                 seed=BENCH_SEED, **kwargs)
-        best = min(best, time.perf_counter() - start)
+    with _write_path(vectorized):
+        for _ in range(repeats):
+            start = time.perf_counter()
+            simulate(stream, entry.scheme, n_frames=n_frames,
+                     config=run_cfg, seed=BENCH_SEED, **kwargs)
+            best = min(best, time.perf_counter() - start)
     return {
         "frames_per_second": n_frames / best,
         "ms_per_frame": 1000.0 * best / n_frames,

@@ -1,17 +1,20 @@
 """End-to-end playback simulation (the paper's Fig. 1b flow).
 
-One :func:`simulate` call plays one video through one scheme:
+One :func:`simulate` call plays one video through one scheme as a
+playback session (:class:`_Playback`) whose named steps are the flow:
 
 1. the network model buffers encoded frames;
-2. the Race-to-Sleep governor wakes the VD, which decodes a batch —
-   generating encoded-stream reads, reference reads, and the content-
-   caching write path's frame-buffer writes;
-3. slack after each batch goes to the deepest profitable sleep state;
-4. the display controller scans a frame out at every vsync through the
-   display-caching read path, detecting drops;
-5. every memory access (plus background masters) flows through the
-   LPDDR3 row-buffer model;
-6. the run is integrated into the nine-part energy breakdown.
+2. ``wake`` — the Race-to-Sleep governor plans the VD's next batch;
+3. ``sleep`` — the slack before it goes to the deepest profitable
+   sleep state;
+4. ``decode`` — the VD decodes each frame, generating encoded-stream
+   reads, reference reads, and the content-caching write path's
+   frame-buffer writes;
+5. ``show_until`` — the display controller scans a frame out at every
+   vsync through the display-caching read path, detecting drops;
+6. every memory access (plus background masters) flows through the
+   LPDDR3 row-buffer model, and the run is integrated into the
+   nine-part energy breakdown.
 
 Timing is event-driven at frame granularity; memory traffic carries
 per-access timestamps so DRAM row interleaving is faithful.
@@ -20,22 +23,17 @@ per-access timestamps so DRAM row interleaving is faithful.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union,
+)
 
 import numpy as np
 
-from ..config import (
-    SchemeConfig,
-    SimulationConfig,
-)
-from ..decoder.power import (
-    PowerState,
-    PowerTracker,
-    SleepDecision,
-    plan_slack,
-)
+from ..config import MachConfig, SchemeConfig, SimulationConfig
+from ..decoder.power import PowerState, PowerTracker, SleepDecision, plan_slack
 from ..decoder.vd import VideoDecoder
 from ..display.controller import DisplayController
+from ..errors import ConfigError
 from ..faults import FaultPlan, conceal_blocks
 from ..display.framebuffer import FrameBufferPool
 from ..thermal import ThermalModel
@@ -46,7 +44,7 @@ from ..video.frame import DecodedFrame, FrameType
 from ..video.synthesis import SyntheticVideo, VideoProfile
 from ..video.trace import FrameTrace
 from .batching import FrameSource, NetworkModel
-from .energy import build_breakdown
+from .energy import EnergyBreakdown, build_breakdown
 from .race_to_sleep import AdaptiveRtSGovernor, RaceToSleepGovernor
 from .readpath import DisplayReadEngine
 from .results import FrameTimeline, RunResult
@@ -71,10 +69,8 @@ def _uniform_times(rng: np.random.Generator, start: float, end: float,
     stream's accesses drift across its window instead of marching on a
     fixed grid; using uniform order statistics keeps the stream's
     density while preventing artificial bank-sweep phase-lock between
-    agents.
+    agents.  An empty window draws nothing from ``rng``.
     """
-    if count <= 0:
-        return np.empty(0, dtype=np.float64)
     times = rng.uniform(start, end, size=count)
     times.sort()
     return times
@@ -95,8 +91,7 @@ class _TrafficLog:
             return
         self._times.append(np.asarray(times, dtype=np.float64))
         self._addresses.append(np.asarray(addresses, dtype=np.int64))
-        self._writes.append(
-            np.full(len(times), is_write, dtype=bool))
+        self._writes.append(np.full(len(times), is_write, dtype=bool))
         self._agents.append(agent)
 
     def drain(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
@@ -109,15 +104,11 @@ class _TrafficLog:
         writes = np.concatenate(self._writes)
         masks: Dict[str, np.ndarray] = {}
         cursor = 0
-        bounds: Dict[str, List[Tuple[int, int]]] = {}
         for agent, chunk in zip(self._agents, self._times):
-            bounds.setdefault(agent, []).append((cursor, cursor + len(chunk)))
+            if agent not in masks:
+                masks[agent] = np.zeros(len(times), dtype=bool)
+            masks[agent][cursor:cursor + len(chunk)] = True
             cursor += len(chunk)
-        for agent, spans in bounds.items():
-            mask = np.zeros(len(times), dtype=bool)
-            for start, end in spans:
-                mask[start:end] = True
-            masks[agent] = mask
         return times, addresses, writes, masks
 
 
@@ -130,28 +121,24 @@ def _resolve_source(
     Accepts a :class:`VideoProfile` (the synthetic generator path), a
     :class:`~repro.video.trace.FrameTrace` (recorded/real content — its
     geometry overrides the configured one), or any sized iterable of
-    :class:`DecodedFrame`.
+    :class:`DecodedFrame`.  Raises :class:`ConfigError` when that
+    leaves fewer than one frame to play.
     """
-    from ..video.trace import FrameTrace  # local: avoid import cycle
-
     if isinstance(source, VideoProfile):
         count = n_frames if n_frames is not None else source.n_frames
+    else:
+        count = len(source) if n_frames is None else min(len(source), n_frames)
+    if count < 1:
+        raise ConfigError(f"need at least one frame to play, got {count}")
+    if isinstance(source, VideoProfile):
         stream = SyntheticVideo(
             cfg.video, source, seed=seed, n_frames=count,
             complexity_sigma=cfg.calibration.complexity_sigma)
         return stream, count, source.key, cfg
     if isinstance(source, FrameTrace):
-        count = len(source)
-        if n_frames is not None:
-            count = min(count, n_frames)
-        cfg = replace(cfg, video=source.video_config)
-        return source, count, "trace", cfg
-    # A generic sized iterable of DecodedFrame.
-    count = len(source)
-    if n_frames is not None:
-        count = min(count, n_frames)
-    key = getattr(source, "key", "stream")
-    return source, count, key, cfg
+        return source, count, "trace", replace(
+            cfg, video=source.video_config)
+    return source, count, getattr(source, "key", "stream"), cfg
 
 
 #: What :func:`simulate` accepts as content: a Table-1 profile, a
@@ -170,7 +157,6 @@ def simulate(
     use_mach_buffer: bool = True,
     buffer_policy: str = "lazy",
     network_model: Optional[FrameSource] = None,
-    vectorized: bool = True,
     block_loss_overlay: Optional[Mapping[int, np.ndarray]] = None,
 ) -> RunResult:
     """Simulate playback of ``source`` under ``scheme``.
@@ -193,10 +179,6 @@ def simulate(
             a :class:`repro.network.DeliveredNetworkModel` to drive
             availability (and hence the Race-to-Sleep batch cap) from
             a trace-driven delivery run.
-        vectorized: use the batched SoA write-path kernel (default).
-            ``False`` forces the retained scalar per-block reference
-            everywhere — the two settings produce bit-identical
-            results, which the equivalence suite asserts.
         block_loss_overlay: per-frame macroblock indices lost upstream
             of the decoder (the realtime mode's unrecovered packets,
             :meth:`repro.realtime.RealtimeResult.block_overlay`).
@@ -206,466 +188,474 @@ def simulate(
 
     Returns:
         A :class:`RunResult` with the energy breakdown and statistics.
+
+    Raises:
+        ConfigError: the source and ``n_frames`` leave no frame to play.
     """
     cfg = config or SimulationConfig()
     stream, count, profile_key, cfg = _resolve_source(
         source, cfg, n_frames, seed)
-    video_cfg = cfg.video
-    mach_cfg = cfg.with_scheme_mach(scheme)
-    # Hardware power/overhead numbers use the paper-spec MACH; the
-    # behavioural structures are capacity-scaled to the sim resolution.
-    sim_mach_cfg = mach_cfg.scaled_for(video_cfg)
+    play = _Playback(
+        cfg, scheme, count, seed, unbounded_mach=unbounded_mach,
+        use_display_cache=use_display_cache, use_mach_buffer=use_mach_buffer,
+        buffer_policy=buffer_policy, network_model=network_model,
+        block_loss_overlay=block_loss_overlay)
+    frames = iter(stream)
+    while play.next_frame < count:
+        for _ in range(play.wake()):
+            play.decode(next(frames))
+    # Trailing slack up to the last refresh, then flush the display.
+    end_time = play.governor.deadline(count - 1) + cfg.video.frame_interval
+    if end_time > play.now:
+        play.sleep(end_time)
+    play.show_until(end_time)
+    play.add_background(end_time)
+    return play.result(profile_key, end_time)
 
-    # --- memory layout -----------------------------------------------------
-    regions = RegionMap(cfg.dram)
-    network_region = regions.add("network", 1 << 20)
-    # Displayed frames stay resident while still referenced: as motion
-    # references for the next frame's decode (all schemes), and as MACH
-    # pointer donors for up to num_machs frames (MACH schemes).
-    retention = mach_cfg.num_machs if scheme.uses_mach else 1
-    slots = scheme.batch_size + 2 + retention
-    slot_bytes = slot_bytes_needed(video_cfg, sim_mach_cfg, scheme)
-    row_span = cfg.dram.row_bytes * cfg.dram.channels
-    slot_bytes = (slot_bytes + row_span - 1) // row_span * row_span
-    pool_span = slots * (slot_bytes
-                         + row_span * FrameBufferPool.PHASE_SLOTS)
-    fb_region = regions.add("framebuffers", pool_span)
-    other_region = regions.add("other", 4 << 20)
 
-    # The simulated traffic is a 1/scale sample of the native stream, so
-    # the time-domain controller parameters (row-open timeout and the
-    # FR-FCFS quantum) are stretched by the same factor to preserve the
-    # interleaving statistics (DESIGN.md section 2).
-    scale = video_cfg.scale_to_native
-    dram_cfg = replace(
-        cfg.dram,
-        row_max_open=cfg.dram.row_max_open * scale,
-        scheduler_quantum=cfg.dram.scheduler_quantum * scale,
-    )
-    memory = MemoryController(dram_cfg)
+class _Playback:
+    """One playback session: the components, the clock, and the state
+    the named steps share.
 
-    # --- components -----------------------------------------------------------
-    network = (network_model if network_model is not None
-               else NetworkModel(cfg.network, video_cfg.fps, count))
-    # Thermal pressure (inert by default): junction temperature, the
-    # sustained-power cap, and injected throttle events can revoke the
-    # boost frequency mid-session; the adaptive governor degrades
-    # gracefully, the fixed one discovers the revocation at decode.
-    thermal = ThermalModel(cfg.thermal) if cfg.thermal.enabled else None
-    adaptive: Optional[AdaptiveRtSGovernor] = None
-    if (thermal is not None and cfg.thermal.adaptive and scheme.racing
-            and scheme.batch_size > 1):
-        adaptive = AdaptiveRtSGovernor(scheme, cfg.decoder, network,
-                                       video_cfg.frame_interval,
-                                       DISPLAY_LEAD, thermal)
-    governor: RaceToSleepGovernor = (
-        adaptive if adaptive is not None
-        else RaceToSleepGovernor(scheme, cfg.decoder, network,
-                                 video_cfg.frame_interval, DISPLAY_LEAD))
-    pool = FrameBufferPool(fb_region.base, slot_bytes, slots,
-                           retention=retention, phase_span=row_span)
-    vd = VideoDecoder(cfg.decoder, video_cfg, cfg.dram.line_bytes)
-    # Fault injection (inert by default): bit errors conceal from the
-    # previous frame, digest collisions trigger the MACH verify
-    # fallback.  The plan is a pure function of the fault seed, so a
-    # faulted run is exactly as deterministic as a clean one.
-    fault_plan = FaultPlan.from_config(cfg.faults)
-    # The eager MACH-buffer prefetch consumes the frozen dump's
-    # iteration order, which the batched kernel emits in recency rather
-    # than way-slot order — that one configuration keeps the scalar
-    # write path.
-    writeback = WritebackEngine(
-        video_cfg, sim_mach_cfg, scheme, cfg.dram.line_bytes,
-        unbounded_mach=unbounded_mach, fault_plan=fault_plan,
-        vectorized=vectorized and not (
-            use_mach_buffer and buffer_policy == "eager"))
-    display = DisplayController(cfg.display, cfg.calibration.display_scan_duty)
-    reader = DisplayReadEngine(
-        cfg.display, sim_mach_cfg, video_cfg, cfg.dram.line_bytes,
-        use_display_cache=use_display_cache,
-        use_mach_buffer=use_mach_buffer,
-        buffer_policy=buffer_policy,
-    )
-    tracker = PowerTracker(cfg.decoder.power_states)
-    psc = cfg.decoder.power_states
-    transition_scale = (psc.racing_transition_factor
-                        if scheme.racing else 1.0)
+    ``now`` is the VD's clock and ``next_frame`` the first frame not yet
+    decoded; ``last_batch`` is the batch just decoded, which shares the
+    next slack.  ``cursor`` is the next vsync the display has not
+    processed; ``completed`` holds each decoded frame's write-path
+    result, and ``skipped`` the frames whose vsync passed undecoded.
+    """
 
-    def slack_scale(at: float) -> float:
-        """Transition-energy scale for a sleep entered around ``at``.
+    def __init__(self, cfg: SimulationConfig, scheme: SchemeConfig,
+                 count: int, seed: int, *, unbounded_mach: bool,
+                 use_display_cache: bool, use_mach_buffer: bool,
+                 buffer_policy: str, network_model: Optional[FrameSource],
+                 block_loss_overlay: Optional[Mapping[int, np.ndarray]],
+                 ) -> None:
+        self.cfg = cfg
+        self.scheme = scheme
+        self.count = count
+        self.psc = cfg.decoder.power_states
+        self.frame_interval = cfg.video.frame_interval
+        self.mach_cfg = cfg.with_scheme_mach(scheme)
+        # Hardware power/overhead numbers use the paper-spec MACH; the
+        # behavioural structures are capacity-scaled to the sim resolution.
+        sim_mach = self.mach_cfg.scaled_for(cfg.video)
+        self._build_memory(sim_mach)
+        self._build_decode(network_model)
+        # Fault injection (inert by default): bit errors conceal from the
+        # previous frame, digest collisions trigger the MACH verify
+        # fallback.  The plan is a pure function of the fault seed, so a
+        # faulted run is exactly as deterministic as a clean one.
+        self.fault_plan = FaultPlan.from_config(cfg.faults)
+        self.block_loss_overlay = block_loss_overlay or {}
+        # The eager MACH-buffer prefetch reads the frozen dump in
+        # (set, way-slot) order, which only the scalar write walk emits,
+        # so the pipeline asks for the scalar walk in that one
+        # configuration; the engine itself falls back to it per frame
+        # under fault injection and on CRC32 collisions.
+        self.writeback = WritebackEngine(
+            cfg.video, sim_mach, scheme, cfg.dram.line_bytes,
+            unbounded_mach=unbounded_mach, fault_plan=self.fault_plan,
+            vectorized=not (use_mach_buffer and buffer_policy == "eager"))
+        self.display = DisplayController(cfg.display,
+                                          cfg.calibration.display_scan_duty)
+        self.reader = DisplayReadEngine(
+            cfg.display, sim_mach, cfg.video, cfg.dram.line_bytes,
+            use_display_cache=use_display_cache,
+            use_mach_buffer=use_mach_buffer, buffer_policy=buffer_policy)
+        self.tracker = PowerTracker(self.psc)
+        self.traffic = _TrafficLog()
+        self.rng = np.random.default_rng(seed + 0x5EED)
+        self.timeline = FrameTimeline.empty(count)
+        self.raw_frame_lines = cfg.video.frame_bytes / cfg.dram.line_bytes
 
-        Racing pays the inflated transition cost only while boost is
-        actually granted; without a thermal model this is the static
-        per-scheme factor (bit-identical to the pre-thermal path)."""
-        if thermal is None:
-            return transition_scale
-        if scheme.racing and thermal.boost_available(at):
-            return psc.racing_transition_factor
-        return 1.0
+        self.now = 0.0
+        self.next_frame = 0
+        self.last_batch = 1
+        self.cursor = 0
+        self.last_shown: Optional[int] = None
+        self.completed: Dict[int, WritebackResult] = {}
+        self.skipped: Set[int] = set()
+        self.prev_blocks: Optional[np.ndarray] = None  # for concealment
+        self.concealed = 0
+        self.frames_at_nominal = 0  # racing frames forced to nominal clock
 
-    def advance_thermal_slack(decision: SleepDecision, upto: float) -> None:
-        """Drive the thermal model over a slack decision's power mix."""
-        if thermal is None:
-            return
-        total = decision.total_time
-        if total <= 0:
-            return
-        if decision.state is PowerState.S1:
-            sleep_power = psc.s1_power
-        elif decision.state is PowerState.S3:
-            sleep_power = psc.s3_power
-        else:
-            sleep_power = 0.0
-        average = (decision.idle_time * psc.p_idle_power
-                   + decision.sleep_time * sleep_power
-                   + decision.transition_energy) / total
-        thermal.advance_to(upto, average)
-    traffic = _TrafficLog()
-    rng = np.random.default_rng(seed + 0x5EED)
-    timeline = FrameTimeline.empty(count)
+    def _build_memory(self, sim_mach: MachConfig) -> None:
+        """Lay out DRAM regions and frame buffers; build the controller."""
+        cfg, scheme = self.cfg, self.scheme
+        regions = RegionMap(cfg.dram)
+        self.network_region = regions.add("network", 1 << 20)
+        # Displayed frames stay resident while still referenced: as motion
+        # references for the next frame's decode (all schemes), and as MACH
+        # pointer donors for up to num_machs frames (MACH schemes).
+        retention = self.mach_cfg.num_machs if scheme.uses_mach else 1
+        slots = scheme.batch_size + 2 + retention
+        slot_bytes = slot_bytes_needed(cfg.video, sim_mach, scheme)
+        row_span = cfg.dram.row_bytes * cfg.dram.channels
+        slot_bytes = (slot_bytes + row_span - 1) // row_span * row_span
+        pool_span = slots * (slot_bytes
+                             + row_span * FrameBufferPool.PHASE_SLOTS)
+        fb_region = regions.add("framebuffers", pool_span)
+        self.other_region = regions.add("other", 4 << 20)
+        self.pool = FrameBufferPool(fb_region.base, slot_bytes, slots,
+                                    retention=retention, phase_span=row_span)
+        # The simulated traffic is a 1/scale sample of the native stream,
+        # so the time-domain controller parameters (row-open timeout and
+        # the FR-FCFS quantum) are stretched by the same factor to
+        # preserve the interleaving statistics (DESIGN.md section 2).
+        scale = cfg.video.scale_to_native
+        self.dram_cfg = replace(
+            cfg.dram,
+            row_max_open=cfg.dram.row_max_open * scale,
+            scheduler_quantum=cfg.dram.scheduler_quantum * scale,
+        )
+        self.memory = MemoryController(self.dram_cfg)
 
-    completed: Dict[int, WritebackResult] = {}
-    finish_times: Dict[int, float] = {}
-    skipped: set = set()
-    state = {"display_cursor": 0, "last_shown": None}
+    def _build_decode(self, network_model: Optional[FrameSource]) -> None:
+        """The network source, thermal model, governor and decoder."""
+        cfg, scheme = self.cfg, self.scheme
+        self.network = (network_model if network_model is not None
+                        else NetworkModel(cfg.network, cfg.video.fps,
+                                          self.count))
+        # Thermal pressure (inert by default): junction temperature, the
+        # sustained-power cap, and injected throttle events can revoke the
+        # boost frequency mid-session; the adaptive governor degrades
+        # gracefully, the fixed one discovers the revocation at decode.
+        self.thermal = (ThermalModel(cfg.thermal) if cfg.thermal.enabled
+                        else None)
+        self.adaptive: Optional[AdaptiveRtSGovernor] = None
+        if (self.thermal is not None and cfg.thermal.adaptive
+                and scheme.racing and scheme.batch_size > 1):
+            self.adaptive = AdaptiveRtSGovernor(
+                scheme, cfg.decoder, self.network, self.frame_interval,
+                DISPLAY_LEAD, self.thermal)
+        self.governor: RaceToSleepGovernor = (
+            self.adaptive if self.adaptive is not None
+            else RaceToSleepGovernor(scheme, cfg.decoder, self.network,
+                                     self.frame_interval, DISPLAY_LEAD))
+        self.vd = VideoDecoder(cfg.decoder, cfg.video, cfg.dram.line_bytes)
 
-    def deadline(index: int) -> float:
-        return governor.deadline(index)
+    # -- the vsync step -------------------------------------------------------
 
-    raw_frame_lines = video_cfg.frame_bytes / cfg.dram.line_bytes
+    def show_until(self, upto: float) -> None:
+        """Process every vsync whose refresh begins at or before ``upto``.
 
-    def scan_window_for(vsync: float, line_count: int) -> Tuple[float, float]:
-        """The DC fetches at its fixed line rate, so a compacted frame
-        finishes early instead of stretching over the whole refresh."""
-        full = video_cfg.frame_interval * cfg.calibration.display_scan_duty
-        density = min(1.0, line_count / raw_frame_lines)
-        return vsync, vsync + full * max(density, 0.05)
-
-    def advance_display(upto: float) -> None:
-        """Process every vsync whose refresh begins at or before ``upto``."""
-        while state["display_cursor"] < count:
-            v = state["display_cursor"]
-            vsync = deadline(v)
+        A frame decoded by its vsync is scanned out and retired; a late
+        or missing one is a drop, and the DC re-scans the last frame it
+        showed.
+        """
+        while self.cursor < self.count:
+            v = self.cursor
+            vsync = self.governor.deadline(v)
             if vsync > upto + 1e-12:
                 break
-            window = (vsync, vsync
-                      + video_cfg.frame_interval
-                      * cfg.calibration.display_scan_duty)
-            ready = v in finish_times and finish_times[v] <= vsync + 1e-12
-            display.record_refresh(v, ready)
+            ready = (v in self.completed
+                     and self.timeline.finish[v] <= vsync + 1e-12)
+            self.display.record_refresh(v, ready)
+            self.timeline.dropped[v] = not ready
             if ready:
-                scan = reader.scan(completed[v], window)
-                burst_window = scan_window_for(vsync, scan.count)
-                traffic.add("dc",
-                            _uniform_times(rng, burst_window[0],
-                                           burst_window[1], scan.count),
-                            scan.addresses, is_write=False)
-                pool.mark_displayed(v)
-                state["last_shown"] = v
-                timeline.dropped[v] = False
+                self.last_shown = v
+            if v in self.completed:
+                # Shown, or decoded too late to be shown: retire it now.
+                self.pool.mark_displayed(v)
             else:
-                timeline.dropped[v] = True
-                if v in finish_times:
-                    # Decoded too late to be shown: retire immediately.
-                    pool.mark_displayed(v)
-                else:
-                    skipped.add(v)
-                shown = state["last_shown"]
-                if shown is not None:
-                    rescan = reader.scan(completed[shown], window)
-                    burst_window = scan_window_for(vsync, rescan.count)
-                    traffic.add("dc",
-                                _uniform_times(rng, burst_window[0],
-                                               burst_window[1],
-                                               rescan.count),
-                                rescan.addresses, is_write=False)
-            state["display_cursor"] += 1
+                self.skipped.add(v)
+            if self.last_shown is not None:
+                self._scan_out(self.completed[self.last_shown], vsync)
+            self.cursor += 1
 
-    def batch_buffers_free_time(next_frame: int, now: float,
-                                batch_size: Optional[int] = None) -> float:
-        """When a ``batch_size`` batch's worth of slots will be free."""
-        if batch_size is None:
-            batch_size = scheme.batch_size
-        free = pool.slots - pool.live_count
-        need = min(batch_size, count - next_frame) - free
-        if need <= 0:
-            return now
-        live = pool.live_indices
-        if need > len(live):
-            need = len(live)
-        victim = live[need - 1]
-        return deadline(victim + pool.retention)
+    def _scan_out(self, frame: WritebackResult, vsync: float) -> None:
+        """One refresh's DC reads of ``frame``, at the DC's fixed line
+        rate: a compacted frame finishes early instead of stretching
+        over the whole refresh."""
+        full = self.frame_interval * self.cfg.calibration.display_scan_duty
+        scan = self.reader.scan(frame, (vsync, vsync + full))
+        density = min(1.0, scan.count / self.raw_frame_lines)
+        end = vsync + full * max(density, 0.05)
+        self.traffic.add("dc", _uniform_times(self.rng, vsync, end,
+                                              scan.count),
+                         scan.addresses, is_write=False)
 
-    # --- main decode loop ---------------------------------------------------------
-    frames_iter = iter(stream)
-    now = 0.0
-    next_frame = 0
-    last_batch_size = 1
-    raw_write_bytes = 0
-    total_write_bytes = 0
-    match_totals = [0, 0, 0]
-    prev_blocks = None  # last decoded frame's content, for concealment
-    concealed_total = 0
-    frames_at_nominal = 0  # racing frames forced to the low frequency
+    # -- the governor and slack steps ----------------------------------------
 
-    while next_frame < count:
-        advance_display(now)
+    def wake(self) -> int:
+        """One Race-to-Sleep decision epoch.
+
+        Plans the next wake (the fixed plan, or the adaptive ladder's
+        under thermal pressure), sleeps through the slack before it,
+        and pays any injected wake delay.  Returns the batch to decode
+        now; 0 means the batch is stalled on the network or on buffer
+        drain, and ``now`` has jumped toward the event that unblocks it.
+        """
+        self.show_until(self.now)
+        thermal = self.thermal
         if thermal is not None:
             # Catch up over stall jumps the tracker does not record.
-            thermal.advance_to(now, psc.p_idle_power)
-        if adaptive is not None:
-            def buffers_free_for(candidate: int) -> float:
-                return batch_buffers_free_time(next_frame, now, candidate)
-            plan = adaptive.plan_wake_adaptive(now, next_frame,
-                                               buffers_free_for)
-            batch_cap = plan.batch_cap
-            allow_s3 = plan.allow_s3
+            thermal.advance_to(self.now, self.psc.p_idle_power)
+        if self.adaptive is not None:
+            plan = self.adaptive.plan_wake_adaptive(
+                self.now, self.next_frame, self._buffers_free_time)
+            batch_cap, allow_s3 = plan.batch_cap, plan.allow_s3
         else:
-            plan = governor.plan_wake(
-                now, next_frame, batch_buffers_free_time(next_frame, now))
-            batch_cap = scheme.batch_size
-            allow_s3 = True
-        if plan.wake_time > now + 1e-12:
-            slack = plan.wake_time - now
-            decision = plan_slack(slack, cfg.decoder.power_states,
-                                  slack_scale(now), allow_s3=allow_s3)
-            tracker.record_slack(decision)
-            _attribute_slack(timeline, decision, next_frame, cfg,
-                             batch=last_batch_size)
-            advance_thermal_slack(decision, plan.wake_time)
-            now = plan.wake_time
-            advance_display(now)
+            plan = self.governor.plan_wake(
+                self.now, self.next_frame,
+                self._buffers_free_time(self.scheme.batch_size))
+            batch_cap, allow_s3 = self.scheme.batch_size, True
+        if plan.wake_time > self.now + 1e-12:
+            decision = self.sleep(plan.wake_time, allow_s3=allow_s3)
             if thermal is not None and decision.transition_time > 0:
-                delay = thermal.wake_delay(now)
+                delay = thermal.wake_delay(self.now)
                 if delay > 0:
-                    # Injected slow frequency ramp out of sleep: the VD
-                    # sits powered-on idle before decode can start.
-                    # Both governors pay it; only the adaptive one
-                    # planned its wake early enough to absorb it.
-                    stall = SleepDecision(PowerState.SHORT_SLACK, 0.0,
-                                          delay, 0.0, 0.0)
-                    tracker.record_slack(stall)
-                    _attribute_slack(timeline, stall, next_frame, cfg,
-                                     batch=last_batch_size)
-                    thermal.advance_to(now + delay, psc.p_idle_power)
-                    now += delay
-                    advance_display(now)
-
-        available = network.frames_available(now) - next_frame
-        free = pool.slots - pool.live_count
-        batch = min(batch_cap, available, free, count - next_frame)
+                    # Injected slow frequency ramp out of sleep: both
+                    # governors pay it; only the adaptive one planned
+                    # its wake early enough to absorb it.
+                    self.sleep(self.now + delay, ramp=delay)
+        available = self.network.frames_available(self.now) - self.next_frame
+        free = self.pool.slots - self.pool.live_count
+        batch = min(batch_cap, available, free, self.count - self.next_frame)
         if batch < 1:
-            # Stalled on the network or on buffer drain: jump to the
-            # earliest event that unblocks us.
             unblock = max(
-                network.time_when_available(next_frame + 1),
-                batch_buffers_free_time(next_frame, now, batch_cap)
-                if free < 1 else now,
-            )
-            now = max(unblock, now + video_cfg.frame_interval / 4)
-            continue
+                self.network.time_when_available(self.next_frame + 1),
+                self._buffers_free_time(batch_cap) if free < 1 else self.now)
+            self.now = max(unblock, self.now + self.frame_interval / 4)
+            return 0
+        self.last_batch = batch
+        return batch
 
-        for _ in range(batch):
-            frame = next(frames_iter)
-            index = frame.index
-            start = now
-            if scheme.batch_size == 1:
-                start = max(start, governor.call_time(index))
-                if start > now + 1e-12:
-                    decision = plan_slack(start - now,
-                                          cfg.decoder.power_states,
-                                          slack_scale(now))
-                    tracker.record_slack(decision)
-                    _attribute_slack(timeline, decision, index, cfg)
-                    advance_thermal_slack(decision, start)
-            racing_now = scheme.racing
-            if thermal is not None and scheme.racing:
-                racing_now = thermal.boost_available(start)
-                if not racing_now:
-                    frames_at_nominal += 1
-            duration = vd.decode_duration(frame, racing_now)
-            power = cfg.decoder.active_power(racing_now)
-            finish = start + duration
-            if thermal is not None:
-                thermal.advance_to(finish, power)
-            slot = pool.admit(index)
+    def _buffers_free_time(self, batch_size: int) -> float:
+        """When a ``batch_size`` batch's worth of slots will be free."""
+        pool = self.pool
+        need = (min(batch_size, self.count - self.next_frame)
+                - (pool.slots - pool.live_count))
+        if need <= 0:
+            return self.now
+        live = pool.live_indices
+        victim = live[min(need, len(live)) - 1]
+        return self.governor.deadline(victim + pool.retention)
 
-            reference_base = None
-            if frame.frame_type is not FrameType.I and index > 0:
-                previous = index - 1
-                if pool.is_live(previous):
-                    reference_base = pool.slot(previous).base
-            reads = vd.read_traffic(
-                frame, start, finish,
-                encoded_base=network_region.base
-                + (index * 4096) % (network_region.size // 2),
-                reference_base=reference_base,
-                rng=rng,
-            )
-            traffic.add("vd_read", reads.times, reads.addresses,
-                        is_write=False)
+    def sleep(self, until: float, allow_s3: bool = True,
+              ramp: float = 0.0) -> SleepDecision:
+        """Spend the slack from ``now`` to ``until``: the only slack path.
 
-            if fault_plan is not None or block_loss_overlay is not None:
-                corrupt = (fault_plan.corrupt_block_indices(
-                    index, frame.n_blocks, frame.block_bytes)
-                    if fault_plan is not None
-                    else np.empty(0, dtype=np.int64))
-                if block_loss_overlay is not None:
-                    lost = block_loss_overlay.get(index)
-                    if lost is not None and len(lost):
-                        corrupt = np.union1d(
-                            corrupt, np.asarray(lost, dtype=np.int64))
-                if len(corrupt):
-                    # Copy before concealing: the stream may derive
-                    # later frames from this buffer, and the source
-                    # content must not inherit the receiver's damage.
-                    frame.blocks = frame.blocks.copy()
-                    concealed_total += conceal_blocks(
-                        frame.blocks, corrupt, prev_blocks)
-                    # Concealment re-reads each co-located block from
-                    # the previous frame's buffer: extra memory
-                    # traffic the fault-free path never pays.
-                    if index > 0 and pool.is_live(index - 1):
-                        conceal_base = pool.slot(index - 1).base
-                        line = cfg.dram.line_bytes
-                        conceal_addrs = (conceal_base
-                                         + (corrupt * frame.block_bytes)
-                                         // line * line)
-                        traffic.add(
-                            "vd_read",
-                            _uniform_times(rng, start, finish,
-                                           len(conceal_addrs)),
-                            conceal_addrs, is_write=False)
-            prev_blocks = frame.blocks
+        The slack goes to the deepest profitable sleep state
+        (:func:`plan_slack`; ``allow_s3=False`` caps it at S1).  A
+        non-zero ``ramp`` is an injected slow wake instead: the VD sits
+        powered-on idle for ``ramp`` seconds, ending at ``until``.  The
+        decision is recorded, shared over the batch just decoded, and
+        drives the thermal model; the display refreshes on meanwhile.
+        """
+        psc = self.psc
+        if ramp:
+            decision = SleepDecision(PowerState.SHORT_SLACK, 0.0, ramp,
+                                     0.0, 0.0)
+        else:
+            # Racing pays the inflated transition cost only while boost
+            # is actually granted.
+            scale = (psc.racing_transition_factor
+                     if self._racing_at(self.now) else 1.0)
+            decision = plan_slack(until - self.now, psc, scale,
+                                  allow_s3=allow_s3)
+        self.tracker.record_slack(decision)
+        self._attribute_slack(decision)
+        if self.thermal is not None and decision.total_time > 0:
+            self.thermal.advance_to(until, psc.p_idle_power if ramp
+                                    else decision.average_power(psc))
+        self.now = until
+        self.show_until(until)
+        return decision
 
-            result = writeback.process_frame(frame, slot.base)
-            write_times = _uniform_times(rng, start, finish,
-                                         len(result.write_lines))
-            traffic.add("vd_write", write_times, result.write_lines,
-                        is_write=True)
-            pool.set_footprint(index, result.bytes_written)
-            completed[index] = result
-            finish_times[index] = finish
-            raw_write_bytes += result.layout.raw_bytes
-            total_write_bytes += result.bytes_written
-            match_totals[0] += result.matches.intra
-            match_totals[1] += result.matches.inter
-            match_totals[2] += result.matches.none
+    def _racing_at(self, at: float) -> bool:
+        """Boost clock around ``at``: racing asks, thermal may revoke."""
+        if self.thermal is not None and self.scheme.racing:
+            return self.thermal.boost_available(at)
+        return self.scheme.racing
 
-            tracker.record_execution(duration, power)
-            timeline.decode_time[index] = duration
-            timeline.exec_energy[index] = duration * power
-            timeline.finish[index] = finish
-            timeline.deadline[index] = deadline(index)
+    def _attribute_slack(self, decision: SleepDecision) -> None:
+        """Share a slack decision evenly over the batch just decoded.
 
-            if index in skipped:
-                pool.mark_displayed(index)  # stale frame: retire at once
-            now = finish
-            advance_display(now)
-        next_frame += batch
-        last_batch_size = batch
+        The paper presents per-frame overheads with a batch's slack and
+        transition cost shared by its frames (Fig. 2d: "transition
+        overheads per frame ... reduced by 16x").
+        """
+        timeline, psc = self.timeline, self.psc
+        end = self.next_frame
+        if end == 0:
+            return  # slack before the first decode belongs to no frame
+        start = max(0, end - self.last_batch)
+        share = 1.0 / (end - start)
+        frames = slice(start, end)
+        if decision.state is PowerState.S1:
+            timeline.s1_time[frames] += decision.sleep_time * share
+            timeline.s1_energy[frames] += (
+                decision.sleep_time * psc.s1_power * share)
+        elif decision.state is PowerState.S3:
+            timeline.s3_time[frames] += decision.sleep_time * share
+            timeline.s3_energy[frames] += (
+                decision.sleep_time * psc.s3_power * share)
+        timeline.idle_time[frames] += decision.idle_time * share
+        timeline.idle_energy[frames] += (
+            decision.idle_time * psc.p_idle_power * share)
+        timeline.transition_time[frames] += decision.transition_time * share
+        timeline.transition_energy[frames] += (
+            decision.transition_energy * share)
 
-    # Flush the remaining display schedule and trailing slack.
-    end_time = deadline(count - 1) + video_cfg.frame_interval
-    if end_time > now:
-        decision = plan_slack(end_time - now, cfg.decoder.power_states,
-                              slack_scale(now))
-        tracker.record_slack(decision)
-        _attribute_slack(timeline, decision, count, cfg,
-                         batch=last_batch_size)
-        advance_thermal_slack(decision, end_time)
-        now = end_time
-    advance_display(end_time)
+    # -- the decode step ---------------------------------------------------------
 
-    # --- background masters ---------------------------------------------------------
-    frame_lines = video_cfg.frame_bytes // cfg.dram.line_bytes
-    bg_per_interval = (2 * frame_lines
-                       * cfg.calibration.other_traffic_fraction)
-    bg_count = int(bg_per_interval * end_time / video_cfg.frame_interval)
-    if bg_count:
+    def decode(self, frame: DecodedFrame) -> None:
+        """Decode one frame: VD timing and thermal, input reads and
+        concealment, the write path, and the frame's timeline row."""
+        index = frame.index
+        start = self.now
+        if self.scheme.batch_size == 1:
+            # Frame-by-frame decoding starts no earlier than its call slot.
+            start = max(start, self.governor.call_time(index))
+        racing = self._racing_at(start)
+        if self.scheme.racing and not racing:
+            self.frames_at_nominal += 1
+        duration = self.vd.decode_duration(frame, racing)
+        power = self.cfg.decoder.active_power(racing)
+        finish = start + duration
+        if self.thermal is not None:
+            self.thermal.advance_to(finish, power)
+        slot = self.pool.admit(index)
+        self._read_inputs(frame, start, finish)
+        result = self.writeback.process_frame(frame, slot.base)
+        self.traffic.add("vd_write", _uniform_times(
+            self.rng, start, finish, len(result.write_lines)),
+            result.write_lines, is_write=True)
+        self.pool.set_footprint(index, result.bytes_written)
+        self.completed[index] = result
+        self.tracker.record_execution(duration, power)
+        self.timeline.decode_time[index] = duration
+        self.timeline.exec_energy[index] = duration * power
+        self.timeline.finish[index] = finish
+        self.timeline.deadline[index] = self.governor.deadline(index)
+        if index in self.skipped:
+            self.pool.mark_displayed(index)  # stale frame: retire at once
+        self.next_frame += 1
+        self.now = finish
+        self.show_until(finish)
+
+    def _read_inputs(self, frame: DecodedFrame, start: float,
+                     finish: float) -> None:
+        """The VD's reads: encoded stream and motion reference, then the
+        concealment of blocks lost to bit errors or upstream."""
+        index, pool = frame.index, self.pool
+        # The previous frame's buffer: motion reference, concealment source.
+        previous = (pool.slot(index - 1).base if pool.is_live(index - 1)
+                    else None)
+        region = self.network_region
+        reads = self.vd.read_traffic(
+            frame, start, finish,
+            encoded_base=region.base + (index * 4096) % (region.size // 2),
+            reference_base=(None if frame.frame_type is FrameType.I
+                            else previous),
+            rng=self.rng)
+        self.traffic.add("vd_read", reads.times, reads.addresses,
+                         is_write=False)
+        corrupt = self._lost_blocks(frame)
+        if len(corrupt):
+            # Copy before concealing: the stream may derive later frames
+            # from this buffer, and the source content must not inherit
+            # the receiver's damage.
+            frame.blocks = frame.blocks.copy()
+            self.concealed += conceal_blocks(frame.blocks, corrupt,
+                                             self.prev_blocks)
+            # Concealment re-reads each co-located block from the
+            # previous frame's buffer: extra memory traffic the
+            # fault-free path never pays.
+            if previous is not None:
+                line = self.cfg.dram.line_bytes
+                addresses = (previous
+                             + (corrupt * frame.block_bytes) // line * line)
+                self.traffic.add("vd_read", _uniform_times(
+                    self.rng, start, finish, len(addresses)),
+                    addresses, is_write=False)
+        self.prev_blocks = frame.blocks
+
+    def _lost_blocks(self, frame: DecodedFrame) -> np.ndarray:
+        """Macroblocks of ``frame`` corrupted by injected bit errors or
+        lost upstream of the decoder (the union of both sources)."""
+        corrupt = (self.fault_plan.corrupt_block_indices(
+            frame.index, frame.n_blocks, frame.block_bytes)
+            if self.fault_plan is not None
+            else np.empty(0, dtype=np.int64))
+        lost = self.block_loss_overlay.get(frame.index)
+        if lost is not None and len(lost):
+            corrupt = np.union1d(corrupt, np.asarray(lost, dtype=np.int64))
+        return corrupt
+
+    # -- after playback ----------------------------------------------------------
+
+    def add_background(self, end_time: float) -> None:
+        """CPU/GPU masters' traffic over the whole run."""
+        cfg = self.cfg
+        line_bytes = cfg.dram.line_bytes
+        frame_lines = cfg.video.frame_bytes // line_bytes
+        bg_per_interval = (2 * frame_lines
+                           * cfg.calibration.other_traffic_fraction)
+        bg_count = int(bg_per_interval * end_time / self.frame_interval)
+        if not bg_count:
+            return
         # CPU/GPU masters fetch in short sequential runs (cache refills),
         # not isolated random lines.
         run = 16
         n_runs = max(1, bg_count // run)
-        run_starts = np.sort(rng.uniform(0.0, end_time, size=n_runs))
-        line_time = 8e-9 * scale  # back-to-back line transfers, scaled
-        bg_times = (run_starts[:, None]
-                    + np.arange(run)[None, :] * line_time).ravel()
-        region_lines = other_region.size // cfg.dram.line_bytes
-        bg_line_starts = rng.integers(0, region_lines - run, size=n_runs)
-        bg_lines = (bg_line_starts[:, None] + np.arange(run)[None, :]).ravel()
-        bg_addrs = other_region.base + bg_lines * cfg.dram.line_bytes
-        traffic.add("other", bg_times, bg_addrs, is_write=False)
+        run_starts = np.sort(self.rng.uniform(0.0, end_time, size=n_runs))
+        # Back-to-back line transfers, scaled like the controller timing.
+        line_time = 8e-9 * cfg.video.scale_to_native
+        times = (run_starts[:, None]
+                 + np.arange(run)[None, :] * line_time).ravel()
+        region_lines = self.other_region.size // line_bytes
+        line_starts = self.rng.integers(0, region_lines - run, size=n_runs)
+        lines = (line_starts[:, None] + np.arange(run)[None, :]).ravel()
+        self.traffic.add("other", times,
+                         self.other_region.base + lines * line_bytes,
+                         is_write=False)
 
-    # --- memory + energy integration ----------------------------------------------
-    times, addresses, writes, masks = traffic.drain()
-    memory.process_window(times, addresses, writes, masks)
-    mem_energy = memory_energy(dram_cfg, memory.stats, end_time).scaled(
-        video_cfg.scale_to_native)
-    breakdown = build_breakdown(tracker, mem_energy, cfg.display, mach_cfg,
-                                scheme, end_time)
+    def _energy(self, end_time: float) -> EnergyBreakdown:
+        """Replay all DRAM traffic, then integrate the energy breakdown."""
+        times, addresses, writes, masks = self.traffic.drain()
+        self.memory.process_window(times, addresses, writes, masks)
+        mem_energy = memory_energy(self.dram_cfg, self.memory.stats,
+                                   end_time).scaled(
+            self.cfg.video.scale_to_native)
+        return build_breakdown(self.tracker, mem_energy, self.cfg.display,
+                               self.mach_cfg, self.scheme, end_time)
 
-    mach_stats = writeback.stats
-    matches = FrameMatches(*match_totals) if scheme.uses_mach else None
-    return RunResult(
-        profile_key=profile_key,
-        scheme_name=scheme.name,
-        n_frames=count,
-        elapsed=end_time,
-        energy=breakdown,
-        drops=display.stats.drops,
-        residency={s: tracker.residency(s) for s in PowerState},
-        transitions=tracker.transitions,
-        timeline=timeline,
-        matches=matches,
-        write_bytes=total_write_bytes,
-        raw_write_bytes=raw_write_bytes,
-        read_stats=reader.stats if scheme.uses_mach else None,
-        mem_stats=memory.stats,
-        peak_footprint_native_mb=pool.peak_footprint
-        * video_cfg.scale_to_native / (1 << 20),
-        silent_collisions=mach_stats.silent_collisions if mach_stats else 0,
-        detected_collisions=(mach_stats.detected_collisions
-                             if mach_stats else 0),
-        concealed_blocks=concealed_total,
-        injected_collisions=(mach_stats.injected_collisions
-                             if mach_stats else 0),
-        fallback_writes=mach_stats.fallback_writes if mach_stats else 0,
-        throttle_seconds=(thermal.throttle_seconds
-                          if thermal is not None else 0.0),
-        degradation_steps=(adaptive.degradation_steps
-                           if adaptive is not None else 0),
-        frames_at_nominal=frames_at_nominal,
-    )
-
-
-def _attribute_slack(timeline: FrameTimeline, decision: SleepDecision,
-                     upto_frame: int, cfg: SimulationConfig,
-                     batch: int = 1) -> None:
-    """Attribute a slack decision across the batch just decoded.
-
-    The paper presents per-frame overheads with a batch's slack and
-    transition cost shared by its frames (Fig. 2d: "transition
-    overheads per frame ... reduced by 16x"), so the decision is split
-    evenly over the ``batch`` frames ending at ``upto_frame - 1``.
-    """
-    end = min(upto_frame, len(timeline.decode_time))
-    start = max(0, end - max(batch, 1))
-    if end <= start:
-        return
-    share = 1.0 / (end - start)
-    psc = cfg.decoder.power_states
-    indices = slice(start, end)
-    if decision.state is PowerState.S1:
-        timeline.s1_time[indices] += decision.sleep_time * share
-        timeline.s1_energy[indices] += (
-            decision.sleep_time * psc.s1_power * share)
-    elif decision.state is PowerState.S3:
-        timeline.s3_time[indices] += decision.sleep_time * share
-        timeline.s3_energy[indices] += (
-            decision.sleep_time * psc.s3_power * share)
-    timeline.idle_time[indices] += decision.idle_time * share
-    timeline.idle_energy[indices] += (
-        decision.idle_time * psc.p_idle_power * share)
-    timeline.transition_time[indices] += decision.transition_time * share
-    timeline.transition_energy[indices] += decision.transition_energy * share
+    def result(self, profile_key: str, end_time: float) -> RunResult:
+        """The run's :class:`RunResult`, after DRAM replay and energy."""
+        energy = self._energy(end_time)
+        # MACH statistics are run totals of the per-frame censuses; a
+        # raw scheme has none.
+        mach = self.writeback.stats
+        thermal, adaptive = self.thermal, self.adaptive
+        written = self.completed.values()
+        return RunResult(
+            profile_key=profile_key,
+            scheme_name=self.scheme.name,
+            n_frames=self.count,
+            elapsed=end_time,
+            energy=energy,
+            drops=self.display.stats.drops,
+            residency={s: self.tracker.residency(s) for s in PowerState},
+            transitions=self.tracker.transitions,
+            timeline=self.timeline,
+            matches=(FrameMatches(mach.intra, mach.inter, mach.none)
+                     if mach else None),
+            write_bytes=sum(r.bytes_written for r in written),
+            raw_write_bytes=sum(r.layout.raw_bytes for r in written),
+            read_stats=self.reader.stats if mach else None,
+            mem_stats=self.memory.stats,
+            peak_footprint_native_mb=self.pool.peak_footprint
+            * self.cfg.video.scale_to_native / (1 << 20),
+            silent_collisions=mach.silent_collisions if mach else 0,
+            detected_collisions=mach.detected_collisions if mach else 0,
+            concealed_blocks=self.concealed,
+            injected_collisions=mach.injected_collisions if mach else 0,
+            fallback_writes=mach.fallback_writes if mach else 0,
+            throttle_seconds=(thermal.throttle_seconds
+                              if thermal is not None else 0.0),
+            degradation_steps=(adaptive.degradation_steps
+                               if adaptive is not None else 0),
+            frames_at_nominal=self.frames_at_nominal,
+        )

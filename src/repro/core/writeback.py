@@ -113,13 +113,13 @@ class WritebackEngine:
         self.mach_config = mach
         self.scheme = scheme
         self.line_bytes = line_bytes
-        #: Use the SoA frame kernel where it is bit-exact; the scalar
-        #: per-block loop remains both the fallback (fault injection,
-        #: CRC collisions) and the reference the kernel is tested
-        #: against.  Callers that consume the frozen dump's *iteration
-        #: order* (the eager MACH-buffer prefetch) must pass False: the
-        #: kernel emits the same dump entries in recency order rather
-        #: than the scalar (set, way-slot) order.
+        #: Use the SoA frame kernel where it is bit-exact.  The engine
+        #: itself takes the scalar per-block walk for a frame under
+        #: fault injection or with a CRC32 collision.  ``simulate``
+        #: passes False for the eager MACH-buffer prefetch, which reads
+        #: the frozen dump in the walk's (set, way-slot) order where the
+        #: kernel emits recency order; the tests pass False to use the
+        #: walk as the kernel's reference.
         self.vectorized = vectorized
         self.ring: Optional[MachRing] = (
             MachRing(mach, unbounded=unbounded_mach)

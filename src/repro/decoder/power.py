@@ -42,6 +42,21 @@ class SleepDecision:
     def total_time(self) -> float:
         return self.sleep_time + self.idle_time + self.transition_time
 
+    def average_power(self, config: PowerStateConfig) -> float:
+        """Mean draw (W) over the whole slack window."""
+        return (self.idle_time * config.p_idle_power
+                + self.sleep_time * sleep_power(config, self.state)
+                + self.transition_energy) / self.total_time
+
+
+def sleep_power(config: PowerStateConfig, state: PowerState) -> float:
+    """Draw (W) while asleep in ``state``; 0 for a state that is no sleep."""
+    if state is PowerState.S1:
+        return config.s1_power
+    if state is PowerState.S3:
+        return config.s3_power
+    return 0.0
+
 
 def plan_slack(slack: float, config: PowerStateConfig,
                transition_scale: float = 1.0,
@@ -99,16 +114,10 @@ class PowerTracker:
     def record_slack(self, decision: SleepDecision) -> None:
         """Apply a :func:`plan_slack` decision to the accounting."""
         cfg = self.config
-        if decision.state is PowerState.S1:
-            sleep_power = cfg.s1_power
-        elif decision.state is PowerState.S3:
-            sleep_power = cfg.s3_power
-        else:
-            sleep_power = 0.0  # no sleeping happened
         if decision.sleep_time:
             self.time_by_state[decision.state] += decision.sleep_time
             self.energy_by_state[decision.state] += (
-                decision.sleep_time * sleep_power)
+                decision.sleep_time * sleep_power(cfg, decision.state))
         if decision.idle_time:
             self.time_by_state[PowerState.SHORT_SLACK] += decision.idle_time
             self.energy_by_state[PowerState.SHORT_SLACK] += (

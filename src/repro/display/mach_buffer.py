@@ -15,8 +15,8 @@ Two fill policies:
   as the paper describes; every dumped entry costs one block fetch up
   front and digest lookups then always hit while resident.
 
-Both policies are exercised by the display benchmarks; lazy is the
-default because at the scaled simulation resolution an eager prefetch
+The display benchmarks run lazy and the tests exercise both; lazy is
+the default because at the scaled simulation resolution an eager prefetch
 of a full dump is disproportionately large relative to a frame (see
 DESIGN.md section 2 on metadata scale effects).
 """

@@ -2,11 +2,25 @@
 
 from __future__ import annotations
 
+import functools
+from typing import Any
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.config import SimulationConfig, VideoConfig
+from repro.core import pipeline
+from repro.core.writeback import WritebackEngine
 from repro.video import SyntheticVideo, workload
+
+
+class ScalarWritebackEngine(WritebackEngine):
+    """The write engine with the batched kernel off: every frame takes
+    the scalar per-block walk, the reference the kernel must match."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **{**kwargs, "vectorized": False})
 
 
 @pytest.fixture
@@ -36,3 +50,16 @@ def short_stream(video_config: VideoConfig):
 @pytest.fixture
 def random_blocks(rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, 256, size=(200, 48), dtype=np.uint8)
+
+
+@pytest.fixture(scope="session")
+def scalar_write_path():
+    """The run-level scalar oracle, as a context-manager factory.
+
+    ``with scalar_write_path(): simulate(...)`` builds the pipeline's
+    write engine on the scalar walk; outside the block ``simulate``
+    picks its write path as in production.  Session-scoped so that
+    Hypothesis tests can take it.
+    """
+    return functools.partial(mock.patch.object, pipeline, "WritebackEngine",
+                             ScalarWritebackEngine)

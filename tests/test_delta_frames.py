@@ -10,6 +10,7 @@ scratch: the features on every frame, the every-row render, and whole
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 
@@ -214,7 +215,7 @@ _RUNS = {
     "V3-GAB+DCC-thermal": ("V3", GAB_DCC, {"config": _THERMAL}),
     "V1-MAB": ("V1", MAB, {}),
     "V8-GAB+DCC-faults": ("V8", GAB_DCC, {"config": _FAULTS}),
-    "V8-GAB-scalar": ("V8", GAB, {"vectorized": False}),
+    "V8-GAB-scalar": ("V8", GAB, {}),
     "V8-GAB-eager": ("V8", GAB, {"buffer_policy": "eager"}),
     "V8-DCC": ("V8", DCC_ONLY, {}),
 }
@@ -228,19 +229,21 @@ def _run_json(name, n_frames=96):
 
 
 @pytest.mark.parametrize("name", sorted(_RUNS))
-def test_delta_frames_are_inert(monkeypatch, name):
-    delta = _run_json(name)
-    monkeypatch.setattr(
-        writeback, "_changed_rows",
-        lambda current, previous: np.ones(len(current), dtype=bool))
-    render = _SceneState.render
+def test_delta_frames_are_inert(monkeypatch, scalar_write_path, name):
+    with (scalar_write_path() if name.endswith("-scalar")
+          else contextlib.nullcontext()):
+        delta = _run_json(name)
+        monkeypatch.setattr(
+            writeback, "_changed_rows",
+            lambda current, previous: np.ones(len(current), dtype=bool))
+        render = _SceneState.render
 
-    def render_every_row(state):
-        state._dirty[:] = True
-        return render(state)
+        def render_every_row(state):
+            state._dirty[:] = True
+            return render(state)
 
-    monkeypatch.setattr(_SceneState, "render", render_every_row)
-    assert _run_json(name) == delta
+        monkeypatch.setattr(_SceneState, "render", render_every_row)
+        assert _run_json(name) == delta
 
 
 def _count_rows(monkeypatch, name):

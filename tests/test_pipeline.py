@@ -6,6 +6,8 @@ assert the paper's qualitative behaviours hold on every run.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,13 +16,19 @@ from repro.config import (
     BASELINE,
     BATCHING,
     GAB,
+    GAB_DCC,
     MAB,
     RACE_TO_SLEEP,
     RACING,
     SimulationConfig,
+    ThermalConfig,
     VideoConfig,
 )
+from repro.core.results import FrameTimeline
 from repro.decoder.power import PowerState
+from repro.errors import ConfigError
+from repro.video import SyntheticVideo
+from repro.video.trace import FrameTrace
 
 FRAMES = 64
 
@@ -156,3 +164,56 @@ class TestConfigurationVariants:
         result = simulate(workload("V8"), GAB, n_frames=24, seed=2,
                           buffer_policy="eager")
         assert result.read_stats.prefetch_reads > 0
+
+
+_TINY_VIDEO = VideoConfig(width=64, height=32)
+_TINY = SimulationConfig(video=_TINY_VIDEO)
+#: The ``dcc_misses_throttled`` benchmark's injected thermal pressure.
+_THROTTLED = SimulationConfig(video=_TINY_VIDEO, thermal=ThermalConfig(
+    enabled=True, seed=7, event_interval=1.0, cap_drop_rate=1.0,
+    cap_drop_duty=0.5, delayed_transition_rate=0.5))
+
+
+def _source(kind):
+    if kind == "profile":
+        return workload("V8")
+    frames = list(SyntheticVideo(_TINY_VIDEO, workload("V8"), seed=3,
+                                 n_frames=4))
+    if kind == "frames":
+        return frames
+    return FrameTrace.from_frames(frames, _TINY_VIDEO.width,
+                                  _TINY_VIDEO.height)
+
+
+class TestFrameCounts:
+    @pytest.mark.parametrize("n_frames", [0, -2])
+    @pytest.mark.parametrize("kind", ["profile", "frames", "trace"])
+    def test_no_frame_to_play_is_a_config_error(self, kind, n_frames):
+        with pytest.raises(ConfigError, match="at least one frame"):
+            simulate(_source(kind), GAB, n_frames=n_frames, config=_TINY)
+
+    def test_empty_frame_list_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="at least one frame"):
+            simulate([], GAB, config=_TINY)
+
+
+class TestBatchEdges:
+    """Runs one frame short of, at, and past a 16-frame batch."""
+
+    @pytest.mark.parametrize("throttled", [False, True],
+                             ids=["cool", "throttled"])
+    @pytest.mark.parametrize("scheme", [BASELINE, RACING, GAB, GAB_DCC],
+                             ids=lambda scheme: scheme.name)
+    @pytest.mark.parametrize("n_frames", [1, 15, 17])
+    def test_every_step_covers_every_frame(self, n_frames, scheme,
+                                           throttled):
+        cfg = _THROTTLED if throttled else _TINY
+        result = simulate(workload("V8"), scheme, n_frames=n_frames,
+                          config=cfg, seed=7)
+        assert result.n_frames == n_frames
+        for field in dataclasses.fields(FrameTimeline):
+            assert len(getattr(result.timeline, field.name)) == n_frames
+        assert 0 <= result.drops <= n_frames
+        assert sum(result.residency.values()) == pytest.approx(1.0)
+        assert np.isfinite(result.energy.total)
+        assert result.energy.total > 0

@@ -233,14 +233,32 @@ class TestWritebackEquivalence:
 
 
 class TestPipelineEquivalence:
+    def test_scalar_switch_reaches_the_pipeline(self, scalar_write_path,
+                                                monkeypatch):
+        walks = []
+        scalar_walk = WritebackEngine._process_mach_scalar
+
+        def counting(engine, *args):
+            walks.append(engine)
+            return scalar_walk(engine, *args)
+
+        monkeypatch.setattr(WritebackEngine, "_process_mach_scalar", counting)
+        simulate(workload("V8"), GAB, n_frames=4, config=_TINY)
+        assert walks == []
+        with scalar_write_path():
+            simulate(workload("V8"), GAB, n_frames=4, config=_TINY)
+        assert len(walks) == 4
+
     @given(scheme_name=st.sampled_from(sorted(_MACH_SCHEMES)),
            buffer_policy=st.sampled_from(["lazy", "eager"]),
            seed=st.integers(0, 3))
     @settings(max_examples=8, deadline=None)
-    def test_run_result_identical(self, scheme_name, buffer_policy, seed):
+    def test_run_result_identical(self, scalar_write_path, scheme_name,
+                                  buffer_policy, seed):
         scheme = _MACH_SCHEMES[scheme_name]
         kwargs = dict(n_frames=12, config=_TINY, seed=seed,
                       buffer_policy=buffer_policy)
-        fast = simulate(workload("V8"), scheme, vectorized=True, **kwargs)
-        slow = simulate(workload("V8"), scheme, vectorized=False, **kwargs)
+        fast = simulate(workload("V8"), scheme, **kwargs)
+        with scalar_write_path():
+            slow = simulate(workload("V8"), scheme, **kwargs)
         _assert_equal(fast, slow, "RunResult")
