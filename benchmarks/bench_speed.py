@@ -58,7 +58,7 @@ from repro.config import (
     ThermalConfig,
 )
 from repro.core import pipeline
-from repro.core.writeback import WritebackEngine
+from repro.core.writeback import WritebackEngine, WritebackResult
 from repro.video.frame import DecodedFrame
 from repro.video.synthesis import SyntheticVideo
 
@@ -104,8 +104,11 @@ MATRIX = (
 class _ScalarWritebackEngine(WritebackEngine):
     """The write engine with the batched kernel off (scalar walk)."""
 
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **{**kwargs, "vectorized": False})
+    def _process_mach(self, frame: DecodedFrame,
+                      slot_base: int) -> WritebackResult:
+        tags, aux, dcc_sizes = self._content_features(frame.blocks)
+        return self._process_mach_scalar(frame, slot_base, tags, aux,
+                                         dcc_sizes)
 
 
 def _write_path(vectorized: bool) -> ContextManager[Any]:

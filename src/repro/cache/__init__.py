@@ -3,16 +3,11 @@ display cache."""
 
 from .base import AccessResult, CacheStats
 from .directmapped import DirectMappedCache
-from .replacement import FifoPolicy, LruPolicy, RandomPolicy, make_policy
 from .setassoc import SetAssociativeCache
 
 __all__ = [
     "AccessResult",
     "CacheStats",
     "DirectMappedCache",
-    "FifoPolicy",
-    "LruPolicy",
-    "RandomPolicy",
-    "make_policy",
     "SetAssociativeCache",
 ]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -43,28 +43,3 @@ class CacheStats:
     @property
     def miss_rate(self) -> float:
         return self.misses / self.accesses if self.accesses else 0.0
-
-    def merge(self, other: "CacheStats") -> "CacheStats":
-        """Combine counters from another cache (e.g. across MACH ring)."""
-        return CacheStats(
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            evictions=self.evictions + other.evictions,
-            insertions=self.insertions + other.insertions,
-        )
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.insertions = 0
-
-
-@dataclass
-class Totals:
-    """Helper for aggregating stats across many caches."""
-
-    stats: CacheStats = field(default_factory=CacheStats)
-
-    def add(self, other: CacheStats) -> None:
-        self.stats = self.stats.merge(other)

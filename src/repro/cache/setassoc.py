@@ -1,121 +1,80 @@
-"""Set-associative key-value cache.
+"""Set-associative LRU key-value cache.
 
-Used three ways in this reproduction:
+Used two ways in this reproduction:
 
 * as the conventional VD data cache (keys are line addresses);
-* as one MACH (keys are digests, values are frame-buffer pointers);
-* as the MACH buffer at the DC (keys are digests, values are blocks).
+* as one MACH (keys are digests, values are frame-buffer pointers).
 
 Keys are arbitrary ints; the set index is taken from the key's low
 bits, matching the paper's choice of indexing MACH with the low 6 bits
-of the CRC32 digest (Sec. 4.4).
+of the CRC32 digest (Sec. 4.4).  Each set is a recency-ordered mapping,
+least recently used first, so a full set evicts its first entry.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Any, Iterator, List, Optional, Tuple
 
 from ..errors import CacheError
 from .base import AccessResult, CacheStats
-from .replacement import ReplacementPolicy, make_policy
-
-
-class _CacheSet:
-    """One set: parallel tag/value arrays plus a replacement policy."""
-
-    __slots__ = ("tags", "values", "policy")
-
-    def __init__(self, ways: int, policy: ReplacementPolicy) -> None:
-        self.tags: List[Optional[int]] = [None] * ways
-        self.values: List[Any] = [None] * ways
-        self.policy = policy
-
-    def find(self, tag: int) -> int:
-        """Way holding ``tag``, or -1."""
-        for way, existing in enumerate(self.tags):
-            if existing == tag:
-                return way
-        return -1
-
-    def free_way(self) -> int:
-        """An empty way, or -1 if the set is full."""
-        for way, existing in enumerate(self.tags):
-            if existing is None:
-                return way
-        return -1
 
 
 class SetAssociativeCache:
-    """A set-associative cache of ``sets * ways`` entries.
+    """An LRU set-associative cache of ``sets * ways`` entries.
 
-    ``index_bits`` low bits of the key select the set; the rest is the
-    tag.  Values ride along with tags (this is a key-value store, as
-    MACH needs, not just a presence structure).
+    The low ``log2(sets)`` bits of the key select the set.  Values ride
+    along with keys (this is a key-value store, as MACH needs, not just
+    a presence structure).
     """
 
-    def __init__(self, sets: int, ways: int, policy: str = "lru",
-                 seed: int = 0) -> None:
+    def __init__(self, sets: int, ways: int) -> None:
         if sets <= 0 or sets & (sets - 1):
             raise CacheError(f"set count must be a positive power of two: {sets}")
         if ways <= 0:
             raise CacheError(f"way count must be positive: {ways}")
         self.sets = sets
         self.ways = ways
-        self.policy_name = policy
         self._index_mask = sets - 1
-        self._index_bits = sets.bit_length() - 1
-        self._sets = [
-            _CacheSet(ways, make_policy(policy, ways, seed=seed + i))
-            for i in range(sets)
-        ]
+        self._sets: List["OrderedDict[int, Any]"] = [
+            OrderedDict() for _ in range(sets)]
         self.stats = CacheStats()
 
     # -- core operations ------------------------------------------------
 
-    def _locate(self, key: int) -> Tuple[_CacheSet, int]:
-        cache_set = self._sets[key & self._index_mask]
-        tag = key >> self._index_bits
-        return cache_set, tag
+    def _set(self, key: int) -> "OrderedDict[int, Any]":
+        return self._sets[key & self._index_mask]
 
     def lookup(self, key: int) -> Tuple[AccessResult, Any]:
         """Probe for ``key``; returns (result, value-or-None)."""
-        cache_set, tag = self._locate(key)
-        way = cache_set.find(tag)
-        if way >= 0:
-            cache_set.policy.on_hit(way)
+        cache_set = self._set(key)
+        if key in cache_set:
+            cache_set.move_to_end(key)
             self.stats.record(AccessResult.HIT)
-            return AccessResult.HIT, cache_set.values[way]
+            return AccessResult.HIT, cache_set[key]
         self.stats.record(AccessResult.MISS)
         return AccessResult.MISS, None
 
     def peek(self, key: int) -> Any:
         """Non-intrusive probe: no stats, no recency update."""
-        cache_set, tag = self._locate(key)
-        way = cache_set.find(tag)
-        return cache_set.values[way] if way >= 0 else None
+        return self._set(key).get(key)
 
     def insert(self, key: int, value: Any) -> Optional[Tuple[int, Any]]:
-        """Install ``key -> value``; returns the evicted (key, value) if any.
+        """Install ``key -> value`` as most recent; returns the evicted
+        (key, value) if any.
 
         Inserting an existing key updates its value in place.
         """
-        cache_set, tag = self._locate(key)
-        way = cache_set.find(tag)
+        cache_set = self._set(key)
         evicted = None
-        if way < 0:
-            way = cache_set.free_way()
-            if way < 0:
-                way = cache_set.policy.victim([True] * self.ways)
-                old_tag = cache_set.tags[way]
-                assert old_tag is not None
-                evicted_key = (old_tag << self._index_bits) | (
-                    key & self._index_mask)
-                evicted = (evicted_key, cache_set.values[way])
+        if key in cache_set:
+            cache_set.move_to_end(key)
+        else:
+            if len(cache_set) == self.ways:
+                evicted = cache_set.popitem(last=False)
                 self.stats.evictions += 1
-            cache_set.tags[way] = tag
             self.stats.insertions += 1
-        cache_set.values[way] = value
-        cache_set.policy.on_insert(way)
+        cache_set[key] = value
         return evicted
 
     def access(self, key: int, value: Any = True) -> AccessResult:
@@ -128,11 +87,10 @@ class SetAssociativeCache:
     # -- introspection ---------------------------------------------------
 
     def __contains__(self, key: int) -> bool:
-        return self.peek(key) is not None
+        return key in self._set(key)
 
     def __len__(self) -> int:
-        return sum(
-            1 for s in self._sets for tag in s.tags if tag is not None)
+        return sum(len(s) for s in self._sets)
 
     @property
     def capacity(self) -> int:
@@ -140,12 +98,5 @@ class SetAssociativeCache:
 
     def items(self) -> Iterator[Tuple[int, Any]]:
         """Iterate (key, value) over all resident entries."""
-        for index, cache_set in enumerate(self._sets):
-            for tag, value in zip(cache_set.tags, cache_set.values):
-                if tag is not None:
-                    yield (tag << self._index_bits) | index, value
-
-    def clear(self) -> None:
-        for i, _cache_set in enumerate(self._sets):
-            self._sets[i] = _CacheSet(
-                self.ways, make_policy(self.policy_name, self.ways, seed=i))
+        for cache_set in self._sets:
+            yield from cache_set.items()

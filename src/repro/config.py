@@ -161,10 +161,6 @@ class DecoderConfig:
     cycles_per_frame_b: float = 1.882e6
     base_cycles: float = 24000.0
 
-    # Conventional VD cache used during decode computation (Fig. 7a).
-    cache_bytes: int = kib(32)
-    cache_ways: int = 4
-
     # Reference-read traffic model: P/B motion compensation re-reads
     # this fraction of a frame's lines from the reference buffers; the
     # conventional VD cache absorbs ``ref_cache_hit_rate`` of them
@@ -287,7 +283,6 @@ class MachConfig:
     digest_scheme: str = "crc32"
     use_gradient: bool = True  # gab (True) vs mab (False) tagging
     pointer_bytes: int = 4
-    digest_bytes: int = 4
     base_bytes: int = BYTES_PER_PIXEL  # gab base = first pixel (3 bytes)
     coalescing: bool = True
 

@@ -21,7 +21,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Deque, Dict, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -103,31 +103,33 @@ class MachStats:
         return sum(c for _, c in self.match_counter.most_common(top_n)) / matches
 
 
-@dataclass(frozen=True)
 class FrozenMach:
-    """An immutable, finished per-frame MACH (what gets dumped)."""
+    """An immutable, finished per-frame MACH (what gets dumped).
 
-    frame_index: int
-    table: Dict[int, Tuple[int, int]]  # digest -> (address, aux)
-    digests: np.ndarray  # uint64 array of resident digests
+    Stored as aligned int64 columns in ascending digest order, the
+    order the dump is written and prefetched in.  The constructor sets
+    that order whatever order its entries arrive in.
+    """
+
+    def __init__(self, frame_index: int, digests: np.ndarray,
+                 addresses: np.ndarray, aux: np.ndarray) -> None:
+        order = np.argsort(digests, kind="stable")
+        self.frame_index = frame_index
+        self.digests = np.asarray(digests, dtype=np.int64)[order]
+        self.addresses = np.asarray(addresses, dtype=np.int64)[order]
+        self.aux = np.asarray(aux, dtype=np.int64)[order]
+        for column in (self.digests, self.addresses, self.aux):
+            column.flags.writeable = False
 
     @property
     def entries(self) -> int:
-        return len(self.table)
+        return len(self.digests)
 
     @cached_property
-    def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(digests, addresses, aux)`` as aligned int64 arrays.
-
-        Computed lazily from ``table`` (the batched write path seeds it
-        directly from the arrays it already holds).
-        """
-        count = len(self.table)
-        dig = np.fromiter(self.table.keys(), dtype=np.int64, count=count)
-        vals = np.fromiter(
-            (v for entry in self.table.values() for v in entry),
-            dtype=np.int64, count=2 * count).reshape(count, 2)
-        return dig, vals[:, 0].copy(), vals[:, 1].copy()
+    def table(self) -> Dict[int, Tuple[int, int]]:
+        """``digest -> (address, aux)``, for the per-block walk's lookups."""
+        return dict(zip(self.digests.tolist(),
+                        zip(self.addresses.tolist(), self.aux.tolist())))
 
 
 class FrameMach:
@@ -212,13 +214,16 @@ class FrameMach:
 
     def freeze(self) -> FrozenMach:
         """Finish the frame: snapshot resident entries immutably."""
+        entries: Iterable[Tuple[int, Tuple[int, int]]]
         if self._dict is not None:
-            table = dict(self._dict)
+            entries = self._dict.items()
         else:
             assert self._cache is not None
-            table = {digest: value for digest, value in self._cache.items()}
-        digests = np.fromiter(table.keys(), dtype=np.uint64, count=len(table))
-        return FrozenMach(self.frame_index, table, digests)
+            entries = self._cache.items()
+        table = np.array([(digest, address, aux)
+                          for digest, (address, aux) in entries],
+                         dtype=np.int64).reshape(-1, 3)
+        return FrozenMach(self.frame_index, *table.T)
 
 
 class MachRing:
@@ -308,12 +313,9 @@ class MachRing:
             # Newest first, so ties on digest resolve to the newest
             # frame after the stable argsort below.
             for frozen in reversed(self._frozen):
-                if not frozen.table:
-                    continue
-                dig, addr, auxes = frozen.columns
-                parts_d.append(dig)
-                parts_a.append(addr)
-                parts_x.append(auxes)
+                parts_d.append(frozen.digests)
+                parts_a.append(frozen.addresses)
+                parts_x.append(frozen.aux)
             if parts_d:
                 all_d = np.concatenate(parts_d)
                 order = np.argsort(all_d, kind="stable")

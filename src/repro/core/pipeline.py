@@ -247,15 +247,12 @@ class _Playback:
         # faulted run is exactly as deterministic as a clean one.
         self.fault_plan = FaultPlan.from_config(cfg.faults)
         self.block_loss_overlay = block_loss_overlay or {}
-        # The eager MACH-buffer prefetch reads the frozen dump in
-        # (set, way-slot) order, which only the scalar write walk emits,
-        # so the pipeline asks for the scalar walk in that one
-        # configuration; the engine itself falls back to it per frame
-        # under fault injection and on CRC32 collisions.
+        # The engine picks its write path per frame: the SoA kernel,
+        # or the per-block walk under injected digest collisions and
+        # CRC16-disagreeing CRC32 collisions.
         self.writeback = WritebackEngine(
             cfg.video, sim_mach, scheme, cfg.dram.line_bytes,
-            unbounded_mach=unbounded_mach, fault_plan=self.fault_plan,
-            vectorized=not (use_mach_buffer and buffer_policy == "eager"))
+            unbounded_mach=unbounded_mach, fault_plan=self.fault_plan)
         self.display = DisplayController(cfg.display,
                                           cfg.calibration.display_scan_duty)
         self.reader = DisplayReadEngine(

@@ -107,20 +107,11 @@ class WritebackEngine:
     def __init__(self, video: VideoConfig, mach: MachConfig,
                  scheme: SchemeConfig, line_bytes: int = 64,
                  unbounded_mach: bool = False,
-                 fault_plan: Optional[FaultPlan] = None,
-                 vectorized: bool = True) -> None:
+                 fault_plan: Optional[FaultPlan] = None) -> None:
         self.video = video
         self.mach_config = mach
         self.scheme = scheme
         self.line_bytes = line_bytes
-        #: Use the SoA frame kernel where it is bit-exact.  The engine
-        #: itself takes the scalar per-block walk for a frame under
-        #: fault injection or with a CRC32 collision.  ``simulate``
-        #: passes False for the eager MACH-buffer prefetch, which reads
-        #: the frozen dump in the walk's (set, way-slot) order where the
-        #: kernel emits recency order; the tests pass False to use the
-        #: walk as the kernel's reference.
-        self.vectorized = vectorized
         self.ring: Optional[MachRing] = (
             MachRing(mach, unbounded=unbounded_mach)
             if scheme.uses_mach else None)
@@ -247,7 +238,11 @@ class WritebackEngine:
         ring = self.ring
         tags, aux, dcc_sizes = self._content_features(frame.blocks)
         assert tags is not None and aux is not None
-        if self.vectorized and self._fault_plan is None:
+        # The SoA kernel serves every frame it models bit-exactly; a
+        # frame under injected digest collisions, or with a CRC16
+        # disagreement against the ring or within itself, takes the
+        # per-block walk.
+        if self._fault_plan is None:
             ring.ensure_idle()
             found, addresses, clean = ring.lookup_batch(tags, aux)
             if clean and self._aux_consistent(tags, aux):
@@ -440,20 +435,8 @@ class WritebackEngine:
             n_intra, n_inter, len(stored_idx), matched_digests,
             matched_counts)
 
-        table = {
-            int(digest): (int(address), int(auxv))
-            for digest, address, auxv in zip(
-                tags[resident_idx].tolist(),
-                pointers[resident_idx].tolist(),
-                aux[resident_idx].tolist())
-        }
-        dump = FrozenMach(
-            frame.index, table,
-            np.fromiter(table.keys(), dtype=np.uint64, count=len(table)))
-        # Seed the lazy column view from arrays already in hand (fancy
-        # indexing copies, so nothing aliases the layout arrays).
-        dump.__dict__["columns"] = (
-            tags[resident_idx], pointers[resident_idx], aux[resident_idx])
+        dump = FrozenMach(frame.index, tags[resident_idx],
+                          pointers[resident_idx], aux[resident_idx])
         ring.ingest_frozen(dump)
 
         matches = FrameMatches(

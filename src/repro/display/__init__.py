@@ -3,7 +3,6 @@ and the DC-side MACH buffer."""
 
 from .controller import DisplayController, DisplayStats
 from .display_cache import (
-    DisplayCache,
     simulate_direct_mapped,
     simulate_direct_mapped_array,
 )
@@ -13,7 +12,6 @@ from .mach_buffer import MachBuffer
 __all__ = [
     "DisplayController",
     "DisplayStats",
-    "DisplayCache",
     "simulate_direct_mapped",
     "simulate_direct_mapped_array",
     "FrameBufferPool",

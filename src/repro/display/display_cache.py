@@ -2,8 +2,8 @@
 
 Two implementations with identical semantics:
 
-* :class:`~repro.cache.DirectMappedCache` (scalar, via the wrapper
-  below) for incremental use and tests;
+* :class:`~repro.cache.DirectMappedCache`, the scalar model, for
+  incremental use and tests;
 * :func:`simulate_direct_mapped`, a vectorized replay that exploits a
   property of direct-mapped caches: an access hits iff the *previous
   access to the same slot* carried the same tag.  Grouping the trace by
@@ -17,27 +17,6 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 import numpy as np
-
-from ..cache import DirectMappedCache
-from ..cache.base import CacheStats
-from ..config import DisplayConfig
-
-
-class DisplayCache:
-    """Scalar display cache keyed by line-granular addresses."""
-
-    def __init__(self, config: DisplayConfig, line_bytes: int = 64) -> None:
-        self.line_bytes = line_bytes
-        self._cache = DirectMappedCache.from_bytes(
-            config.display_cache_bytes, line_bytes)
-
-    def access(self, address: int) -> bool:
-        """Probe the line containing ``address``; True on hit."""
-        return self._cache.access(address // self.line_bytes).is_hit
-
-    @property
-    def stats(self) -> CacheStats:
-        return self._cache.stats
 
 
 def simulate_direct_mapped(

@@ -12,8 +12,10 @@ Two fill policies:
   use; the miss costs the DC one dump-translation read plus the block
   fetch.  Subsequent uses (same frame or later frames) hit.
 * **eager** — each frame's whole dump is prefetched before the scan,
-  as the paper describes; every dumped entry costs one block fetch up
-  front and digest lookups then always hit while resident.
+  as the paper describes, in the dump's ascending digest order; every
+  dumped entry costs one block fetch up front and digest lookups then
+  always hit while resident.  A dump larger than the buffer keeps its
+  highest digests.
 
 The display benchmarks run lazy and the tests exercise both; lazy is
 the default because at the scaled simulation resolution an eager prefetch

@@ -19,8 +19,10 @@ class ScalarWritebackEngine(WritebackEngine):
     """The write engine with the batched kernel off: every frame takes
     the scalar per-block walk, the reference the kernel must match."""
 
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **{**kwargs, "vectorized": False})
+    def _process_mach(self, frame: Any, slot_base: int) -> Any:
+        tags, aux, dcc_sizes = self._content_features(frame.blocks)
+        return self._process_mach_scalar(frame, slot_base, tags, aux,
+                                         dcc_sizes)
 
 
 @pytest.fixture

@@ -12,7 +12,6 @@ from repro.cache import (
     CacheStats,
     DirectMappedCache,
     SetAssociativeCache,
-    make_policy,
 )
 from repro.display.display_cache import simulate_direct_mapped
 from repro.errors import CacheError
@@ -33,39 +32,6 @@ class TestCacheStats:
         assert stats.hit_rate == 0.0
         assert stats.miss_rate == 0.0
 
-    def test_merge(self):
-        a = CacheStats(hits=1, misses=2, evictions=3, insertions=4)
-        b = CacheStats(hits=10, misses=20, evictions=30, insertions=40)
-        merged = a.merge(b)
-        assert (merged.hits, merged.misses) == (11, 22)
-        assert (merged.evictions, merged.insertions) == (33, 44)
-
-
-class TestReplacementPolicies:
-    def test_lru_evicts_least_recent(self):
-        policy = make_policy("lru", ways=3)
-        for way in (0, 1, 2):
-            policy.on_insert(way)
-        policy.on_hit(0)  # order now: 0, 2, 1
-        assert policy.victim([True] * 3) == 1
-
-    def test_fifo_ignores_hits(self):
-        policy = make_policy("fifo", ways=3)
-        for way in (0, 1, 2):
-            policy.on_insert(way)
-        policy.on_hit(0)
-        assert policy.victim([True] * 3) == 0
-
-    def test_random_is_seeded(self):
-        a = make_policy("random", ways=8, seed=1)
-        b = make_policy("random", ways=8, seed=1)
-        assert [a.victim([True] * 8) for _ in range(10)] == [
-            b.victim([True] * 8) for _ in range(10)]
-
-    def test_unknown_policy(self):
-        with pytest.raises(CacheError):
-            make_policy("plru", ways=4)
-
 
 class TestSetAssociativeCache:
     def test_requires_power_of_two_sets(self):
@@ -84,6 +50,14 @@ class TestSetAssociativeCache:
         result, value = cache.lookup(7)
         assert not result.is_hit
         assert value is None
+
+    def test_lru_evicts_least_recent(self):
+        cache = SetAssociativeCache(sets=1, ways=3)
+        for key in (0, 1, 2):
+            cache.insert(key, key)
+        cache.lookup(0)  # recency now, oldest first: 1, 2, 0
+        assert cache.insert(3, 3) == (1, 1)
+        assert cache.insert(4, 4) == (2, 2)
 
     def test_lru_eviction_within_set(self):
         cache = SetAssociativeCache(sets=1, ways=2)
@@ -135,12 +109,6 @@ class TestSetAssociativeCache:
         cache = SetAssociativeCache(sets=2, ways=1)
         assert cache.access(9) is AccessResult.MISS
         assert cache.access(9) is AccessResult.HIT
-
-    def test_clear(self):
-        cache = SetAssociativeCache(sets=2, ways=1)
-        cache.insert(1, "a")
-        cache.clear()
-        assert len(cache) == 0
 
     @given(st.lists(st.integers(min_value=0, max_value=63), min_size=1,
                     max_size=200))

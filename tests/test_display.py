@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.config import DisplayConfig, VideoConfig
+from repro.config import DisplayConfig, MachConfig, VideoConfig
+from repro.core.mach import FrameMach
 from repro.display import (
     DisplayController,
     FrameBufferPool,
@@ -135,6 +136,17 @@ class TestMachBuffer:
         buffer.prefetch_dump(np.asarray([5], dtype=np.uint64))
         hits, _ = buffer.process_frame(np.asarray([5], dtype=np.uint64))
         assert hits[0]
+
+    def test_eager_prefetch_of_oversized_dump_keeps_highest_digests(self):
+        mach = FrameMach(MachConfig(), frame_index=0)
+        # Set-index order (low bits) differs from digest order here.
+        for digest in (0x300, 0x101, 0x02, 0x203, 0x04):
+            mach.insert(digest, address=digest, aux=0)
+        buffer = MachBuffer(capacity_entries=3, policy="eager")
+        assert buffer.prefetch_dump(mach.freeze().digests) == 5
+        hits, _ = buffer.process_frame(
+            np.asarray([0x02, 0x04, 0x101, 0x203, 0x300], dtype=np.uint64))
+        assert list(hits) == [False, False, True, True, True]
 
     def test_capacity_eviction_fifo(self):
         buffer = MachBuffer(capacity_entries=2, policy="lazy")

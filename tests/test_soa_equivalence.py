@@ -16,6 +16,7 @@ import zlib
 from collections import OrderedDict
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,6 +37,8 @@ from repro.memory.controller import MemoryController
 from repro.memory.rowbuffer import RowBufferModel
 from repro.video.synthesis import SyntheticVideo
 from repro.video.workloads import workload
+
+from .conftest import ScalarWritebackEngine
 
 _TINY = SimulationConfig(video=VideoConfig(width=64, height=32))
 
@@ -213,10 +216,10 @@ class TestWritebackEquivalence:
         stream = _random_stream(cfg, profile_key, 6, seed)
         fast = WritebackEngine(cfg.video, cfg.mach, scheme,
                                cfg.dram.line_bytes,
-                               unbounded_mach=unbounded, vectorized=True)
-        slow = WritebackEngine(cfg.video, cfg.mach, scheme,
-                               cfg.dram.line_bytes,
-                               unbounded_mach=unbounded, vectorized=False)
+                               unbounded_mach=unbounded)
+        slow = ScalarWritebackEngine(cfg.video, cfg.mach, scheme,
+                                     cfg.dram.line_bytes,
+                                     unbounded_mach=unbounded)
         base = 32 * 1024 * 1024
         for i, frame in enumerate(stream):
             slot = base + (i % 3) * 4 * 1024 * 1024
@@ -226,28 +229,44 @@ class TestWritebackEquivalence:
             assert np.array_equal(got.write_lines, want.write_lines)
             _assert_equal(got.matches, want.matches, "matches")
             assert got.bytes_written == want.bytes_written
-            if want.dump is not None:
-                assert dict(got.dump.table) == dict(want.dump.table)
+            # One dump form: the same columns, element by element, in
+            # ascending digest order from either path.
+            for column in ("digests", "addresses", "aux"):
+                assert np.array_equal(getattr(got.dump, column),
+                                      getattr(want.dump, column)), column
+            assert np.all(np.diff(got.dump.digests) > 0)
         _assert_equal(fast.ring.stats.__dict__, slow.ring.stats.__dict__,
                       "ring.stats")
 
 
+@pytest.fixture
+def walks(monkeypatch):
+    """Every engine that runs a frame through the scalar walk, once per frame."""
+    walked = []
+    scalar_walk = WritebackEngine._process_mach_scalar
+
+    def counting(engine, *args):
+        walked.append(engine)
+        return scalar_walk(engine, *args)
+
+    monkeypatch.setattr(WritebackEngine, "_process_mach_scalar", counting)
+    return walked
+
+
 class TestPipelineEquivalence:
     def test_scalar_switch_reaches_the_pipeline(self, scalar_write_path,
-                                                monkeypatch):
-        walks = []
-        scalar_walk = WritebackEngine._process_mach_scalar
-
-        def counting(engine, *args):
-            walks.append(engine)
-            return scalar_walk(engine, *args)
-
-        monkeypatch.setattr(WritebackEngine, "_process_mach_scalar", counting)
+                                                walks):
         simulate(workload("V8"), GAB, n_frames=4, config=_TINY)
         assert walks == []
         with scalar_write_path():
             simulate(workload("V8"), GAB, n_frames=4, config=_TINY)
         assert len(walks) == 4
+
+    def test_eager_prefetch_runs_the_kernel(self, walks):
+        for scheme in _MACH_SCHEMES.values():
+            simulate(workload("V8"), scheme, n_frames=6, config=_TINY,
+                     buffer_policy="eager")
+        assert walks == []
 
     @given(scheme_name=st.sampled_from(sorted(_MACH_SCHEMES)),
            buffer_policy=st.sampled_from(["lazy", "eager"]),
