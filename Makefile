@@ -1,6 +1,6 @@
 # Common developer targets.
 
-.PHONY: install test bench validate experiments examples
+.PHONY: install test bench validate experiments examples perf-pairs
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -21,3 +21,11 @@ examples:
 	for example in examples/*.py; do \
 		PYTHONPATH=src python "$$example" || exit 1; \
 	done
+
+# Alternating benchmark pairs against a parent revision, e.g.
+#   make perf-pairs PARENT=HEAD~1 PAIRS=10 WORKLOAD=mach_hits
+PARENT ?= HEAD
+PAIRS ?= 10
+perf-pairs:
+	python tools/perf_pairs.py $(PARENT) --pairs $(PAIRS) \
+		$(foreach w,$(WORKLOAD),--workload $(w))

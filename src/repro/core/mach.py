@@ -28,6 +28,7 @@ import numpy as np
 from ..cache import SetAssociativeCache
 from ..config import MachConfig
 from ..errors import SchedulingError
+from .soa import stable_sort
 
 _AUX_MASK = 0xFFFF
 _TAG_MASK = 0xFFFFFFFF
@@ -307,23 +308,18 @@ class MachRing:
         n = len(digests)
         found = np.zeros(n, dtype=bool)
         addresses = np.zeros(n, dtype=np.int64)
+        if not self._frozen:
+            return found, addresses, True
         view = self._batch_view
         if view is None:
-            parts_d, parts_a, parts_x = [], [], []
             # Newest first, so ties on digest resolve to the newest
-            # frame after the stable argsort below.
-            for frozen in reversed(self._frozen):
-                parts_d.append(frozen.digests)
-                parts_a.append(frozen.addresses)
-                parts_x.append(frozen.aux)
-            if parts_d:
-                all_d = np.concatenate(parts_d)
-                order = np.argsort(all_d, kind="stable")
-                view = (all_d[order], np.concatenate(parts_a)[order],
-                        np.concatenate(parts_x)[order])
-            else:
-                empty = np.empty(0, dtype=np.int64)
-                view = (empty, empty, empty)
+            # frame after the stable sort below.
+            frozen = list(reversed(self._frozen))
+            ring_d, order = stable_sort(
+                np.concatenate([f.digests for f in frozen]))
+            view = (ring_d,
+                    np.concatenate([f.addresses for f in frozen])[order],
+                    np.concatenate([f.aux for f in frozen])[order])
             self._batch_view = view
         ring_d, ring_a, ring_x = view
         if not len(ring_d):

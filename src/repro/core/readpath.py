@@ -148,9 +148,7 @@ class DisplayReadEngine:
             # Each prefetched entry also fetches its block (~one line).
             prefetch_addrs = np.concatenate([
                 dump_lines,
-                np.asarray(
-                    [layout.data_base + i * line for i in range(fetched)],
-                    dtype=np.int64),
+                layout.data_base + np.arange(fetched, dtype=np.int64) * line,
             ])
             stats.prefetch_reads += len(prefetch_addrs)
 

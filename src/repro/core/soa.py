@@ -2,10 +2,16 @@
 
 The write path classifies every decoded block against a per-frame LRU
 set-associative MACH (:mod:`repro.core.mach`).  The scalar reference
-walks blocks one at a time; these kernels compute the *identical*
-classification in a handful of numpy passes by exploiting two
-properties:
+walks blocks one at a time; the write kernel computes the *identical*
+classification from **one stable sort of the frame's tags**
+(:func:`stable_sort`), whose runs of equal tags every step reads.
 
+* **A run is all inter or all touches.**  The frozen ring does not
+  change during a frame and a tag's membership in it depends on the
+  tag alone, so every occurrence of a ring tag is an inter match and
+  every occurrence of any other tag touches the current MACH.  A
+  touched run is therefore exactly its key's chain of touches in
+  block order, and neighbouring run positions are its same-key links.
 * **LRU inclusion** — after any touch sequence, a ``ways``-way LRU set
   holds exactly the ``ways`` most recently touched distinct keys, and
   the touch sequence is known a priori (every non-inter block touches
@@ -20,6 +26,11 @@ properties:
   links this reduces to an offline *count-smaller-to-the-left* query
   over the next-occurrence array, solved by a vectorized mergesort.
 
+:func:`lru_chain_classify` takes the key chains and returns hits and
+final residents; :func:`chain_providers` gives each hit the insert it
+reads with one running maximum.  :func:`lru_touch_classify` wraps them
+for an arbitrary ``(sets, keys)`` touch sequence.
+
 Everything here is exact: :func:`lru_touch_classify` is
 property-tested against the scalar :class:`~repro.cache.setassoc.\
 SetAssociativeCache` replay, and the write engine asserts bit-identical
@@ -32,7 +43,9 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["count_smaller_left", "lru_touch_classify", "LruClassification"]
+__all__ = ["chain_providers", "count_smaller_left", "lru_chain_classify",
+           "lru_stack_hits", "lru_touch_classify", "LruClassification",
+           "stable_sort"]
 
 
 _BASE_WIDTH = 32
@@ -122,6 +135,18 @@ def count_smaller_left(values: np.ndarray, bound: int = 0) -> np.ndarray:
     return out
 
 
+def stable_sort(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(sorted keys, stable argsort)`` of int64 keys in ``[0, 2**32)``.
+
+    Each key packs with its index into one int64, so a plain sort of
+    the packed keys, numpy's fastest, yields both at once; the index
+    breaks ties exactly as a stable argsort does.
+    """
+    shift = np.int64(max(len(keys) - 1, 1).bit_length())
+    packed = np.sort((keys << shift) | np.arange(len(keys), dtype=np.int64))
+    return packed >> shift, packed & ((np.int64(1) << shift) - 1)
+
+
 class LruClassification:
     """Result of :func:`lru_touch_classify` (original touch order)."""
 
@@ -169,23 +194,109 @@ def lru_touch_classify(sets: np.ndarray, keys: np.ndarray,
         empty = np.empty(0, dtype=np.int64)
         return LruClassification(hits, provider, empty, empty)
 
-    # Group touches by set, keeping time order inside each set; all
-    # window arithmetic below runs in these grouped coordinates, where
-    # every set occupies one contiguous position range.
-    by_set = np.argsort(sets, kind="stable")
-    keys_g = keys[by_set]
+    chain = np.argsort(keys, kind="stable")
+    chain_keys = keys[chain]
+    new_key = np.empty(m, dtype=bool)
+    new_key[0] = True
+    new_key[1:] = chain_keys[1:] != chain_keys[:-1]
+    hits_c, resident_c = lru_chain_classify(sets, chain, new_key, ways)
+    provider_c = chain_providers(hits_c)
 
-    # Same-key occurrence chains (a key lives in one set, so chains
-    # never cross a set boundary).
-    chain = np.argsort(keys_g, kind="stable")
-    chain_keys = keys_g[chain]
-    linked = chain_keys[1:] == chain_keys[:-1]
+    hits[chain] = hits_c
+    provider[chain[hits_c]] = chain[provider_c[hits_c]]
 
-    sentinel_base = np.int64(m)
-    nxt = sentinel_base + np.arange(m, dtype=np.int64)  # distinct sentinels
-    nxt[chain[:-1][linked]] = chain[1:][linked]
-    prv = np.full(m, -1, dtype=np.int64)
-    prv[chain[1:][linked]] = chain[:-1][linked]
+    # Final contents, per set newest first.
+    res = np.flatnonzero(resident_c)
+    last_touch = chain[res]
+    res_sets = sets[last_touch]
+    order = np.lexsort((-last_touch, res_sets))
+    sorted_sets = res_sets[order]
+    starts = np.flatnonzero(np.concatenate(
+        ([True], sorted_sets[1:] != sorted_sets[:-1])))
+    rank = np.arange(len(order), dtype=np.int64)
+    rank -= np.repeat(starts, np.diff(np.append(starts, len(order))))
+    resident_touch = chain[provider_c[res[order]]]
+    return LruClassification(hits, provider, resident_touch, rank)
+
+
+def lru_chain_classify(sets: np.ndarray, chain: np.ndarray,
+                       new_key: np.ndarray,
+                       ways: int) -> Tuple[np.ndarray, np.ndarray]:
+    """LRU outcome of every touch, given the touches grouped by key.
+
+    Args:
+        sets: set index per touch, in access order.
+        chain: touch indices grouped by key, each key's touches one
+            contiguous run in access order (a stable sort by key).
+        new_key: True where a run starts in ``chain``.
+        ways: associativity of every set.
+
+    Returns:
+        ``(hits, resident)`` aligned with ``chain``: whether each touch
+        hit, and whether it is the last touch of a key still resident
+        when the sequence ends.
+
+    Neighbouring positions of one run are the key's same-key links.
+    They are mapped into set-grouped coordinates, where each set's
+    touches occupy one contiguous range in access order, and the
+    stack-distance test runs there (:func:`lru_stack_hits`).
+    """
+    m = len(chain)
+    if m == 0:
+        return np.zeros(0, dtype=bool), np.zeros(0, dtype=bool)
+    # The set ids take the narrowest unsigned type that holds them, so
+    # the stable sort below is a radix sort.
+    narrow = sets.astype(np.min_scalar_type(int(sets.max())))
+    by_set = np.argsort(narrow, kind="stable")
+    grouped = np.empty(m, dtype=np.int64)
+    grouped[by_set] = np.arange(m, dtype=np.int64)
+    g = grouped[chain]
+    prev = np.full(m, -1, dtype=np.int64)
+    link = ~new_key[1:]
+    prev[g[1:][link]] = g[:-1][link]
+    hits_g = lru_stack_hits(prev, ways)
+
+    # A key's last touch stays resident iff fewer than ``ways`` other
+    # keys of its set were last touched after it.  A run ends where
+    # the next one starts (the first start closes the last run).
+    last = np.concatenate((new_key[1:], new_key[:1]))
+    last_g = np.zeros(m, dtype=bool)
+    last_g[g[last]] = True
+    sets_g = narrow[by_set]
+    boundary = sets_g[1:] != sets_g[:-1]
+    set_end = np.flatnonzero(np.append(boundary, True))
+    set_of = np.concatenate(([0], np.cumsum(boundary)))
+    seen = np.cumsum(last_g)
+    resident_g = last_g & (seen[set_end][set_of] - seen < ways)
+    return hits_g[g], resident_g[g]
+
+
+def chain_providers(hits: np.ndarray) -> np.ndarray:
+    """Per chain position, the latest insert (miss) at or before it.
+
+    Every run of a chain opens with a miss, so one running maximum of
+    the miss positions never crosses a run boundary.  A hit reads the
+    value its provider inserted; a resident key holds its provider's.
+    """
+    positions = np.arange(len(hits), dtype=np.int64)
+    return np.maximum.accumulate(np.where(hits, -1, positions))
+
+
+def lru_stack_hits(prev: np.ndarray, ways: int) -> np.ndarray:
+    """Hit mask of a set-grouped LRU touch sequence, from its links.
+
+    ``prev[t]`` is the position of the previous touch of position
+    ``t``'s key, or -1 for a key's first touch; positions are
+    set-grouped, each set's touches one contiguous range in access
+    order.
+    """
+    m = len(prev)
+    t_pos = np.arange(m, dtype=np.int64)
+    has_prev = prev >= 0
+    q_t = t_pos[has_prev]
+    q_p = prev[has_prev]
+    nxt = np.int64(m) + t_pos  # distinct sentinels
+    nxt[q_p] = q_t
 
     # Stack distance: a touch at grouped position t with previous
     # occurrence p hits iff the window (p, t) holds <= ways-1 distinct
@@ -200,10 +311,6 @@ def lru_touch_classify(sets: np.ndarray, keys: np.ndarray,
     link_next = nxt[is_link]
     csl_link = count_smaller_left(link_next, bound=m)
     link_rank = np.cumsum(is_link) - 1  # position -> index among links
-    t_pos = np.arange(m, dtype=np.int64)
-    has_prev = prv >= 0
-    q_t = t_pos[has_prev]
-    q_p = prv[has_prev]
     # links-ending-before(t): the finite next-values are exactly the
     # positions that have a previous occurrence — q_t itself, which is
     # ascending and distinct — so the count below q_t[i] is just i.
@@ -212,47 +319,4 @@ def lru_touch_classify(sets: np.ndarray, keys: np.ndarray,
     distinct = (q_t - q_p - 1) - inside
     hits_g = np.zeros(m, dtype=bool)
     hits_g[q_t] = distinct <= ways - 1
-
-    # Provider: along each chain, the latest miss (insert) at or before
-    # the previous occurrence — a segmented running maximum.
-    stored_chain = ~hits_g[chain]
-    seg_id = np.concatenate(([0], np.cumsum(~linked)))
-    offset = seg_id * (m + 1)
-    cand = np.where(stored_chain, chain, -1)
-    run_max = np.maximum.accumulate(cand + offset) - offset
-    prov_prev = np.concatenate(([np.int64(-1)], run_max[:-1]))
-    prov_prev[np.concatenate(([True], ~linked))] = -1
-    prov_g = np.full(m, -1, dtype=np.int64)
-    prov_g[chain] = prov_prev
-    # A hit's provider is the insert at its previous occurrence's
-    # running maximum *including* that occurrence itself.
-    prov_at = np.full(m, -1, dtype=np.int64)
-    prov_at[chain] = run_max
-    hit_positions = t_pos[hits_g]
-    provider_g = prov_at[prv[hit_positions]]
-
-    hits[by_set] = hits_g
-    prov_full = np.full(m, -1, dtype=np.int64)
-    prov_full[hit_positions] = by_set[provider_g]
-    provider[by_set] = prov_full
-
-    # Final contents: per set, the `ways` most recent distinct keys =
-    # the most recent `ways` chain-last occurrences, newest first.
-    last_mask = nxt >= m
-    last_pos = t_pos[last_mask]
-    last_sets = sets[by_set][last_mask]
-    order = np.lexsort((-last_pos, last_sets))
-    sorted_sets = last_sets[order]
-    new_set = np.empty(len(order), dtype=bool)
-    if len(order):
-        new_set[0] = True
-        new_set[1:] = sorted_sets[1:] != sorted_sets[:-1]
-    starts = np.flatnonzero(new_set)
-    rank = np.arange(len(order), dtype=np.int64)
-    if len(order):
-        rank -= np.repeat(starts, np.diff(np.append(starts, len(order))))
-    resident = rank < ways
-    res_pos = last_pos[order][resident]
-    resident_touch = by_set[prov_at[res_pos]]
-    resident_rank = rank[resident]
-    return LruClassification(hits, provider, resident_touch, resident_rank)
+    return hits_g

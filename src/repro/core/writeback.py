@@ -36,7 +36,7 @@ from .coalesce import sequential_lines, uncoalesced_stream_lines
 from .gradient import to_gradient
 from .layout import FrameLayout, LayoutMode, RecordKind
 from .mach import FrozenMach, MachRing, MachStats, MatchKind
-from .soa import lru_touch_classify
+from .soa import chain_providers, lru_chain_classify, stable_sort
 
 _DUMP_ENTRY_BYTES = 8  # digest (4) + pointer (4)
 
@@ -75,6 +75,35 @@ def _changed_rows(current: np.ndarray, previous: np.ndarray) -> np.ndarray:
     word = next(w for w in (8, 4, 2, 1) if current.shape[1] % w == 0)
     dtype = np.dtype(f"u{word}")
     return np.any(current.view(dtype) != previous.view(dtype), axis=1)
+
+
+class TagRuns(NamedTuple):
+    """A frame's tags after one stable sort: runs of equal tags.
+
+    The sort keeps block order within a run, so a run lists one tag's
+    blocks in the order the per-block walk meets them.
+    """
+
+    order: np.ndarray  # stable argsort of the tags
+    tags: np.ndarray  # tags in sorted order
+    aux: np.ndarray  # CRC16 auxes in sorted order
+    new_run: np.ndarray  # True where a run of equal tags starts
+    starts: np.ndarray  # sorted positions of the run starts
+    run_id: np.ndarray  # run of each sorted position
+
+    @classmethod
+    def of(cls, tags: np.ndarray, aux: np.ndarray) -> "TagRuns":
+        sorted_tags, order = stable_sort(tags)  # tags are 32-bit digests
+        new_run = np.empty(len(order), dtype=bool)
+        new_run[:1] = True
+        new_run[1:] = sorted_tags[1:] != sorted_tags[:-1]
+        return cls(order, sorted_tags, aux[order], new_run,
+                   np.flatnonzero(new_run), np.cumsum(new_run) - 1)
+
+    def aux_consistent(self) -> bool:
+        """True when no tag appears with two different CRC16 auxes."""
+        aux = self.aux
+        return not np.any((aux[1:] != aux[:-1]) & ~self.new_run[1:])
 
 
 @dataclass
@@ -240,30 +269,21 @@ class WritebackEngine:
         assert tags is not None and aux is not None
         # The SoA kernel serves every frame it models bit-exactly; a
         # frame under injected digest collisions, or with a CRC16
-        # disagreement against the ring or within itself, takes the
-        # per-block walk.
+        # disagreement within itself or against the ring, takes the
+        # per-block walk.  A natural CRC32 collision would send the
+        # walk down a collision path (silent match or CO-MACH spill).
         if self._fault_plan is None:
             ring.ensure_idle()
-            found, addresses, clean = ring.lookup_batch(tags, aux)
-            if clean and self._aux_consistent(tags, aux):
-                return self._process_mach_kernel(
-                    frame, slot_base, tags, aux, dcc_sizes, found, addresses)
+            runs = TagRuns.of(tags, aux)
+            if runs.aux_consistent():
+                found, addresses, clean = ring.lookup_batch(
+                    runs.tags[runs.starts], runs.aux[runs.starts])
+                if clean:
+                    return self._process_mach_kernel(
+                        frame, slot_base, tags, dcc_sizes, runs, found,
+                        addresses)
         return self._process_mach_scalar(
             frame, slot_base, tags, aux, dcc_sizes)
-
-    @staticmethod
-    def _aux_consistent(tags: np.ndarray, aux: np.ndarray) -> bool:
-        """True when no digest appears with two different CRC16 auxes.
-
-        A natural CRC32 collision inside the frame would make the
-        scalar loop take a collision path (silent match or CO-MACH
-        spill); such frames replay through the scalar reference.
-        """
-        if not aux.any():
-            return True
-        pair = np.sort((tags << np.int64(16)) | aux)
-        same_tag = (pair[1:] >> np.int64(16)) == (pair[:-1] >> np.int64(16))
-        return not np.any(same_tag & (pair[1:] != pair[:-1]))
 
     def _layout_bases(self, frame: DecodedFrame,
                       slot_base: int) -> Tuple[int, int, int]:
@@ -343,19 +363,21 @@ class WritebackEngine:
             cursor - data_base, dump, matches)
 
     def _process_mach_kernel(self, frame: DecodedFrame, slot_base: int,
-                             tags: np.ndarray, aux: np.ndarray,
+                             tags: np.ndarray,
                              dcc_sizes: Optional[np.ndarray],
-                             found: np.ndarray,
+                             runs: TagRuns, found: np.ndarray,
                              addresses: np.ndarray) -> WritebackResult:
-        """SoA classification of a whole frame at once.
+        """SoA classification of a whole frame from one sort of its tags.
 
-        Preconditions (checked by the dispatcher): no fault plan, no
-        CRC16 aux disagreement against the frozen ring or within the
-        frame.  Under those, every block found in the frozen ring is
-        INTER (a frozen digest can never also be resident in the
-        current MACH), and the remaining blocks replay an LRU touch
-        sequence that :func:`repro.core.soa.lru_touch_classify` solves
-        in closed form — bit-identical to the scalar walk.
+        ``found`` and ``addresses`` are the frozen-ring lookup of each
+        run of equal tags.  Preconditions (checked by the dispatcher):
+        no fault plan, no CRC16 aux disagreement against the frozen
+        ring or within the frame.  Ring membership is a property of the
+        tag, so a run is either all INTER (a frozen digest can never
+        also be resident in the current MACH) or all touches of the
+        current MACH, and a touched run is its key's LRU chain in block
+        order.  :func:`repro.core.soa.lru_chain_classify` replays those
+        chains in closed form — bit-identical to the scalar walk.
         """
         assert self.ring is not None
         ring = self.ring
@@ -369,27 +391,32 @@ class WritebackEngine:
         pointers = np.empty(n, dtype=np.int64)
         digests_out = np.zeros(n, dtype=np.uint64)
 
-        touch_idx = np.flatnonzero(~found)
-        touch_keys = tags[touch_idx]
+        order = runs.order
+        found_s = found[runs.run_id]
+        inter_s = np.flatnonzero(found_s)
+        touch_s = np.flatnonzero(~found_s)
+        # Chain coordinates: the touched sorted positions, whose runs
+        # are the touched keys in ascending tag order.
+        block_c = order[touch_s]
+        new_key = runs.new_run[touch_s]
         if ring.unbounded:
-            # Oracle MACH: first occurrence stores, the rest hit it.
-            _, first_pos, inverse = np.unique(
-                touch_keys, return_index=True, return_inverse=True)
-            hits = np.ones(len(touch_idx), dtype=bool)
-            hits[first_pos] = False
-            provider_block = touch_idx[first_pos[inverse[hits]]]
-            stored_idx = touch_idx[~hits]
-            resident_idx = stored_idx  # insertion (= block) order
+            # Oracle MACH: first occurrence stores, the rest hit it,
+            # and every key stays resident.
+            hits_c = ~new_key
+            resident_c = np.concatenate((new_key[1:], new_key[:1]))
         else:
-            cls = lru_touch_classify(
-                touch_keys & np.int64(mach.sets_per_mach - 1),
-                touch_keys, mach.ways)
-            hits = cls.hits
-            provider_block = touch_idx[cls.provider[hits]]
-            stored_idx = touch_idx[~hits]
-            resident_idx = touch_idx[cls.resident_touch]
+            touched = np.ones(n, dtype=bool)
+            touched[order[inter_s]] = False
+            touch_rank = np.cumsum(touched) - 1
+            hits_c, resident_c = lru_chain_classify(
+                tags[touched] & np.int64(mach.sets_per_mach - 1),
+                touch_rank[block_c], new_key, mach.ways)
+        provider_c = chain_providers(hits_c)
 
         # Stored blocks pack into the data region in block order.
+        stored = np.zeros(n, dtype=bool)
+        stored[block_c[~hits_c]] = True
+        stored_idx = np.flatnonzero(stored)
         stored_sizes = (dcc_sizes[stored_idx].astype(np.int64)
                         if dcc_sizes is not None
                         else np.full(len(stored_idx), frame.block_bytes,
@@ -399,44 +426,44 @@ class WritebackEngine:
         pointers[stored_idx] = data_base + ends - stored_sizes
         kinds[stored_idx] = int(RecordKind.STORED)
 
-        intra_idx = touch_idx[hits]
+        intra_idx = block_c[hits_c]
         kinds[intra_idx] = int(RecordKind.POINTER)
-        pointers[intra_idx] = pointers[provider_block]
+        pointers[intra_idx] = pointers[block_c[provider_c[hits_c]]]
 
-        inter_idx = np.flatnonzero(found)
-        pointers[inter_idx] = addresses[inter_idx]
+        inter_idx = order[inter_s]
+        pointers[inter_idx] = addresses[runs.run_id[inter_s]]
         if digest_mode:
             kinds[inter_idx] = int(RecordKind.DIGEST)
-            digests_out[inter_idx] = tags[inter_idx].astype(np.uint64)
+            digests_out[inter_idx] = runs.tags[inter_s].astype(np.uint64)
         else:
             kinds[inter_idx] = int(RecordKind.POINTER)
 
-        # Stats, reproducing the scalar loop's Counter insertion order
-        # (first match occurrence in block order).
+        # Stats, reproducing the scalar loop's Counter insertion order:
+        # matched tags ordered by their first matched block, which the
+        # stable sort puts first among the tag's matched positions.
         n_intra = len(intra_idx)
         n_inter = len(inter_idx)
-        matched = found.copy()
-        matched[intra_idx] = True
-        matched_tags = tags[matched]
-        if len(matched_tags):
-            order = np.argsort(matched_tags, kind="stable")
-            sorted_tags = matched_tags[order]
-            starts = np.flatnonzero(np.concatenate(
-                ([True], sorted_tags[1:] != sorted_tags[:-1])))
-            counts = np.diff(np.append(starts, len(sorted_tags)))
-            # The stable sort keeps block order within equal tags, so
-            # order[starts] is each tag's first match occurrence.
-            first_order = np.argsort(order[starts])
-            matched_digests = sorted_tags[starts[first_order]].tolist()
-            matched_counts = counts[first_order].tolist()
-        else:
-            matched_digests, matched_counts = [], []
+        matched_s = found_s.copy()
+        matched_s[touch_s[hits_c]] = True
+        matched_pos = np.flatnonzero(matched_s)
+        matched_run = runs.run_id[matched_pos]
+        first = np.flatnonzero(np.diff(matched_run, prepend=-1))
+        counts = np.diff(np.append(first, len(matched_pos)))
+        first_pos = matched_pos[first]
+        rank = np.full(n, -1, dtype=np.int64)
+        rank[order[first_pos]] = np.arange(len(first_pos), dtype=np.int64)
+        by_first = rank[rank >= 0]
         ring.stats.record_batch(
-            n_intra, n_inter, len(stored_idx), matched_digests,
-            matched_counts)
+            n_intra, n_inter, len(stored_idx),
+            runs.tags[first_pos[by_first]].tolist(),
+            counts[by_first].tolist())
 
-        dump = FrozenMach(frame.index, tags[resident_idx],
-                          pointers[resident_idx], aux[resident_idx])
+        # Residents in chain order are already in ascending digest order.
+        resident = np.flatnonzero(resident_c)
+        resident_s = touch_s[resident]
+        dump = FrozenMach(frame.index, runs.tags[resident_s],
+                          pointers[block_c[provider_c[resident]]],
+                          runs.aux[resident_s])
         ring.ingest_frozen(dump)
 
         matches = FrameMatches(

@@ -69,7 +69,10 @@ def simulate_direct_mapped_array(
         return hits
 
     slots = line_keys & (n_slots - 1)
-    order = np.lexsort((np.arange(n), slots))
+    # Stable by slot, so each slot's run keeps access order; numpy
+    # radix-sorts keys of 16 bits or fewer.
+    order = np.argsort(slots.astype(np.uint16) if n_slots <= 1 << 16
+                       else slots, kind="stable")
     sorted_slots = slots[order]
     sorted_keys = line_keys[order]
 

@@ -53,15 +53,20 @@ class MachBuffer:
     # -- filling -----------------------------------------------------------
 
     def install(self, digests: np.ndarray) -> int:
-        """Insert digests (deduplicated); returns how many were new."""
-        new = 0
-        for digest in np.asarray(digests, dtype=np.uint64):
-            key = int(digest)
-            if key in self._resident:
-                self._resident.move_to_end(key)
-            else:
-                self._resident[key] = None
-                new += 1
+        """Insert digests (deduplicated); returns how many were new.
+
+        Every given digest, resident or not, becomes newest in the
+        order of its last occurrence in ``digests``.
+        """
+        keys = np.asarray(digests, dtype=np.uint64)
+        _, last_from_end = np.unique(keys[::-1], return_index=True)
+        keys = keys[np.sort(len(keys) - 1 - last_from_end)].tolist()
+        resident = self._resident
+        moved = resident.keys() & keys
+        for key in moved:
+            del resident[key]
+        resident.update(dict.fromkeys(keys))
+        new = len(keys) - len(moved)
         self.installed += new
         self._evict_over_capacity()
         return new

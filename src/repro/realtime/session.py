@@ -45,7 +45,7 @@ import numpy as np
 from ..config import SchemeConfig, SimulationConfig
 from ..core.race_to_sleep import DeadlineLadder
 from ..decoder.power import PowerState, PowerTracker, plan_slack
-from ..errors import RealtimeError
+from ..errors import ConfigError, RealtimeError
 from ..faults import FaultPlan, hash_u01
 from ..video.synthesis import VideoProfile
 from .congestion import DelayLossController
@@ -315,11 +315,17 @@ def simulate_realtime(config: SimulationConfig, n_frames: int = 600,
     Requires ``config.realtime.enabled``; ``profile`` (optional)
     contributes its mean content complexity to the encode sizes so the
     chaos matrix can sweep the paper's workloads.
+
+    Raises:
+        RealtimeError: the realtime model is not enabled.
+        ConfigError: ``n_frames`` is below one, as in ``simulate``.
     """
     rt = config.realtime
     if not rt.enabled:
         raise RealtimeError(
             "simulate_realtime needs RealtimeConfig(enabled=True)")
+    if n_frames < 1:
+        raise ConfigError(f"need at least one frame to play, got {n_frames}")
     video = config.video
     decoder = config.decoder
     psc = decoder.power_states

@@ -266,6 +266,11 @@ class TestSimulateRealtime:
         with pytest.raises(RealtimeError):
             simulate_realtime(SimulationConfig())
 
+    @pytest.mark.parametrize("n_frames", [0, -1])
+    def test_no_frames_is_a_config_error(self, n_frames):
+        with pytest.raises(ConfigError, match="at least one frame"):
+            simulate_realtime(_sim(_rt()), n_frames=n_frames)
+
     def test_deterministic(self):
         cfg = _sim(_rt(**_HARSH))
         a = simulate_realtime(cfg, n_frames=240)

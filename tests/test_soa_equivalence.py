@@ -30,11 +30,12 @@ from repro.config import (
     VideoConfig,
 )
 from repro.core.soa import count_smaller_left, lru_touch_classify
-from repro.core.writeback import WritebackEngine
+from repro.core.writeback import ContentFeatures, WritebackEngine
 from repro.display import simulate_direct_mapped, simulate_direct_mapped_array
 from repro.hashing.crc import crc16, crc32, crc16_blocks, crc32_blocks, crc_pair_blocks
 from repro.memory.controller import MemoryController
 from repro.memory.rowbuffer import RowBufferModel
+from repro.video.frame import DecodedFrame, FrameType
 from repro.video.synthesis import SyntheticVideo
 from repro.video.workloads import workload
 
@@ -57,7 +58,8 @@ def _assert_equal(a, b, path=""):
                           f"{path}.{field.name}")
         return
     if isinstance(a, dict):
-        assert set(a) == set(b), path
+        # Insertion order too: it decides Counter.most_common ties.
+        assert list(a) == list(b), path
         for key in a:
             _assert_equal(a[key], b[key], f"{path}[{key!r}]")
         return
@@ -203,6 +205,36 @@ def _random_stream(cfg, profile_key, n_frames, seed):
         complexity_sigma=cfg.calibration.complexity_sigma))
 
 
+def _assert_kernel_matches_walk(fast, slow, frames, walks=None):
+    """Feed ``frames`` to both engines; every output must agree exactly.
+
+    With the ``walks`` fixture, also check that ``fast`` ran the kernel
+    on every frame and ``slow`` the walk.
+    """
+    base = 32 * 1024 * 1024
+    for i, frame in enumerate(frames):
+        slot = base + (i % 3) * 4 * 1024 * 1024
+        got = fast.process_frame(frame, slot)
+        want = slow.process_frame(frame, slot)
+        _assert_equal(got.layout, want.layout, "layout")
+        assert np.array_equal(got.write_lines, want.write_lines)
+        _assert_equal(got.matches, want.matches, "matches")
+        assert got.bytes_written == want.bytes_written
+        # One dump form: the same columns, element by element, in
+        # ascending digest order from either path.
+        for column in ("digests", "addresses", "aux"):
+            assert np.array_equal(getattr(got.dump, column),
+                                  getattr(want.dump, column)), column
+        assert np.all(np.diff(got.dump.digests) > 0)
+    _assert_equal(fast.ring.stats.__dict__, slow.ring.stats.__dict__,
+                  "ring.stats")
+    assert (list(fast.ring.stats.match_counter.items())
+            == list(slow.ring.stats.match_counter.items()))
+    if walks is not None:
+        assert fast not in walks
+        assert walks.count(slow) == len(frames)
+
+
 class TestWritebackEquivalence:
     @given(scheme_name=st.sampled_from(sorted(_MACH_SCHEMES)),
            unbounded=st.booleans(),
@@ -220,23 +252,97 @@ class TestWritebackEquivalence:
         slow = ScalarWritebackEngine(cfg.video, cfg.mach, scheme,
                                      cfg.dram.line_bytes,
                                      unbounded_mach=unbounded)
-        base = 32 * 1024 * 1024
-        for i, frame in enumerate(stream):
-            slot = base + (i % 3) * 4 * 1024 * 1024
-            got = fast.process_frame(frame, slot)
-            want = slow.process_frame(frame, slot)
-            _assert_equal(got.layout, want.layout, "layout")
-            assert np.array_equal(got.write_lines, want.write_lines)
-            _assert_equal(got.matches, want.matches, "matches")
-            assert got.bytes_written == want.bytes_written
-            # One dump form: the same columns, element by element, in
-            # ascending digest order from either path.
-            for column in ("digests", "addresses", "aux"):
-                assert np.array_equal(getattr(got.dump, column),
-                                      getattr(want.dump, column)), column
-            assert np.all(np.diff(got.dump.digests) > 0)
-        _assert_equal(fast.ring.stats.__dict__, slow.ring.stats.__dict__,
-                      "ring.stats")
+        _assert_kernel_matches_walk(fast, slow, stream)
+
+
+class _ScriptedTags:
+    """Engine mixin: frame ``i`` carries the tags ``script[i]`` instead
+    of digests of its bytes, so a test can shape the MACH's input."""
+
+    script: list
+
+    def _content_features(self, blocks):
+        tags = np.asarray(self.script.pop(0), dtype=np.int64)
+        return ContentFeatures(tags, np.zeros(len(tags), dtype=np.int64),
+                               None)
+
+
+class _ScriptedKernel(_ScriptedTags, WritebackEngine):
+    pass
+
+
+class _ScriptedWalk(_ScriptedTags, ScalarWritebackEngine):
+    pass
+
+
+class TestKernelAtScale:
+    """Kernel against walk at the default geometry (1,296 blocks a frame)."""
+
+    @pytest.mark.parametrize("profile_key, scheme_name",
+                             [("V8", "GAB"), ("V3", "GAB+DCC")])
+    def test_default_video(self, walks, profile_key, scheme_name):
+        cfg = SimulationConfig()
+        scheme = _MACH_SCHEMES[scheme_name]
+        # 24 frames: the first meets an empty ring, later ones a full one.
+        stream = _random_stream(cfg, profile_key, 24, 7)
+        fast = WritebackEngine(cfg.video, cfg.mach, scheme,
+                               cfg.dram.line_bytes)
+        slow = ScalarWritebackEngine(cfg.video, cfg.mach, scheme,
+                                     cfg.dram.line_bytes)
+        _assert_kernel_matches_walk(fast, slow, stream, walks)
+
+    @staticmethod
+    def _run_script(walks, script, scheme_name, unbounded):
+        cfg = SimulationConfig()
+        n = cfg.video.blocks_per_frame
+        frames = [DecodedFrame(i, FrameType.P,
+                               np.zeros((n, cfg.video.block_bytes),
+                                        dtype=np.uint8), 1.0, 0)
+                  for i in range(len(script))]
+        engines = []
+        for cls in (_ScriptedKernel, _ScriptedWalk):
+            engine = cls(cfg.video, cfg.mach, _MACH_SCHEMES[scheme_name],
+                         cfg.dram.line_bytes, unbounded_mach=unbounded)
+            engine.script = [np.asarray(tags) for tags in script]
+            engines.append(engine)
+        fast, slow = engines
+        _assert_kernel_matches_walk(fast, slow, frames, walks)
+        return fast.ring.stats
+
+    @pytest.mark.parametrize("scheme_name", ["MAB", "GAB"])
+    @pytest.mark.parametrize("unbounded", [False, True])
+    def test_every_touch_in_one_set(self, walks, scheme_name, unbounded):
+        cfg = SimulationConfig()
+        n = cfg.video.blocks_per_frame
+        sets = cfg.mach.sets_per_mach
+        rng = np.random.default_rng(11)
+        # 3 * ways keys, all mapping to set 5: evictions on most touches.
+        keys = 5 + sets * np.arange(1, 3 * cfg.mach.ways + 1)
+        script = [rng.choice(keys, size=n) for _ in range(4)]
+        stats = self._run_script(walks, script, scheme_name, unbounded)
+        assert stats.intra > 0 and stats.none > 0
+
+    @pytest.mark.parametrize("scheme_name", ["MAB", "GAB"])
+    @pytest.mark.parametrize("unbounded", [False, True])
+    def test_every_block_in_the_ring(self, walks, scheme_name, unbounded):
+        cfg = SimulationConfig()
+        n = cfg.video.blocks_per_frame
+        # Exactly `ways` keys per set: all of them stay resident, so
+        # the next frame finds every block in the frozen ring.
+        keys = np.arange(cfg.mach.entries_per_mach) + 1000
+        rng = np.random.default_rng(12)
+        script = [np.resize(keys, n), rng.choice(keys, size=n)]
+        stats = self._run_script(walks, script, scheme_name, unbounded)
+        assert stats.inter == n
+
+    @pytest.mark.parametrize("scheme_name", ["MAB", "GAB"])
+    @pytest.mark.parametrize("unbounded", [False, True])
+    def test_one_tag_fills_the_frame(self, walks, scheme_name, unbounded):
+        n = SimulationConfig().video.blocks_per_frame
+        script = [np.full(n, 77)] * 3
+        stats = self._run_script(walks, script, scheme_name, unbounded)
+        assert (stats.none, stats.intra, stats.inter) == (1, n - 1, 2 * n)
+        assert list(stats.match_counter.items()) == [(77, 3 * n - 1)]
 
 
 @pytest.fixture
