@@ -9,13 +9,13 @@ test:
 	PYTHONPATH=src python -m pytest tests/
 
 bench:
-	pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only
 
 validate:
-	python -m repro validate
+	PYTHONPATH=src python -m repro validate
 
 experiments:
-	python tools/make_experiments.py
+	PYTHONPATH=src python tools/make_experiments.py
 
 examples:
 	for example in examples/*.py; do \

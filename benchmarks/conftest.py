@@ -1,9 +1,13 @@
 """Shared fixtures for the benchmark harness.
 
-Each ``bench_*`` module regenerates one of the paper's tables or
-figures: it runs the relevant simulation under ``pytest-benchmark`` and
-prints the same rows/series the paper reports (capture is released so
-the tables land in the bench log).
+The paper's own tables and figures are not benchmarks: they are
+computed once into ``EXPERIMENTS.json`` by
+``tools/make_experiments.py`` and asserted by
+``tests/test_paper_ledger.py``.  The ``bench_*`` modules here cover the
+extensions, fault resilience, thermal throttling, delivery, the fleet,
+shard supervision and pipeline speed: each runs its simulations under
+``pytest-benchmark`` and prints its tables (capture is released so
+they land in the bench log).
 
 Run with::
 
@@ -23,7 +27,6 @@ import pytest
 from repro import simulate, workload
 from repro.config import SchemeConfig, SimulationConfig
 from repro.core.results import RunResult
-from repro.video import workload_keys
 
 #: Frames simulated per (video, scheme) in benchmark runs.
 BENCH_FRAMES = int(os.environ.get("BENCH_FRAMES", "96"))
@@ -49,11 +52,6 @@ def cached_run(video_key: str, scheme: SchemeConfig,
 @pytest.fixture(scope="session")
 def config() -> SimulationConfig:
     return SimulationConfig()
-
-
-@pytest.fixture(scope="session")
-def all_videos() -> Tuple[str, ...]:
-    return workload_keys()
 
 
 @pytest.fixture
