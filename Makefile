@@ -1,6 +1,7 @@
 # Common developer targets.
 
-.PHONY: install test bench validate experiments examples perf-pairs
+.PHONY: install test bench validate experiments examples perf-pairs \
+	digest-matrix
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -29,3 +30,8 @@ PAIRS ?= 10
 perf-pairs:
 	python tools/perf_pairs.py $(PARENT) --pairs $(PAIRS) \
 		$(foreach w,$(WORKLOAD),--workload $(w))
+
+# Bit-identity of every matrix run against a parent revision, e.g.
+#   make digest-matrix PARENT=HEAD~1
+digest-matrix:
+	python tools/digest_matrix.py $(PARENT)

@@ -365,7 +365,7 @@ class _Playback:
         rate: a compacted frame finishes early instead of stretching
         over the whole refresh."""
         full = self.frame_interval * self.cfg.calibration.display_scan_duty
-        scan = self.reader.scan(frame, (vsync, vsync + full))
+        scan = self.reader.scan(frame)
         density = min(1.0, scan.count / self.raw_frame_lines)
         end = vsync + full * max(density, 0.05)
         self.traffic.add("dc", _uniform_times(self.rng, vsync, end,

@@ -89,7 +89,6 @@ class ProducerConsumerPipeline:
         reader = DisplayReadEngine(cfg.display, mach, video, line)
         slot_stride = 1 << 24  # generous virtual slot spacing
 
-        window = (0.0, video.frame_interval)
         previous: Optional[WritebackResult] = None
         count = 0
         mach_write_bytes = 0
@@ -100,7 +99,7 @@ class ProducerConsumerPipeline:
             if self.consumer_reads >= 2 and previous is not None:
                 scans.append(previous)  # the encoder's motion reference
             for target in scans:
-                reader.scan(target, window)
+                reader.scan(target)
             previous = result
             count += 1
 

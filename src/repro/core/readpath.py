@@ -7,8 +7,10 @@ table in raster order and fetches each block record:
   one or two 64-byte lines (*request fragmentation*); the display cache
   absorbs refetches of recently-touched lines (intra matches, straddle
   partners).
-* DIGEST records resolve through the MACH buffer; a buffer miss costs a
-  translation read into the in-memory MACH dump plus the block fetch.
+* DIGEST records resolve through the MACH buffer, once per distinct
+  digest (the writeback groups them, :class:`~repro.core.writeback.\
+DigestGroups`); a buffer miss costs a translation read into the
+  in-memory MACH dump plus the block fetch.
 
 The engine emits the timestamped memory reads that actually escaped to
 DRAM, plus the statistics behind Figs. 10c/10d/10e.
@@ -17,7 +19,6 @@ DRAM, plus the statistics behind Figs. 10c/10d/10e.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from ..display.display_cache import simulate_direct_mapped_array
 from ..display.mach_buffer import MachBuffer
 from .coalesce import sequential_lines
 from .layout import FrameLayout, LayoutMode, RecordKind
-from .writeback import WritebackResult
+from .writeback import DigestGroups, WritebackResult
 
 
 @dataclass
@@ -70,14 +71,13 @@ class ReadStats:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Memory reads of one frame scan."""
+    """Memory reads of one frame scan, in issue order."""
 
-    times: np.ndarray
     addresses: np.ndarray
 
     @property
     def count(self) -> int:
-        return len(self.times)
+        return len(self.addresses)
 
 
 class DisplayReadEngine:
@@ -106,15 +106,14 @@ class DisplayReadEngine:
 
     # -- public API -------------------------------------------------------------
 
-    def scan(self, writeback: WritebackResult,
-             window: Tuple[float, float]) -> ScanResult:
+    def scan(self, writeback: WritebackResult) -> ScanResult:
         """Scan one frame out of memory; returns the DRAM reads issued."""
         layout = writeback.layout
         self.stats.frames += 1
         self.stats.raw_equivalent_lines += self._raw_lines(layout)
         if layout.mode is LayoutMode.RAW:
-            return self._scan_raw(layout, window)
-        return self._scan_mach(writeback, window)
+            return self._scan_raw(layout)
+        return self._scan_mach(writeback)
 
     # -- raw path ----------------------------------------------------------------
 
@@ -123,17 +122,15 @@ class DisplayReadEngine:
         raw_bytes = layout.raw_bytes
         return -(-raw_bytes // self.line_bytes)
 
-    def _scan_raw(self, layout: FrameLayout,
-                  window: Tuple[float, float]) -> ScanResult:
+    def _scan_raw(self, layout: FrameLayout) -> ScanResult:
         addresses = sequential_lines(
             layout.data_base, layout.data_bytes, self.line_bytes)
         self.stats.mem_reads += len(addresses)
-        return self._timed(addresses, window)
+        return ScanResult(addresses)
 
     # -- MACH path ------------------------------------------------------------------
 
-    def _scan_mach(self, writeback: WritebackResult,
-                   window: Tuple[float, float]) -> ScanResult:
+    def _scan_mach(self, writeback: WritebackResult) -> ScanResult:
         layout = writeback.layout
         line = self.line_bytes
         stats = self.stats
@@ -160,12 +157,13 @@ class DisplayReadEngine:
         stats.meta_reads += len(meta_addrs)
 
         # Block records, in raster order.
-        ptr_mask = layout.kinds != np.uint8(int(RecordKind.DIGEST))
-        digest_mask = ~ptr_mask
-        stats.pointer_records += int(ptr_mask.sum())
-        stats.digest_records += int(digest_mask.sum())
+        groups = writeback.digest_groups
+        digest_records = int(groups.counts.sum())
+        stats.pointer_records += layout.n_blocks - digest_records
+        stats.digest_records += digest_records
 
-        ptr_addrs = layout.pointers[ptr_mask]
+        ptr_addrs = layout.pointers[
+            layout.kinds != np.uint8(int(RecordKind.DIGEST))]
         first = (ptr_addrs // line) * line
         last = ((ptr_addrs + layout.block_bytes - 1) // line) * line
         straddle = last != first
@@ -186,47 +184,43 @@ class DisplayReadEngine:
         else:
             block_miss_lines = block_lines
 
-        # Digest records through the MACH buffer.
-        digest_values = layout.digests[digest_mask]
-        extra_addrs: List[np.ndarray] = []
-        if len(digest_values):
-            if self.use_mach_buffer:
-                hits_mask, missed = self.buffer.process_frame(digest_values)
-                stats.mb_hits += int(hits_mask.sum())
-                stats.mb_misses += len(digest_values) - int(hits_mask.sum())
-                if len(missed):
-                    # Each miss: one translation read into the dump, plus
-                    # the block fetch at the donor address.
-                    stats.translation_reads += len(missed)
-                    extra_addrs.append(sequential_lines(
-                        layout.dump_base, len(missed) * line, line))
-                    donor = layout.pointers[digest_mask]
-                    missed_mask = ~hits_mask
-                    extra_addrs.append(
-                        (donor[missed_mask] // line) * line)
-            else:
-                # Ablation: no MACH buffer — every digest record costs a
-                # translation read and a block fetch.
-                stats.mb_misses += len(digest_values)
-                stats.translation_reads += len(digest_values)
-                extra_addrs.append(sequential_lines(
-                    layout.dump_base, len(digest_values) * line, line))
-                extra_addrs.append(
-                    (layout.pointers[digest_mask] // line) * line)
-
+        # Digest records through the MACH buffer, one lookup per
+        # distinct digest.  Without the buffer (the ablation) every
+        # record misses and pays its own translation read.
         parts = [prefetch_addrs, meta_addrs, block_miss_lines]
-        parts.extend(extra_addrs)
+        if digest_records:
+            if self.use_mach_buffer:
+                missed = self.buffer.serve(groups.digests, groups.counts)
+                translations = int(np.count_nonzero(missed))
+            else:
+                missed = np.ones(len(groups.digests), dtype=bool)
+                translations = digest_records
+            miss_blocks = self._miss_blocks(layout, groups, missed)
+            stats.mb_misses += len(miss_blocks)
+            stats.mb_hits += digest_records - len(miss_blocks)
+            if len(miss_blocks):
+                # Each miss: one translation read into the dump, plus
+                # the block fetch at the donor address.
+                stats.translation_reads += translations
+                parts.append(sequential_lines(
+                    layout.dump_base, translations * line, line))
+                parts.append((layout.pointers[miss_blocks] // line) * line)
+
         addresses = np.concatenate(parts)
         stats.mem_reads += len(addresses)
-        return self._timed(addresses, window)
+        return ScanResult(addresses)
 
-    # -- helpers -----------------------------------------------------------------
+    def _miss_blocks(self, layout: FrameLayout, groups: DigestGroups,
+                     missed: np.ndarray) -> np.ndarray:
+        """Blocks, in raster order, of the DIGEST records that missed.
 
-    @staticmethod
-    def _timed(addresses: np.ndarray,
-               window: Tuple[float, float]) -> ScanResult:
-        start, end = window
-        n = len(addresses)
-        times = (np.linspace(start, end, n, endpoint=False)
-                 if n else np.empty(0, dtype=np.float64))
-        return ScanResult(times=times, addresses=addresses)
+        A lazy buffer misses on a missed digest's first record only;
+        otherwise every record of a missed digest misses.
+        """
+        if self.use_mach_buffer and self.buffer.policy == "lazy":
+            return np.sort(groups.first_block[missed])
+        if not missed.any():
+            return np.empty(0, dtype=np.int64)
+        records = np.flatnonzero(layout.mask(RecordKind.DIGEST))
+        return records[np.isin(layout.digests[records],
+                               groups.digests[missed])]

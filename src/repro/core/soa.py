@@ -19,12 +19,15 @@ classification from **one stable sort of the frame's tags**
   hits iff the number of *distinct* keys touched in its set since the
   previous touch of the same key is at most ``ways - 1`` — the classic
   stack-distance property.
-* **Distinct-in-window counting** — the number of distinct keys in a
-  window ``(p, t)`` of one set's touch sequence equals the window
-  length minus the number of same-key occurrence links lying entirely
-  inside the window, and with windows that are themselves occurrence
-  links this reduces to an offline *count-smaller-to-the-left* query
-  over the next-occurrence array, solved by a vectorized mergesort.
+* **Distinct-in-window counting** — a window ``(p, t)`` shorter than
+  ``ways`` cannot hold ``ways`` distinct keys, so most links hit
+  without counting.  For a longer one, the number of distinct keys
+  equals the window length minus the number of same-key occurrence
+  links lying entirely inside the window: one dense comparison of the
+  long links against all links while that stays small, else, with
+  windows that are themselves occurrence links, an offline
+  *count-smaller-to-the-left* query over the next-occurrence array,
+  solved by a vectorized mergesort.
 
 :func:`lru_chain_classify` takes the key chains and returns hits and
 final residents; :func:`chain_providers` gives each hit the insert it
@@ -48,7 +51,11 @@ __all__ = ["chain_providers", "count_smaller_left", "lru_chain_classify",
            "stable_sort"]
 
 
-_BASE_WIDTH = 32
+_BASE_WIDTH = 16
+
+#: Largest long-links x links comparison :func:`lru_stack_hits` makes
+#: densely; a larger one takes the mergesort.
+_DENSE_BUDGET = 1 << 16
 
 #: Cached strictly-lower-triangular masks for the mergesort base case.
 _TRI_MASKS: dict = {}
@@ -100,13 +107,16 @@ def count_smaller_left(values: np.ndarray, bound: int = 0) -> np.ndarray:
     packed[:m] = ranks * size + np.arange(m, dtype=np.int64)
     idx_mask = size - 1
 
-    # Base case: one (blocks, B, B) triangular broadcast replaces the
+    # Base case: one (B, B, blocks) triangular broadcast replaces the
     # first log2(B) merge levels, whose per-level numpy overhead would
-    # otherwise dominate.
+    # otherwise dominate.  Blocks run along the last axis, so every
+    # elementwise loop is a long one.
     base = min(_BASE_WIDTH, size)
     blocks = packed.reshape(-1, base)
-    tri = _tri_mask(base)
-    counts = ((blocks[:, None, :] < blocks[:, :, None]) & tri).sum(axis=2)
+    columns = blocks.T.copy()
+    smaller = columns[None, :, :] < columns[:, None, :]
+    smaller &= _tri_mask(base)[:, :, None]
+    counts = np.count_nonzero(smaller, axis=1).T
     flat = blocks.ravel()
     real = flat < sentinel
     out[flat[real] & idx_mask] = counts.ravel()[real]
@@ -289,34 +299,50 @@ def lru_stack_hits(prev: np.ndarray, ways: int) -> np.ndarray:
     ``t``'s key, or -1 for a key's first touch; positions are
     set-grouped, each set's touches one contiguous range in access
     order.
+
+    Stack distance: a touch at position ``t`` with previous occurrence
+    ``p`` hits iff the window ``(p, t)`` holds at most ``ways - 1``
+    distinct keys.  A window shorter than ``ways`` cannot hold more,
+    so its link hits outright.  For every longer window, distinct =
+    window length - links lying inside the window, counted by one dense
+    comparison against all links, or, when that comparison would exceed
+    ``_DENSE_BUDGET`` elements, by :func:`_links_inside`.
     """
     m = len(prev)
-    t_pos = np.arange(m, dtype=np.int64)
-    has_prev = prev >= 0
-    q_t = t_pos[has_prev]
-    q_p = prev[has_prev]
-    nxt = np.int64(m) + t_pos  # distinct sentinels
-    nxt[q_p] = q_t
+    q_t = np.flatnonzero(prev >= 0)  # ascending: links by end position
+    q_p = prev[q_t]
+    window = q_t - q_p - 1
+    long = window >= ways
+    hits = ~long
+    n_long = int(np.count_nonzero(long))
+    if n_long * len(q_t) > _DENSE_BUDGET:
+        hits = window - _links_inside(q_t, q_p, m) <= ways - 1
+    elif n_long:
+        inside = ((q_p > q_p[long][:, None])
+                  & (q_t < q_t[long][:, None])).sum(axis=1)
+        hits[long] = window[long] - inside <= ways - 1
+    hits_g = np.zeros(m, dtype=bool)
+    hits_g[q_t] = hits
+    return hits_g
 
-    # Stack distance: a touch at grouped position t with previous
-    # occurrence p hits iff the window (p, t) holds <= ways-1 distinct
-    # keys.  distinct = window length - links inside the window, and
-    # links inside = (links ending before t) - (links from positions
-    # <= p ending before t); the second term is count-smaller-left of
-    # the next-occurrence array evaluated at p, because the window
-    # bound t *is* p's next occurrence.  Only link positions (finite
-    # next) contribute to or issue these queries, so the quadratic
-    # structure is computed over the compressed link array.
+
+def _links_inside(q_t: np.ndarray, q_p: np.ndarray, m: int) -> np.ndarray:
+    """Per link ``(q_p[i], q_t[i])``, the links lying strictly inside it.
+
+    ``q_t`` ascending; positions lie in ``[0, m)``.  Links inside =
+    (links ending before ``t``) - (links from positions ``<= p`` ending
+    before ``t``); the second term is count-smaller-left of the
+    next-occurrence array evaluated at ``p``, because the window bound
+    ``t`` *is* ``p``'s next occurrence.  Only link positions (finite
+    next) contribute to or issue these queries, so the quadratic
+    structure is computed over the compressed link array.
+    """
+    nxt = np.int64(m) + np.arange(m, dtype=np.int64)  # distinct sentinels
+    nxt[q_p] = q_t
     is_link = nxt < m
-    link_next = nxt[is_link]
-    csl_link = count_smaller_left(link_next, bound=m)
+    csl_link = count_smaller_left(nxt[is_link], bound=m)
     link_rank = np.cumsum(is_link) - 1  # position -> index among links
     # links-ending-before(t): the finite next-values are exactly the
-    # positions that have a previous occurrence — q_t itself, which is
-    # ascending and distinct — so the count below q_t[i] is just i.
-    ends_before = np.arange(len(q_t), dtype=np.int64)
-    inside = ends_before - csl_link[link_rank[q_p]]
-    distinct = (q_t - q_p - 1) - inside
-    hits_g = np.zeros(m, dtype=bool)
-    hits_g[q_t] = distinct <= ways - 1
-    return hits_g
+    # link ends q_t, ascending and distinct, so the count below q_t[i]
+    # is just i.
+    return np.arange(len(q_t), dtype=np.int64) - csl_link[link_rank[q_p]]

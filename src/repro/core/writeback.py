@@ -70,11 +70,16 @@ def _changed_rows(current: np.ndarray, previous: np.ndarray) -> np.ndarray:
     """Mask of the rows of ``current`` whose bytes differ from ``previous``.
 
     Both are C-contiguous matrices of one shape and dtype; each row is
-    compared as the widest unsigned words that tile it.
+    viewed as the widest unsigned words that tile it, and the XORs of
+    its words are ORed together column by column.
     """
     word = next(w for w in (8, 4, 2, 1) if current.shape[1] % w == 0)
     dtype = np.dtype(f"u{word}")
-    return np.any(current.view(dtype) != previous.view(dtype), axis=1)
+    diff = current.view(dtype) ^ previous.view(dtype)
+    acc = np.zeros(len(diff), dtype=dtype)
+    for column in diff.T:
+        acc |= column
+    return acc != 0
 
 
 class TagRuns(NamedTuple):
@@ -106,6 +111,32 @@ class TagRuns(NamedTuple):
         return not np.any((aux[1:] != aux[:-1]) & ~self.new_run[1:])
 
 
+class DigestGroups(NamedTuple):
+    """A frame's DIGEST records grouped by digest.
+
+    The display's MACH buffer is keyed by digest, so a scan resolves
+    each distinct digest once rather than each record.
+    """
+
+    digests: np.ndarray  # uint64 distinct digests, ascending
+    first_block: np.ndarray  # int64 block of each digest's first record
+    counts: np.ndarray  # int64 records per digest
+
+    @classmethod
+    def of_records(cls, kinds: np.ndarray,
+                   digests: np.ndarray) -> "DigestGroups":
+        """Groups of the DIGEST records among per-block ``kinds``."""
+        blocks = np.flatnonzero(kinds == np.uint8(int(RecordKind.DIGEST)))
+        distinct, first, counts = np.unique(
+            digests[blocks], return_index=True, return_counts=True)
+        return cls(distinct, blocks[first], counts.astype(np.int64))
+
+
+_NO_DIGESTS = DigestGroups(np.empty(0, dtype=np.uint64),
+                           np.empty(0, dtype=np.int64),
+                           np.empty(0, dtype=np.int64))
+
+
 @dataclass
 class WritebackResult:
     """Everything one frame's writeback produced."""
@@ -115,6 +146,7 @@ class WritebackResult:
     matches: FrameMatches
     dump: Optional[FrozenMach]
     bytes_written: int
+    digest_groups: DigestGroups
 
 
 def slot_bytes_needed(video: VideoConfig, mach: MachConfig,
@@ -210,7 +242,8 @@ class WritebackEngine:
         )
         write_lines = sequential_lines(slot_base, data_bytes, self.line_bytes)
         matches = FrameMatches(intra=0, inter=0, none=n)
-        return WritebackResult(layout, write_lines, matches, None, data_bytes)
+        return WritebackResult(layout, write_lines, matches, None, data_bytes,
+                               _NO_DIGESTS)
 
     # -- content features --------------------------------------------------------
 
@@ -360,7 +393,8 @@ class WritebackEngine:
         return self._finish_mach(
             frame, kinds, pointers, digests_out,
             table_base, bases_base, data_base,
-            cursor - data_base, dump, matches)
+            cursor - data_base, dump, matches,
+            DigestGroups.of_records(kinds, digests_out))
 
     def _process_mach_kernel(self, frame: DecodedFrame, slot_base: int,
                              tags: np.ndarray,
@@ -432,9 +466,17 @@ class WritebackEngine:
 
         inter_idx = order[inter_s]
         pointers[inter_idx] = addresses[runs.run_id[inter_s]]
+        groups = _NO_DIGESTS
         if digest_mode:
             kinds[inter_idx] = int(RecordKind.DIGEST)
             digests_out[inter_idx] = runs.tags[inter_s].astype(np.uint64)
+            # Each inter run is one digest's records, its start the
+            # first of them; the runs ascend by tag.
+            inter_runs = np.flatnonzero(found)
+            heads = runs.starts[inter_runs]
+            lengths = np.diff(runs.starts, append=n)[inter_runs]
+            groups = DigestGroups(runs.tags[heads].astype(np.uint64),
+                                  order[heads], lengths)
         else:
             kinds[inter_idx] = int(RecordKind.POINTER)
 
@@ -470,13 +512,15 @@ class WritebackEngine:
             intra=n_intra, inter=n_inter, none=len(stored_idx))
         return self._finish_mach(
             frame, kinds, pointers, digests_out,
-            table_base, bases_base, data_base, data_bytes, dump, matches)
+            table_base, bases_base, data_base, data_bytes, dump, matches,
+            groups)
 
     def _finish_mach(self, frame: DecodedFrame, kinds: np.ndarray,
                      pointers: np.ndarray, digests_out: np.ndarray,
                      table_base: int, bases_base: int, data_base: int,
                      data_bytes: int, dump: FrozenMach,
-                     matches: FrameMatches) -> WritebackResult:
+                     matches: FrameMatches,
+                     groups: DigestGroups) -> WritebackResult:
         dump_base = data_base + data_bytes
         dump_bytes = dump.entries * _DUMP_ENTRY_BYTES
         layout = FrameLayout(
@@ -499,7 +543,7 @@ class WritebackEngine:
         )
         write_lines = self._write_lines(layout)
         return WritebackResult(layout, write_lines, matches, dump,
-                               layout.total_bytes)
+                               layout.total_bytes, groups)
 
     def _write_lines(self, layout: FrameLayout) -> np.ndarray:
         """Line-granular write addresses for the whole frame."""

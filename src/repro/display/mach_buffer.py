@@ -26,7 +26,7 @@ DESIGN.md section 2 on metadata scale effects).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Tuple
+from typing import List
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class MachBuffer:
         self.capacity = capacity_entries
         self.policy = policy
         self._resident: "OrderedDict[int, None]" = OrderedDict()
-        self._sorted: np.ndarray | None = None
         self.hits = 0
         self.misses = 0
         self.installed = 0
@@ -65,22 +64,18 @@ class MachBuffer:
         moved = resident.keys() & keys
         for key in moved:
             del resident[key]
-        resident.update(dict.fromkeys(keys))
         new = len(keys) - len(moved)
         self.installed += new
-        self._evict_over_capacity()
+        self._append(keys)
         return new
 
-    def _install_new(self, digests: np.ndarray) -> None:
-        """Bulk insert of digests known to be absent, in array order."""
-        self._resident.update(dict.fromkeys(digests.tolist()))
-        self.installed += len(digests)
-        self._evict_over_capacity()
-
-    def _evict_over_capacity(self) -> None:
-        self._sorted = None
-        while len(self._resident) > self.capacity:
-            self._resident.popitem(last=False)
+    def _append(self, keys: List[int]) -> None:
+        """Append absent ``keys`` as newest, in list order, then evict
+        oldest-first down to capacity."""
+        resident = self._resident
+        resident.update(dict.fromkeys(keys))
+        while len(resident) > self.capacity:
+            resident.popitem(last=False)
             self.evicted += 1
 
     def prefetch_dump(self, digests: np.ndarray) -> int:
@@ -89,56 +84,31 @@ class MachBuffer:
 
     # -- lookups ------------------------------------------------------------
 
-    def process_frame(self, digests: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Serve one frame's digest-indexed records in scan order.
+    def serve(self, digests: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """Serve one frame's digest-indexed records, grouped by digest.
 
-        Returns (hit mask, unique missed digests).  Under the lazy
-        policy, the first use of a non-resident digest misses and
-        installs it, so its later occurrences in the same frame hit —
-        which the vectorized form computes without a Python loop over
-        every record.
+        ``digests`` are the frame's distinct digests in ascending order
+        and ``counts`` their record counts.  Returns the mask of the
+        digests that were not resident.  Under the lazy policy the
+        first record of such a digest misses and installs it (in
+        ascending digest order), so its later records hit; under the
+        eager policy every record of it misses.
         """
-        digests = np.asarray(digests, dtype=np.uint64)
-        n = len(digests)
-        if n == 0:
-            return np.zeros(0, dtype=bool), np.empty(0, dtype=np.uint64)
-        resident_array = self._sorted
-        if resident_array is None:
-            resident_array = np.sort(np.fromiter(
-                self._resident.keys(), dtype=np.uint64,
-                count=len(self._resident)))
-            self._sorted = resident_array
-        # Sort-based unique: the stable argsort makes order[starts] each
-        # digest's first occurrence (what np.unique's return_index gives).
-        order = np.argsort(digests, kind="stable")
-        sorted_d = digests[order]
-        is_start = np.empty(n, dtype=bool)
-        is_start[0] = True
-        is_start[1:] = sorted_d[1:] != sorted_d[:-1]
-        inverse = np.empty(n, dtype=np.int64)
-        inverse[order] = np.cumsum(is_start) - 1
-        starts = np.flatnonzero(is_start)
-        uniques = sorted_d[starts]
-        first_index = order[starts]
-        if len(resident_array):
-            pos = np.minimum(
-                np.searchsorted(resident_array, uniques),
-                len(resident_array) - 1)
-            resident_unique = resident_array[pos] == uniques
-        else:
-            resident_unique = np.zeros(len(uniques), dtype=bool)
+        keys = digests.tolist()
+        resident = self._resident
+        missed = np.fromiter((key not in resident for key in keys),
+                             dtype=bool, count=len(keys))
         if self.policy == "eager":
-            hits = resident_unique[inverse]
-            missed = uniques[~resident_unique]
+            miss_records = int(counts[missed].sum())
         else:
-            is_first_use = np.arange(n) == first_index[inverse]
-            hits = resident_unique[inverse] | ~is_first_use
-            missed = uniques[~resident_unique]
-            if len(missed):
-                self._install_new(missed)
-        self.hits += int(hits.sum())
-        self.misses += int((~hits).sum())
-        return hits, missed
+            miss_records = int(np.count_nonzero(missed))
+            if miss_records:
+                self.installed += miss_records
+                self._append(
+                    [key for key, miss in zip(keys, missed) if miss])
+        self.misses += miss_records
+        self.hits += int(counts.sum()) - miss_records
+        return missed
 
     # -- metrics -------------------------------------------------------------
 

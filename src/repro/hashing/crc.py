@@ -117,9 +117,14 @@ def _positional_tables(length: int, width: int) -> Tuple[np.ndarray, int]:
 
 
 def _flat_gather_index(blocks: np.ndarray) -> np.ndarray:
-    """Per-byte index into a raveled ``(k, 256)`` table: ``j*256 | b``."""
-    index = blocks.astype(np.uint16)
-    index |= (np.arange(blocks.shape[1], dtype=np.uint16) << np.uint16(8))
+    """Per-byte index into a raveled ``(k, 256)`` table: ``j*256 | b``.
+
+    Column-major, shaped ``(k, n)``, so the XOR reduction over byte
+    positions runs along axis 0 as whole-row operations.
+    """
+    index = blocks.T.astype(np.uint16, order="C")
+    index |= (np.arange(blocks.shape[1], dtype=np.uint16)
+              << np.uint16(8))[:, None]
     return index
 
 
@@ -132,7 +137,7 @@ def _crc_blocks(blocks: np.ndarray, width: int,
     if index is None:
         index = _flat_gather_index(blocks)
     terms = tables.ravel().take(index)
-    return np.bitwise_xor.reduce(terms, axis=1) ^ dtype.type(const)
+    return np.bitwise_xor.reduce(terms, axis=0) ^ dtype.type(const)
 
 
 def crc32_blocks(blocks: np.ndarray) -> np.ndarray:

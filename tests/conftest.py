@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import functools
-from typing import Any
+from typing import Any, Tuple
 from unittest import mock
 
 import numpy as np
@@ -12,6 +12,7 @@ import pytest
 from repro.config import SimulationConfig, VideoConfig
 from repro.core import pipeline
 from repro.core.writeback import WritebackEngine
+from repro.display import MachBuffer
 from repro.video import SyntheticVideo, workload
 
 
@@ -23,6 +24,74 @@ class ScalarWritebackEngine(WritebackEngine):
         tags, aux, dcc_sizes = self._content_features(frame.blocks)
         return self._process_mach_scalar(frame, slot_base, tags, aux,
                                          dcc_sizes)
+
+
+class RecordMachBuffer(MachBuffer):
+    """The MACH buffer served record by record, in scan order: the
+    reference :meth:`MachBuffer.serve` must match."""
+
+    def process_frame(self, digests: np.ndarray) -> Tuple[np.ndarray,
+                                                          np.ndarray]:
+        """Serve one frame's digest-indexed records in scan order.
+
+        Returns (hit mask, unique missed digests).  Under the lazy
+        policy, the first use of a non-resident digest misses and
+        installs it, so its later occurrences in the same frame hit.
+        """
+        digests = np.asarray(digests, dtype=np.uint64)
+        n = len(digests)
+        if n == 0:
+            return np.zeros(0, dtype=bool), np.empty(0, dtype=np.uint64)
+        resident_array = np.sort(np.fromiter(
+            self._resident.keys(), dtype=np.uint64,
+            count=len(self._resident)))
+        # Sort-based unique: the stable argsort makes order[starts] each
+        # digest's first occurrence (what np.unique's return_index gives).
+        order = np.argsort(digests, kind="stable")
+        sorted_d = digests[order]
+        is_start = np.empty(n, dtype=bool)
+        is_start[0] = True
+        is_start[1:] = sorted_d[1:] != sorted_d[:-1]
+        inverse = np.empty(n, dtype=np.int64)
+        inverse[order] = np.cumsum(is_start) - 1
+        starts = np.flatnonzero(is_start)
+        uniques = sorted_d[starts]
+        first_index = order[starts]
+        if len(resident_array):
+            pos = np.minimum(
+                np.searchsorted(resident_array, uniques),
+                len(resident_array) - 1)
+            resident_unique = resident_array[pos] == uniques
+        else:
+            resident_unique = np.zeros(len(uniques), dtype=bool)
+        if self.policy == "eager":
+            hits = resident_unique[inverse]
+            missed = uniques[~resident_unique]
+        else:
+            is_first_use = np.arange(n) == first_index[inverse]
+            hits = resident_unique[inverse] | ~is_first_use
+            missed = uniques[~resident_unique]
+            if len(missed):
+                self.installed += len(missed)
+                self._append(missed.tolist())
+        self.hits += int(hits.sum())
+        self.misses += int((~hits).sum())
+        return hits, missed
+
+
+def serve_records(buffer: MachBuffer,
+                  records: Any) -> Tuple[np.ndarray, np.ndarray]:
+    """One frame's digest records, in scan order, through
+    :meth:`MachBuffer.serve`: returns (per-record hit mask, missed
+    digests in ascending order), as the record-level reference does."""
+    records = np.asarray(records, dtype=np.uint64)
+    digests, first, inverse, counts = np.unique(
+        records, return_index=True, return_inverse=True, return_counts=True)
+    missed = buffer.serve(digests, counts.astype(np.int64))
+    hits = ~missed[inverse]
+    if buffer.policy == "lazy":
+        hits |= np.arange(len(records)) != first[inverse]
+    return hits, digests[missed]
 
 
 @pytest.fixture

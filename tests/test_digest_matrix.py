@@ -1,0 +1,49 @@
+"""Argument handling and run matrix of ``tools/digest_matrix.py`` (no
+simulation is run)."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def digest_matrix():
+    spec = importlib.util.spec_from_file_location(
+        "digest_matrix", _ROOT / "tools" / "digest_matrix.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_arguments(digest_matrix, capsys):
+    assert digest_matrix.parse_args(["HEAD~1"]).parent == "HEAD~1"
+    assert (digest_matrix.FRAMES, digest_matrix.SEED) == (96, 7)
+    for bad in ([], ["HEAD", "HEAD~1"], ["HEAD", "--frames", "8"]):
+        with pytest.raises(SystemExit):
+            digest_matrix.parse_args(bad)
+    capsys.readouterr()
+
+
+def test_matrix(digest_matrix):
+    cases = digest_matrix.matrix()
+    names = [digest_matrix.case_name(case) for case in cases]
+    assert len(set(names)) == len(cases)
+    # Every video x scheme x thermal combination of the base matrix.
+    base = {(c["video"], c["scheme"], c["thermal"]) for c in cases
+            if set(c) == {"video", "scheme", "thermal"}}
+    assert len(base) == 4 * 4 * 2
+    options = [c for c in cases if set(c) != {"video", "scheme", "thermal"}]
+    assert any(c.get("buffer_policy") == "eager" for c in options)
+    assert any(c.get("use_display_cache") is False for c in options)
+    assert any(c.get("use_mach_buffer") is False for c in options)
+    assert any(c.get("unbounded_mach") is True for c in options)
+    faults = [c["faults"] for c in options if "faults" in c]
+    assert {f.get("verify_digests", True) for f in faults} == {True, False}
+    machs = [c["mach"] for c in options if "mach" in c]
+    assert {"co_mach": True} in machs
+    assert {"digest_scheme": "weak-sum"} in machs

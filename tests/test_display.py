@@ -14,6 +14,8 @@ from repro.display import (
 )
 from repro.errors import ConfigError, SchedulingError
 
+from .conftest import serve_records
+
 
 class TestFrameBufferPool:
     def make_pool(self, slots=3, retention=0) -> FrameBufferPool:
@@ -118,23 +120,23 @@ class TestMachBuffer:
     def test_lazy_first_use_misses_then_hits(self):
         buffer = MachBuffer(capacity_entries=16, policy="lazy")
         digests = np.asarray([1, 2, 1, 3, 2], dtype=np.uint64)
-        hits, missed = buffer.process_frame(digests)
+        hits, missed = serve_records(buffer, digests)
         assert list(hits) == [False, False, True, False, True]
         assert set(missed.tolist()) == {1, 2, 3}
 
     def test_lazy_hits_across_frames(self):
         buffer = MachBuffer(capacity_entries=16, policy="lazy")
-        buffer.process_frame(np.asarray([7, 8], dtype=np.uint64))
-        hits, missed = buffer.process_frame(np.asarray([7, 9], dtype=np.uint64))
+        serve_records(buffer, [7, 8])
+        hits, missed = serve_records(buffer, [7, 9])
         assert list(hits) == [True, False]
         assert missed.tolist() == [9]
 
     def test_eager_needs_prefetch(self):
         buffer = MachBuffer(capacity_entries=16, policy="eager")
-        hits, _ = buffer.process_frame(np.asarray([5], dtype=np.uint64))
+        hits, _ = serve_records(buffer, [5])
         assert not hits[0]
         buffer.prefetch_dump(np.asarray([5], dtype=np.uint64))
-        hits, _ = buffer.process_frame(np.asarray([5], dtype=np.uint64))
+        hits, _ = serve_records(buffer, [5])
         assert hits[0]
 
     def test_eager_prefetch_of_oversized_dump_keeps_highest_digests(self):
@@ -144,28 +146,39 @@ class TestMachBuffer:
             mach.insert(digest, address=digest, aux=0)
         buffer = MachBuffer(capacity_entries=3, policy="eager")
         assert buffer.prefetch_dump(mach.freeze().digests) == 5
-        hits, _ = buffer.process_frame(
-            np.asarray([0x02, 0x04, 0x101, 0x203, 0x300], dtype=np.uint64))
+        hits, _ = serve_records(buffer, [0x02, 0x04, 0x101, 0x203, 0x300])
         assert list(hits) == [False, False, True, True, True]
 
     def test_capacity_eviction_fifo(self):
         buffer = MachBuffer(capacity_entries=2, policy="lazy")
-        buffer.process_frame(np.asarray([1, 2, 3], dtype=np.uint64))
+        serve_records(buffer, [1, 2, 3])
         assert buffer.resident_entries == 2
-        hits, _ = buffer.process_frame(np.asarray([1], dtype=np.uint64))
+        hits, _ = serve_records(buffer, [1])
         assert not hits[0]  # 1 was the oldest, evicted
-        hits, _ = buffer.process_frame(np.asarray([3], dtype=np.uint64))
+        hits, _ = serve_records(buffer, [3])
         assert hits[0]
 
     def test_hit_rate(self):
         buffer = MachBuffer(capacity_entries=8)
-        buffer.process_frame(np.asarray([1, 1, 1, 1], dtype=np.uint64))
+        serve_records(buffer, [1, 1, 1, 1])
         assert buffer.hit_rate == pytest.approx(0.75)
 
     def test_empty_frame(self):
         buffer = MachBuffer(capacity_entries=8)
-        hits, missed = buffer.process_frame(np.empty(0, dtype=np.uint64))
+        hits, missed = serve_records(buffer, [])
         assert len(hits) == 0 and len(missed) == 0
+
+    def test_serve_counts_records_per_digest(self):
+        lazy = MachBuffer(capacity_entries=8, policy="lazy")
+        eager = MachBuffer(capacity_entries=8, policy="eager")
+        digests = np.asarray([3, 9], dtype=np.uint64)
+        counts = np.asarray([4, 2], dtype=np.int64)
+        for buffer in (lazy, eager):
+            assert buffer.serve(digests, counts).tolist() == [True, True]
+        # Lazy: one miss per digest; eager: every record misses.
+        assert (lazy.hits, lazy.misses, lazy.installed) == (4, 2, 2)
+        assert (eager.hits, eager.misses, eager.installed) == (0, 6, 0)
+        assert lazy.serve(digests, counts).tolist() == [False, False]
 
     def test_invalid_config(self):
         with pytest.raises(ConfigError):

@@ -7,9 +7,14 @@ import numpy as np
 import pytest
 
 from repro.config import BASELINE, GAB, DisplayConfig, MachConfig, VideoConfig
+from repro.core.coalesce import sequential_lines
+from repro.core.layout import RecordKind
 from repro.core.readpath import DisplayReadEngine
 from repro.core.writeback import WritebackEngine
+from repro.video import SyntheticVideo, workload
 from repro.video.frame import DecodedFrame, FrameType
+
+from .conftest import RecordMachBuffer
 
 
 def tiny_video() -> VideoConfig:
@@ -39,16 +44,13 @@ def noise_frame(video, seed=0, index=0) -> DecodedFrame:
                                  dtype=np.uint8), index)
 
 
-WINDOW = (0.0, 0.014)
-
-
 class TestRawScan:
     def test_reads_whole_frame_sequentially(self):
         video = tiny_video()
         writeback = WritebackEngine(video, mach_config(), BASELINE)
         reader = make_engine(video, mach_config())
         result = writeback.process_frame(noise_frame(video), 0)
-        scan = reader.scan(result, WINDOW)
+        scan = reader.scan(result)
         assert scan.count == video.frame_bytes // 64
         assert (np.diff(scan.addresses) == 64).all()
         assert reader.stats.savings == pytest.approx(0.0)
@@ -61,7 +63,7 @@ class TestMachScan:
         scans = []
         for index, frame in enumerate(frames):
             result = writeback.process_frame(frame, index << 16)
-            scans.append(reader.scan(result, WINDOW))
+            scans.append(reader.scan(result))
         return reader, scans
 
     def test_no_match_frame_costs_more_than_raw(self):
@@ -149,3 +151,71 @@ class TestMachScan:
         assert reader.stats.frames == 3
         assert reader.stats.raw_equivalent_lines == 3 * (
             video.frame_bytes // 64)
+
+
+def _record_level_digest_reads(layout, buffer, line=64):
+    """The DIGEST records' reads served record by record, in raster
+    order: ``(addresses, hits, misses, translation reads)``.  ``buffer``
+    None is the no-buffer ablation."""
+    digest_mask = layout.mask(RecordKind.DIGEST)
+    values = layout.digests[digest_mask]
+    donors = (layout.pointers[digest_mask] // line) * line
+    if buffer is None:
+        hits = np.zeros(len(values), dtype=bool)
+        translations = len(values)
+    else:
+        hits, missed = buffer.process_frame(values)
+        translations = len(missed)
+    addresses = np.concatenate((
+        sequential_lines(layout.dump_base, translations * line, line),
+        donors[~hits]))
+    return addresses, int(hits.sum()), int((~hits).sum()), translations
+
+
+class TestDigestReadsMatchRecordLevel:
+    """Serving distinct digests issues the same DRAM reads, in the same
+    order, as serving every DIGEST record through the record-level
+    buffer (``tests/conftest.py``)."""
+
+    @pytest.mark.parametrize("policy, use_buffer, entries", [
+        ("lazy", True, 4), ("lazy", True, 512), ("eager", True, 4),
+        ("eager", True, 512), ("lazy", False, 512)])
+    def test_scan_tail_and_stats(self, policy, use_buffer, entries):
+        eager = policy == "eager" and use_buffer
+        video = VideoConfig(width=64, height=32)
+        mach = mach_config(buffer_entries=entries)
+        writer = WritebackEngine(video, mach, GAB)
+        reader = make_engine(video, mach, buffer_policy=policy,
+                             use_mach_buffer=use_buffer)
+        reference = RecordMachBuffer(entries, policy=policy)
+        frames = SyntheticVideo(video, workload("V8"), seed=3, n_frames=12)
+        served = missed = 0
+        for index, frame in enumerate(frames):
+            result = writer.process_frame(frame, index << 20)
+            # Every other frame is scanned twice, as a dropped refresh
+            # re-scans the last frame shown.
+            for _ in range(1 + index % 2):
+                if eager:  # every eager scan prefetches its frame's dump
+                    reference.prefetch_dump(result.dump.digests)
+                before = dict(vars(reader.stats))
+                scan = reader.scan(result)
+                want, hits, misses, translations = \
+                    _record_level_digest_reads(
+                        result.layout, reference if use_buffer else None)
+                stats = vars(reader.stats)
+                assert stats["mb_hits"] - before["mb_hits"] == hits
+                assert stats["mb_misses"] - before["mb_misses"] == misses
+                assert (stats["translation_reads"]
+                        - before["translation_reads"]) == translations
+                assert np.array_equal(scan.addresses[len(scan.addresses)
+                                                     - len(want):], want)
+                served += hits + misses
+                missed += misses
+        assert served > 0
+        # A large eager buffer holds every digest it is asked for.
+        assert (missed > 0) != (eager and entries == 512)
+        if use_buffer:
+            for counter in ("hits", "misses", "installed", "evicted"):
+                assert (getattr(reader.buffer, counter)
+                        == getattr(reference, counter))
+            assert list(reader.buffer._resident) == list(reference._resident)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import zlib
 from collections import OrderedDict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,9 +30,15 @@ from repro.config import (
     SimulationConfig,
     VideoConfig,
 )
+from repro.cache import SetAssociativeCache
+from repro.core import soa
 from repro.core.soa import count_smaller_left, lru_touch_classify
-from repro.core.writeback import ContentFeatures, WritebackEngine
-from repro.display import simulate_direct_mapped, simulate_direct_mapped_array
+from repro.core.writeback import ContentFeatures, DigestGroups, WritebackEngine
+from repro.display import (
+    MachBuffer,
+    simulate_direct_mapped,
+    simulate_direct_mapped_array,
+)
 from repro.hashing.crc import crc16, crc32, crc16_blocks, crc32_blocks, crc_pair_blocks
 from repro.memory.controller import MemoryController
 from repro.memory.rowbuffer import RowBufferModel
@@ -39,7 +46,7 @@ from repro.video.frame import DecodedFrame, FrameType
 from repro.video.synthesis import SyntheticVideo
 from repro.video.workloads import workload
 
-from .conftest import ScalarWritebackEngine
+from .conftest import RecordMachBuffer, ScalarWritebackEngine, serve_records
 
 _TINY = SimulationConfig(video=VideoConfig(width=64, height=32))
 
@@ -127,6 +134,136 @@ class TestLruTouchClassify:
         assert got.provider.tolist() == providers
         assert got.resident_touch.tolist() == res_touch
         assert got.resident_rank.tolist() == res_rank
+
+
+def _set_associative_replay(keys, n_sets, ways):
+    """:class:`SetAssociativeCache` replay of an insert-on-miss touch
+    sequence, in :class:`~repro.core.soa.LruClassification` form."""
+    cache = SetAssociativeCache(n_sets, ways)
+    hits, providers = [], []
+    for i, key in enumerate(keys):
+        result, value = cache.lookup(key)
+        hits.append(result.is_hit)
+        providers.append(value if result.is_hit else -1)
+        if not result.is_hit:
+            cache.insert(key, i)
+    per_set = {}
+    for key, insert_idx in cache.items():  # set by set, LRU first
+        per_set.setdefault(key & (n_sets - 1), []).append(insert_idx)
+    resident_touch, resident_rank = [], []
+    for s in sorted(per_set):
+        resident_touch += per_set[s][::-1]
+        resident_rank += list(range(len(per_set[s])))
+    return hits, providers, resident_touch, resident_rank
+
+
+def _assert_classify_matches_cache(keys, n_sets, ways):
+    keys = np.asarray(keys, dtype=np.int64)
+    got = lru_touch_classify(keys & (n_sets - 1), keys, ways)
+    hits, providers, res_touch, res_rank = _set_associative_replay(
+        keys.tolist(), n_sets, ways)
+    assert got.hits.tolist() == hits
+    assert got.provider.tolist() == providers
+    assert got.resident_touch.tolist() == res_touch
+    assert got.resident_rank.tolist() == res_rank
+
+
+def _mergesort_calls(monkeypatch):
+    """Calls of ``lru_stack_hits``' mergesort side, recorded."""
+    calls = []
+    links_inside = soa._links_inside
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return links_inside(*args)
+
+    monkeypatch.setattr(soa, "_links_inside", counting)
+    return calls
+
+
+class TestLruSizeSelection:
+    """Scripted touch sequences on both sides of ``lru_stack_hits``'
+    dense/mergesort selection, at the simulated MACH's 8 sets x 4 ways
+    and a 1,296-block frame."""
+
+    SETS, WAYS, TOUCHES = 8, 4, 1296
+
+    def _cycle(self, n_keys):
+        """``n_keys`` keys of set 5, touched round-robin."""
+        return 5 + self.SETS * (np.arange(self.TOUCHES) % n_keys)
+
+    def test_cycle_of_ways_plus_one_keys_takes_the_mergesort(
+            self, monkeypatch):
+        calls = _mergesort_calls(monkeypatch)
+        # Every window holds `ways` distinct keys: all touches miss.
+        keys = self._cycle(self.WAYS + 1)
+        _assert_classify_matches_cache(keys, self.SETS, self.WAYS)
+        assert calls == [self.TOUCHES - self.WAYS - 1]
+
+    def test_cycle_of_ways_keys_decides_directly(self, monkeypatch):
+        calls = _mergesort_calls(monkeypatch)
+        # Every window is ways - 1 long: all links hit, none counted.
+        keys = self._cycle(self.WAYS)
+        _assert_classify_matches_cache(keys, self.SETS, self.WAYS)
+        assert calls == []
+
+    def test_few_long_windows_count_densely(self, monkeypatch):
+        calls = _mergesort_calls(monkeypatch)
+        rng = np.random.default_rng(5)
+        # Mostly immediate repeats, with a handful of keys recurring
+        # after long gaps: far below the dense budget.
+        keys = np.repeat(rng.integers(0, 1 << 20, self.TOUCHES // 4), 4)
+        keys[rng.choice(self.TOUCHES, 24, replace=False)] = rng.integers(
+            0, 12, 24)
+        _assert_classify_matches_cache(keys, self.SETS, self.WAYS)
+        assert calls == []
+
+    def test_random_frame_over_the_budget_takes_the_mergesort(
+            self, monkeypatch):
+        calls = _mergesort_calls(monkeypatch)
+        rng = np.random.default_rng(6)
+        keys = rng.integers(0, 300, self.TOUCHES)
+        _assert_classify_matches_cache(keys, self.SETS, self.WAYS)
+        assert len(calls) == 1
+
+    @given(keys=st.lists(st.integers(0, 60), min_size=0, max_size=160),
+           n_sets=st.sampled_from([1, 2, 4, 8]),
+           ways=st.integers(1, 5),
+           budget=st.sampled_from([0, 1 << 62]))
+    @settings(max_examples=60, deadline=None)
+    def test_either_side_alone_matches_the_cache(self, keys, n_sets, ways,
+                                                 budget):
+        # Budget 0 sends every long window to the mergesort; an
+        # unreachable budget counts every one densely.
+        with mock.patch.object(soa, "_DENSE_BUDGET", budget):
+            _assert_classify_matches_cache(keys, n_sets, ways)
+
+
+class TestMachBufferServe:
+    """:meth:`MachBuffer.serve` against the record-level reference."""
+
+    @given(frames=st.lists(
+               st.tuples(st.lists(st.integers(0, 80), max_size=60),
+                         st.lists(st.integers(0, 80), max_size=24)),
+               max_size=8),
+           policy=st.sampled_from(["lazy", "eager"]),
+           capacity=st.integers(1, 64))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_record_level_reference(self, frames, policy,
+                                            capacity):
+        fast = MachBuffer(capacity, policy=policy)
+        slow = RecordMachBuffer(capacity, policy=policy)
+        for records, dump in frames:
+            if policy == "eager":
+                dump = np.asarray(dump, dtype=np.uint64)
+                assert fast.prefetch_dump(dump) == slow.prefetch_dump(dump)
+            want_hits, want_missed = slow.process_frame(records)
+            got_hits, got_missed = serve_records(fast, records)
+            assert got_hits.tolist() == want_hits.tolist()
+            assert got_missed.tolist() == want_missed.tolist()
+            for counter in ("hits", "misses", "installed", "evicted"):
+                assert getattr(fast, counter) == getattr(slow, counter)
+            assert list(fast._resident) == list(slow._resident)
 
 
 class TestCrcBlocks:
@@ -220,6 +357,14 @@ def _assert_kernel_matches_walk(fast, slow, frames, walks=None):
         assert np.array_equal(got.write_lines, want.write_lines)
         _assert_equal(got.matches, want.matches, "matches")
         assert got.bytes_written == want.bytes_written
+        # The kernel reads the digest groups off its runs; the walk
+        # groups its DIGEST records.  Both match the layout's records.
+        layout_groups = DigestGroups.of_records(want.layout.kinds,
+                                                want.layout.digests)
+        for groups in (got.digest_groups, want.digest_groups):
+            for column in DigestGroups._fields:
+                assert np.array_equal(getattr(groups, column),
+                                      getattr(layout_groups, column)), column
         # One dump form: the same columns, element by element, in
         # ascending digest order from either path.
         for column in ("digests", "addresses", "aux"):

@@ -1,0 +1,181 @@
+"""Bit-identity matrix: every run of a parent revision against the working tree.
+
+Run:  python tools/digest_matrix.py PARENT_REV
+
+Exports ``PARENT_REV`` with ``git archive`` into a temporary directory
+(the repository's ``.git`` is left untouched), then plays the same
+matrix of ``simulate`` runs, 96 frames at seed 7, in a fresh process on
+each side: videos V1/V3/V8/V14 x the schemes Baseline, MAB, GAB and
+GAB+DCC x thermal throttling off/on, plus the eager MACH-buffer policy,
+the display cache and the MACH buffer switched off, digest-collision
+faults with and without verification, CO-MACH, the ``weak-sum`` digest
+and the unbounded MACH.  Each run is reduced to the sha256 of its
+``to_jsonable()`` with sorted keys, alongside the number of frames
+whose writeback took the scalar per-block walk.  Prints one line per
+run and exits 1 when any digest or walked-frame count differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+from typing import Any, Dict, List, Optional
+
+ROOT = Path(__file__).resolve().parents[1]
+
+FRAMES = 96
+SEED = 7
+
+
+def _case(video: str, scheme: str, *, thermal: bool = False,
+          **options: Any) -> Dict[str, Any]:
+    return {"video": video, "scheme": scheme, "thermal": thermal, **options}
+
+
+def matrix() -> List[Dict[str, Any]]:
+    """Every run of the matrix.  Keys beyond video/scheme/thermal:
+    ``mach`` and ``faults`` are config overrides, the rest are
+    ``simulate`` keywords."""
+    cases = [_case(video, scheme, thermal=thermal)
+             for video in ("V1", "V3", "V8", "V14")
+             for scheme in ("BASELINE", "MAB", "GAB", "GAB_DCC")
+             for thermal in (False, True)]
+    cases += [_case(video, scheme, buffer_policy="eager",
+                    unbounded_mach=unbounded)
+              for video in ("V1", "V3", "V8")
+              for scheme in ("MAB", "GAB", "GAB_DCC")
+              for unbounded in (False, True)]
+    collision = {"digest_collision": 0.01}
+    cases += [
+        _case("V8", "GAB", use_display_cache=False),
+        _case("V8", "GAB", use_mach_buffer=False),
+        _case("V8", "GAB", unbounded_mach=True),
+        _case("V8", "GAB", faults={"block_bit_error": 2e-5, **collision}),
+        _case("V3", "GAB", faults={"digest_collision": 0.02,
+                                   "verify_digests": False}),
+        _case("V1", "MAB", faults=collision),
+        _case("V3", "GAB_DCC", faults=collision),
+        _case("V1", "MAB", faults={"digest_collision": 0.02},
+              buffer_policy="eager"),
+        _case("V8", "GAB", mach={"co_mach": True}),
+        _case("V1", "MAB", mach={"co_mach": True}),
+        _case("V8", "GAB", mach={"co_mach": True}, buffer_policy="eager"),
+        _case("V8", "GAB", mach={"digest_scheme": "weak-sum"}),
+        _case("V3", "GAB_DCC", mach={"digest_scheme": "weak-sum"}),
+    ]
+    return cases
+
+
+def case_name(case: Dict[str, Any]) -> str:
+    extras = {k: v for k, v in case.items()
+              if k not in ("video", "scheme", "thermal")}
+    name = f"{case['video']} {case['scheme']}"
+    if case["thermal"]:
+        name += " thermal"
+    return name + "".join(f" {k}={json.dumps(v, sort_keys=True)}"
+                          for k, v in sorted(extras.items()))
+
+
+#: Runs in each checkout with its own ``src`` first on the path, so it
+#: may use only API both sides have.  Reads the cases as JSON on stdin
+#: and prints ``[digest, walked frames]`` per case as JSON.
+_WORKER = """
+import hashlib, json, sys
+from dataclasses import replace
+from repro import config as C
+from repro.core import pipeline
+from repro.core.writeback import WritebackEngine
+from repro.video import workload
+
+frames, seed, cases = json.load(sys.stdin)
+walked = [0]
+walk = WritebackEngine._process_mach_scalar
+def counting(engine, *args):
+    walked[0] += 1
+    return walk(engine, *args)
+WritebackEngine._process_mach_scalar = counting
+
+out = []
+for case in cases:
+    case = dict(case)
+    video, scheme = case.pop("video"), getattr(C, case.pop("scheme"))
+    config = C.SimulationConfig()
+    if case.pop("thermal"):
+        config = replace(config, thermal=C.ThermalConfig(
+            enabled=True, seed=seed, event_interval=1.0, cap_drop_rate=1.0,
+            cap_drop_duty=0.5, delayed_transition_rate=0.5))
+    config = replace(config, mach=replace(config.mach, **case.pop("mach", {})),
+                     faults=replace(config.faults, **case.pop("faults", {})))
+    walked[0] = 0
+    result = pipeline.simulate(workload(video), scheme, n_frames=frames,
+                               config=config, seed=seed, **case)
+    canonical = json.dumps(result.to_jsonable(), sort_keys=True,
+                           separators=(",", ":"))
+    out.append([hashlib.sha256(canonical.encode()).hexdigest(), walked[0]])
+print(json.dumps(out))
+"""
+
+
+def run_side(checkout: Path, cases: List[Dict[str, Any]]) -> List[List[Any]]:
+    """``[digest, walked frames]`` of every case, simulated in ``checkout``."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", _WORKER], cwd=checkout, env=env, check=False,
+        input=json.dumps([FRAMES, SEED, cases]), capture_output=True,
+        text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"simulating in {checkout} exited "
+                           f"{done.returncode}:\n{done.stderr[-2000:]}")
+    rows: List[List[Any]] = json.loads(done.stdout)
+    return rows
+
+
+def export(rev: str, dest: Path) -> None:
+    """Write the tree of ``rev`` into ``dest``."""
+    archive = dest.with_suffix(".tar")
+    with open(archive, "wb") as out:
+        subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
+                       stdout=out, check=True)
+    # The "data" filter (Python 3.12, backported to 3.8.17+) refuses
+    # links and paths that leave ``dest``.
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+    with tarfile.open(archive) as tar:
+        tar.extractall(dest, **safe)
+
+
+def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
+    parser = argparse.ArgumentParser(
+        prog="python tools/digest_matrix.py",
+        description=__doc__.split("\n")[0])
+    parser.add_argument("parent", metavar="PARENT_REV",
+                        help="git revision to compare against")
+    return parser.parse_args(argv)
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = parse_args(argv)
+    cases = matrix()
+    with tempfile.TemporaryDirectory(prefix="digest-matrix-") as tmp:
+        parent_tree = Path(tmp) / "parent"
+        export(args.parent, parent_tree)
+        parent = run_side(parent_tree, cases)
+    change = run_side(ROOT, cases)
+    differ = 0
+    for case, want, got in zip(cases, parent, change):
+        same = want == got
+        differ += not same
+        print(f"{'identical' if same else 'DIFFERS  '} walked "
+              f"{got[1]:>3} {got[0][:16]} {case_name(case)}", flush=True)
+    print(f"{len(cases) - differ}/{len(cases)} runs identical to "
+          f"{args.parent} ({FRAMES} frames, seed {SEED})")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
