@@ -38,7 +38,8 @@ from ..config import SimulationConfig
 from ..errors import FleetError
 from .cell import CellLoadAccumulator, ContentionField
 from .population import PopulationModel, PopulationSpec, SessionChunk
-from .sketches import HistogramSketch, ReservoirSample, StreamingMoments
+from .sketches import (HistogramSketch, ReservoirSample, RunSums,
+                       StreamingMoments, quantize, run_sums)
 from .surrogate import FleetCalibration, calibrate
 
 #: Sessions per streamed chunk.  Fixed (not tunable per run) because
@@ -82,22 +83,21 @@ class CohortAggregate:
     def count(self) -> int:
         return self.moments["total_energy"].count
 
-    def add_chunk(self, uids: np.ndarray,
-                  metrics: Dict[str, np.ndarray],
-                  mask: Optional[np.ndarray] = None) -> None:
-        """Fold (a masked view of) one chunk's metrics in."""
-        if mask is not None:
-            if not mask.any():
-                return
-            uids = uids[mask]
-        for name in METRICS:
-            values = metrics[name] if mask is None else metrics[name][mask]
-            self.moments[name].add_array(values)
-            if name in self.hists:
-                self.hists[name].add_array(values)
-        total = (metrics["total_energy"] if mask is None
-                 else metrics["total_energy"][mask])
-        self.sample.offer_array(uids, total)
+    def add_chunk(self, chunk: "ChunkReduction", cohort: int) -> None:
+        """Fold cohort ``cohort``'s share of a grouped chunk reduction in."""
+        run = int(chunk.run_of[cohort])
+        if run < 0:
+            return
+        count = int(chunk.run_sizes[run])
+        for name, sums in zip(METRICS, chunk.sums):
+            self.moments[name].add_sums(
+                count, sums.q_sum[run], sums.sq_hi[run], sums.sq_lo[run],
+                sums.q_min[run], sums.q_max[run])
+        for row, name in enumerate(HIST_METRICS):
+            self.hists[name].counts += chunk.hist_counts[row, cohort]
+        lo, hi = chunk.candidate_bounds[cohort:cohort + 2]
+        self.sample.admit(chunk.priorities[lo:hi], chunk.uids[lo:hi],
+                          chunk.totals[lo:hi])
 
     def merge(self, other: "CohortAggregate") -> "CohortAggregate":
         """Exact merge of another shard's partial for the same cohort."""
@@ -235,17 +235,102 @@ class FleetResult:
         return "\n".join(lines)
 
 
-def _cohort_masks(spec: PopulationSpec, chunk: SessionChunk
-                  ) -> Sequence[Tuple[str, Optional[np.ndarray]]]:
-    """(cohort key, mask) pairs for one chunk; None = all sessions."""
-    pairs: List[Tuple[str, Optional[np.ndarray]]] = [("fleet", None)]
-    for d_idx, device in enumerate(spec.device_classes):
-        pairs.append((f"device:{device.name}", chunk.device == d_idx))
-    for r_idx, region in enumerate(spec.regions):
-        pairs.append((f"region:{region.name}", chunk.region == r_idx))
-    for t_idx, title in enumerate(spec.titles):
-        pairs.append((f"title:{title}", chunk.title == t_idx))
-    return pairs
+@dataclass(frozen=True)
+class ChunkReduction:
+    """One chunk's metrics reduced for every cohort in one grouped pass.
+
+    Cohorts are indexed in :func:`cohort_keys` order.  ``sums`` holds
+    one :class:`RunSums` per :data:`METRICS` entry, with one entry per
+    run: the cohorts present in the chunk, ascending, located by
+    ``run_of`` (-1 for an absent cohort).  Reservoir candidates are
+    grouped by cohort, in session order; cohort ``c``'s lie in
+    ``candidate_bounds[c]:candidate_bounds[c + 1]``.
+    """
+
+    run_of: np.ndarray
+    run_sizes: np.ndarray
+    sums: List[RunSums]  # fields converted to lists of Python ints
+    hist_counts: np.ndarray  # (len(HIST_METRICS), cohorts, slots)
+    candidate_bounds: np.ndarray
+    priorities: np.ndarray
+    uids: np.ndarray
+    totals: np.ndarray
+
+
+def _reduce_chunk(template: CohortAggregate, spec: PopulationSpec,
+                  chunk: SessionChunk, metrics: Dict[str, np.ndarray],
+                  bound: Optional[int]) -> ChunkReduction:
+    """Quantize, bin and hash each session once, then reduce every
+    cohort over its run of a single sort of the cohort memberships.
+
+    ``template`` supplies the sketch parameters every cohort shares;
+    ``bound`` is the largest kept reservoir priority across cohorts
+    once all of them are full (None before), and only sessions at or
+    below it are offered to the reservoirs.
+    """
+    n, uids = chunk.size, chunk.uid
+    # Each session's cohort in each dimension: fleet, device, region
+    # and title, indexed in cohort_keys order.
+    n_device, n_region = len(spec.device_classes), len(spec.regions)
+    n_cohorts = 1 + n_device + n_region + len(spec.titles)
+    ids = np.empty((4, n), dtype=np.min_scalar_type(n_cohorts))
+    ids[0] = 0
+    ids[1] = 1 + chunk.device
+    ids[2] = 1 + n_device + chunk.region
+    ids[3] = 1 + n_device + n_region + chunk.title
+    flat_ids = ids.ravel()
+    # One stable sort (a radix sort on the small unsigned ids) lays
+    # each cohort out as one run, in session order.
+    members = np.argsort(flat_ids, kind="stable") % n
+    sizes = np.bincount(flat_ids, minlength=n_cohorts)
+    present = np.flatnonzero(sizes)
+    run_of = np.full(n_cohorts, -1, dtype=np.int64)
+    run_of[present] = np.arange(present.size)
+    starts = (np.cumsum(sizes) - sizes)[present]
+
+    sums = []
+    for name in METRICS:
+        q = quantize(metrics[name], template.moments[name].quantum)
+        sums.append(RunSums(*(column.tolist()
+                              for column in run_sums(q[members], starts))))
+
+    n_slots = template.hists[HIST_METRICS[0]].counts.size
+    cohort_slot = flat_ids.astype(np.int64) * n_slots
+    hist_counts = np.stack([
+        np.bincount(cohort_slot + np.tile(
+            template.hists[name].slots(metrics[name]), 4),
+            minlength=n_cohorts * n_slots).reshape(n_cohorts, n_slots)
+        for name in HIST_METRICS])
+
+    priorities = template.sample.priorities_of(uids)
+    # Inclusive, so a (priority, uid) tie with a kept element still
+    # reaches the reservoir's own ordering.
+    offered = (np.arange(n) if bound is None
+               else np.flatnonzero(priorities <= np.uint64(bound)))
+    cand_ids = ids[:, offered].ravel()
+    cand = offered[np.argsort(cand_ids, kind="stable") % offered.size]
+    bounds = np.zeros(n_cohorts + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cand_ids, minlength=n_cohorts), out=bounds[1:])
+    return ChunkReduction(
+        run_of=run_of, run_sizes=sizes[present], sums=sums,
+        hist_counts=hist_counts, candidate_bounds=bounds,
+        priorities=priorities[cand], uids=uids[cand],
+        totals=metrics["total_energy"][cand])
+
+
+def fold_chunk(partial: Dict[str, CohortAggregate], spec: PopulationSpec,
+               chunk: SessionChunk, metrics: Dict[str, np.ndarray]) -> None:
+    """Fold one scored chunk into every cohort of a stripe partial.
+
+    Every cohort of ``partial`` must share the fleet cohort's sketch
+    parameters, as :meth:`CohortAggregate.empty` builds them.
+    """
+    keys = cohort_keys(spec)
+    bounds = [partial[key].sample.admission_bound() for key in keys]
+    bound = None if None in bounds else max(bounds)
+    reduction = _reduce_chunk(partial["fleet"], spec, chunk, metrics, bound)
+    for cohort, key in enumerate(keys):
+        partial[key].add_chunk(reduction, cohort)
 
 
 def _score_chunk(spec: PopulationSpec, chunk: SessionChunk,
@@ -382,9 +467,8 @@ def compute_score_stripe(spec: PopulationSpec, model: PopulationModel,
         chunk = model.draw_chunk(start, count)
         factor = (field.mean_factor(chunk) if field is not None
                   else np.ones(count, dtype=np.float64))
-        metrics = _score_chunk(spec, chunk, factor, tables, fps)
-        for key, mask in _cohort_masks(spec, chunk):
-            partial[key].add_chunk(chunk.uid, metrics, mask)
+        fold_chunk(partial, spec, chunk,
+                   _score_chunk(spec, chunk, factor, tables, fps))
     return partial
 
 

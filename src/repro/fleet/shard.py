@@ -206,8 +206,8 @@ def _validate_score_payload(spec: PopulationSpec, n_sessions: int,
             if not isinstance(summary, dict):
                 raise FleetError(
                     f"cohort {key!r} metric {metric!r} is malformed")
-            if not np.isclose(float(summary.get("quantum", 0.0)),  # type: ignore[arg-type]
-                              DEFAULT_QUANTUM):
+            quantum = float(summary.get("quantum", 0.0))  # type: ignore[arg-type]
+            if quantum != DEFAULT_QUANTUM:
                 raise FleetError(
                     f"cohort {key!r} metric {metric!r} uses quantum "
                     f"{summary.get('quantum')!r}, not the standard "

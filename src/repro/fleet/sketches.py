@@ -34,7 +34,7 @@ threads through the engine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -52,9 +52,14 @@ DEFAULT_QUANTUM = 1e-3
 _QCLIP = 2 ** 31 - 1
 _LO32 = (1 << 32) - 1
 
-#: Internal slice length for exact integer reductions: with
-#: ``|q| <= 2**31`` both ``sum(q)`` and the split high/low sums of
-#: ``q**2`` stay inside int64 for slices this long.
+#: Internal slice length for exact integer reductions.  Every quantized
+#: value has ``|q| <= 2**31``, so ``q**2 < 2**62`` fits int64 and is
+#: summed as a high and a low 32-bit half.  :func:`run_sums` reduces runs
+#: of at most 8,192 values (a fleet chunk's cohort: ``SESSION_CHUNK`` in
+#: :mod:`repro.fleet.engine`; a slice of this length in
+#: :meth:`StreamingMoments.add_array`), so every partial sum -- ``sum(q)``
+#: < 2**44, the high half < 2**43, the low half < 2**45 -- stays far
+#: inside int64 and is exact.
 _REDUCE_SLICE = 4096
 
 
@@ -91,6 +96,41 @@ def hash_u01_array(seed: int, site: int,
     return (bits >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
+def quantize(values: np.ndarray, quantum: float) -> np.ndarray:
+    """``values`` snapped to the ``quantum`` grid as int64.
+
+    Values beyond the grid (including +-inf) clip to ``+-_QCLIP``; NaN
+    has no grid point and raises :class:`FleetError`.
+    """
+    scaled = np.rint(np.asarray(values, dtype=np.float64) / quantum)
+    if np.isnan(scaled).any():
+        raise FleetError("cannot quantize NaN")
+    return np.clip(scaled, -_QCLIP, _QCLIP).astype(np.int64)
+
+
+class RunSums(NamedTuple):
+    """Exact integer reductions of quantized values, one entry per run."""
+
+    q_sum: np.ndarray
+    sq_hi: np.ndarray  # sum of (q*q) >> 32
+    sq_lo: np.ndarray  # sum of (q*q) & (2**32 - 1)
+    q_min: np.ndarray
+    q_max: np.ndarray
+
+
+def run_sums(q: np.ndarray, starts: np.ndarray) -> RunSums:
+    """Reduce the int64 array ``q`` over the runs that begin at
+    ``starts`` (strictly ascending, so no run is empty; the last run
+    ends with the array).  Runs hold at most 8,192 values, which keeps
+    every sum exact (see ``_REDUCE_SLICE``)."""
+    sq = q * q
+    return RunSums(np.add.reduceat(q, starts),
+                   np.add.reduceat(sq >> 32, starts),
+                   np.add.reduceat(sq & _LO32, starts),
+                   np.minimum.reduceat(q, starts),
+                   np.maximum.reduceat(q, starts))
+
+
 @dataclass
 class StreamingMoments:
     """Exact-integer streaming mean/variance/min/max.
@@ -109,25 +149,27 @@ class StreamingMoments:
 
     def add_array(self, values: np.ndarray) -> None:
         """Fold a batch of values (any shape) into the summary."""
-        flat = np.asarray(values, dtype=np.float64).ravel()
-        if flat.size == 0:
+        q = quantize(np.ravel(values), self.quantum)
+        if q.size == 0:
             return
-        q = np.clip(np.rint(flat / self.quantum),
-                    -_QCLIP, _QCLIP).astype(np.int64)
-        for start in range(0, q.size, _REDUCE_SLICE):
-            part = q[start:start + _REDUCE_SLICE]
-            sq = part * part
-            self.q_sum += int(part.sum())
-            self.q_sum_sq += ((int((sq >> 32).sum()) << 32)
-                              + int((sq & _LO32).sum()))
-        self.count += int(q.size)
-        lo, hi = int(q.min()), int(q.max())
-        self.q_min = lo if self.q_min is None else min(self.q_min, lo)
-        self.q_max = hi if self.q_max is None else max(self.q_max, hi)
+        sums = run_sums(q, np.arange(0, q.size, _REDUCE_SLICE))
+        self.add_sums(q.size, sum(sums.q_sum.tolist()),
+                      sum(sums.sq_hi.tolist()), sum(sums.sq_lo.tolist()),
+                      int(sums.q_min.min()), int(sums.q_max.max()))
+
+    def add_sums(self, count: int, q_sum: int, sq_hi: int, sq_lo: int,
+                 q_min: int, q_max: int) -> None:
+        """Fold ``count`` (> 0) values already reduced on this grid
+        (see :func:`run_sums`) into the summary."""
+        self.count += count
+        self.q_sum += q_sum
+        self.q_sum_sq += (sq_hi << 32) + sq_lo
+        self.q_min = q_min if self.q_min is None else min(self.q_min, q_min)
+        self.q_max = q_max if self.q_max is None else max(self.q_max, q_max)
 
     def merge(self, other: "StreamingMoments") -> "StreamingMoments":
         """Exact merge (integer addition — any fold tree agrees)."""
-        if not np.isclose(self.quantum, other.quantum):
+        if self.quantum != other.quantum:
             raise FleetError("cannot merge moments with different quanta")
 
         def _opt(op: Callable[[int, int], int], a: Optional[int],
@@ -240,23 +282,26 @@ class HistogramSketch:
     def total(self) -> int:
         return int(self.counts.sum())
 
+    def slots(self, values: np.ndarray) -> np.ndarray:
+        """Each value's slot in :attr:`counts`: 0 below the range
+        (including zero, negatives and -inf), ``n_bins + 1`` at or above
+        it (including +inf), the interior bin in between.  NaN has no
+        slot and raises :class:`FleetError`."""
+        v = np.asarray(values, dtype=np.float64).ravel()
+        if np.isnan(v).any():
+            raise FleetError("cannot bin NaN")
+        hi_edge = 10.0 ** self.hi_exp
+        slot = np.where(v >= hi_edge, self.n_bins + 1, 0)
+        mid = (v >= 10.0 ** self.lo_exp) & (v < hi_edge)
+        idx = np.floor((np.log10(v[mid]) - self.lo_exp)
+                       * self.bins_per_decade).astype(np.int64)
+        slot[mid] = 1 + np.clip(idx, 0, self.n_bins - 1)
+        return slot
+
     def add_array(self, values: np.ndarray) -> None:
         """Fold a batch of values into the histogram."""
-        v = np.asarray(values, dtype=np.float64).ravel()
-        if v.size == 0:
-            return
-        lo_edge = 10.0 ** self.lo_exp
-        hi_edge = 10.0 ** self.hi_exp
-        under = v < lo_edge
-        over = v >= hi_edge
-        mid = ~(under | over)
-        self.counts[0] += int(under.sum())
-        self.counts[-1] += int(over.sum())
-        if mid.any():
-            idx = np.floor((np.log10(v[mid]) - self.lo_exp)
-                           * self.bins_per_decade).astype(np.int64)
-            idx = np.clip(idx, 0, self.n_bins - 1)
-            self.counts[1:-1] += np.bincount(idx, minlength=self.n_bins)
+        self.counts += np.bincount(self.slots(values),
+                                   minlength=self.counts.size)
 
     def merge(self, other: "HistogramSketch") -> "HistogramSketch":
         """Exact merge (integer count addition)."""
@@ -339,23 +384,40 @@ class ReservoirSample:
         if self.capacity < 1:
             raise FleetError("reservoir capacity must be >= 1")
 
+    def priorities_of(self, uids: np.ndarray) -> np.ndarray:
+        """The uint64 priority of each uid under this sample's seed."""
+        return hash_u64_array(self.seed, _SITE_RESERVOIR,
+                              np.asarray(uids, dtype=np.int64))
+
+    def admission_bound(self) -> Optional[int]:
+        """The largest kept priority once the sample is full (None
+        before): an element with a larger priority cannot enter."""
+        if len(self.priorities) < self.capacity:
+            return None
+        return max(self.priorities)
+
+    def admit(self, priorities: np.ndarray, uids: np.ndarray,
+              values: np.ndarray) -> None:
+        """Keep the ``capacity`` smallest ``(priority, uid)`` of the
+        sample and the candidates.  The sort is stable and the kept
+        elements go first, so a re-offered uid never displaces itself."""
+        if len(uids) == 0:
+            return
+        pri = np.concatenate(
+            [np.asarray(self.priorities, dtype=np.uint64), priorities])
+        uid = np.concatenate([np.asarray(self.uids, dtype=np.int64), uids])
+        val = np.concatenate(
+            [np.asarray(self.samples, dtype=np.float64), values])
+        order = np.lexsort((uid, pri))[:self.capacity]
+        self.priorities = pri[order].tolist()
+        self.uids = uid[order].tolist()
+        self.samples = val[order].tolist()
+
     def offer_array(self, uids: np.ndarray, values: np.ndarray) -> None:
         """Offer a batch of (uid, value) pairs."""
         uid_arr = np.asarray(uids, dtype=np.int64).ravel()
-        val_arr = np.asarray(values, dtype=np.float64).ravel()
-        if uid_arr.size == 0:
-            return
-        pri = hash_u64_array(self.seed, _SITE_RESERVOIR, uid_arr)
-        all_pri = np.concatenate(
-            [np.asarray(self.priorities, dtype=np.uint64), pri])
-        all_uid = np.concatenate(
-            [np.asarray(self.uids, dtype=np.int64), uid_arr])
-        all_val = np.concatenate(
-            [np.asarray(self.samples, dtype=np.float64), val_arr])
-        order = np.lexsort((all_uid, all_pri))[:self.capacity]
-        self.priorities = [int(p) for p in all_pri[order]]
-        self.uids = [int(u) for u in all_uid[order]]
-        self.samples = [float(v) for v in all_val[order]]
+        self.admit(self.priorities_of(uid_arr), uid_arr,
+                   np.asarray(values, dtype=np.float64).ravel())
 
     def merge(self, other: "ReservoirSample") -> "ReservoirSample":
         """Exact merge: k smallest priorities of the union."""
@@ -366,16 +428,9 @@ class ReservoirSample:
                                  uids=list(self.uids),
                                  priorities=list(self.priorities),
                                  samples=list(self.samples))
-        if other.uids:
-            pri = np.asarray(merged.priorities + other.priorities,
-                             dtype=np.uint64)
-            uid = np.asarray(merged.uids + other.uids, dtype=np.int64)
-            val = np.asarray(merged.samples + other.samples,
-                             dtype=np.float64)
-            order = np.lexsort((uid, pri))[:self.capacity]
-            merged.priorities = [int(p) for p in pri[order]]
-            merged.uids = [int(u) for u in uid[order]]
-            merged.samples = [float(v) for v in val[order]]
+        merged.admit(np.asarray(other.priorities, dtype=np.uint64),
+                     np.asarray(other.uids, dtype=np.int64),
+                     np.asarray(other.samples, dtype=np.float64))
         return merged
 
     def to_jsonable(self) -> Dict[str, object]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import functools
-from typing import Any, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 from unittest import mock
 
 import numpy as np
@@ -13,6 +13,8 @@ from repro.config import SimulationConfig, VideoConfig
 from repro.core import pipeline
 from repro.core.writeback import WritebackEngine
 from repro.display import MachBuffer
+from repro.fleet.engine import METRICS, CohortAggregate
+from repro.fleet.population import PopulationSpec, SessionChunk
 from repro.video import SyntheticVideo, workload
 
 
@@ -92,6 +94,32 @@ def serve_records(buffer: MachBuffer,
     if buffer.policy == "lazy":
         hits |= np.arange(len(records)) != first[inverse]
     return hits, digests[missed]
+
+
+def fold_chunk_masked(partial: Dict[str, CohortAggregate],
+                      spec: PopulationSpec, chunk: SessionChunk,
+                      metrics: Dict[str, np.ndarray]) -> None:
+    """Every cohort folded through its own boolean mask with the
+    one-stream sketch API: the reference
+    :func:`repro.fleet.engine.fold_chunk` must match."""
+    masks: List[Tuple[str, Optional[np.ndarray]]] = [("fleet", None)]
+    for index, device in enumerate(spec.device_classes):
+        masks.append((f"device:{device.name}", chunk.device == index))
+    for index, region in enumerate(spec.regions):
+        masks.append((f"region:{region.name}", chunk.region == index))
+    for index, title in enumerate(spec.titles):
+        masks.append((f"title:{title}", chunk.title == index))
+    for key, mask in masks:
+        if mask is not None and not mask.any():
+            continue
+        rows = slice(None) if mask is None else mask
+        cohort = partial[key]
+        for name in METRICS:
+            cohort.moments[name].add_array(metrics[name][rows])
+            if name in cohort.hists:
+                cohort.hists[name].add_array(metrics[name][rows])
+        cohort.sample.offer_array(chunk.uid[rows],
+                                  metrics["total_energy"][rows])
 
 
 @pytest.fixture

@@ -47,3 +47,13 @@ def test_matrix(digest_matrix):
     machs = [c["mach"] for c in options if "mach" in c]
     assert {"co_mach": True} in machs
     assert {"digest_scheme": "weak-sum"} in machs
+    # run_fleet over the default population: sessions x contention x
+    # shards, nothing else.
+    fleets = [c for c in cases if "population" in c]
+    assert {c["population"] for c in fleets} == {"default"}
+    assert sorted((c["sessions"], c["contention"], c["shards"])
+                  for c in fleets) == sorted(
+        (sessions, contention, shards)
+        for sessions in (1, 8_193, 50_001)
+        for contention in (True, False)
+        for shards in (1, 3))

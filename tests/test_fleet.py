@@ -10,6 +10,7 @@ fleet is.
 from __future__ import annotations
 
 import json
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 import pytest
@@ -35,7 +36,17 @@ from repro.fleet import (
     load_or_calibrate,
     run_fleet,
 )
+from repro.fleet.engine import (
+    HIST_METRICS,
+    METRICS,
+    CohortAggregate,
+    cohort_keys,
+    fold_chunk,
+)
+from repro.fleet.population import SessionChunk
 from repro.units import MBPS
+
+from .conftest import fold_chunk_masked
 
 finite_values = st.lists(
     st.floats(min_value=-1e4, max_value=1e4,
@@ -122,6 +133,27 @@ class TestStreamingMoments:
         with pytest.raises(FleetError):
             StreamingMoments(quantum=1e-3).merge(
                 StreamingMoments(quantum=1e-2))
+        # A near-equal grid is a different grid: merging would mix
+        # integer counts of two step sizes.
+        with pytest.raises(FleetError):
+            StreamingMoments(quantum=1e-3).merge(
+                StreamingMoments(quantum=1.000001e-3))
+
+    def test_nan_rejected(self):
+        moments = StreamingMoments()
+        moments.add_array(np.asarray([2.0]))
+        before = moments.to_jsonable()
+        with pytest.raises(FleetError):
+            moments.add_array(np.asarray([1.0, np.nan]))
+        assert moments.to_jsonable() == before
+
+    def test_infinities_clip(self):
+        moments = StreamingMoments()
+        moments.add_array(np.asarray([np.inf, -np.inf, 1.0]))
+        assert moments.count == 3
+        assert moments.q_max == 2 ** 31 - 1
+        assert moments.q_min == -(2 ** 31 - 1)
+        assert moments.q_sum == 1000
 
     @given(finite_values)
     @settings(max_examples=25, deadline=None)
@@ -163,6 +195,19 @@ class TestHistogramSketch:
         assert hist.total == 4
         assert int(hist.counts[0]) == 3  # zero, negative, below range
         assert int(hist.counts[-1]) == 1
+
+    def test_infinities_land_in_overflow_slots(self):
+        hist = HistogramSketch()
+        hist.add_array(np.asarray([np.inf, -np.inf, 1.0]))
+        assert hist.total == 3
+        assert int(hist.counts[0]) == 1
+        assert int(hist.counts[-1]) == 1
+
+    def test_nan_rejected(self):
+        hist = HistogramSketch()
+        with pytest.raises(FleetError):
+            hist.add_array(np.asarray([1.0, np.nan]))
+        assert hist.total == 0
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(FleetError):
@@ -223,6 +268,119 @@ class TestReservoirSample:
     def test_seed_mismatch_rejected(self):
         with pytest.raises(FleetError):
             ReservoirSample(seed=1).merge(ReservoirSample(seed=2))
+
+
+#: Values on both sides of every sketch boundary: zero and negatives,
+#: past the +-2**31 clip of the 1e-3 quantum (~2.1e6), below the
+#: histogram range (1e-6) and at or above its top (1e7).
+EDGE_VALUES = np.asarray([0.0, -0.0, -2.5, -3e6, 3e6, 2.2e9, 5e-7, 1e-6,
+                          1e7, 4e8, 1e-3, 5e-4, 7.0])
+
+
+def empty_partial(spec: PopulationSpec, capacity: int,
+                  seed: int) -> Dict[str, CohortAggregate]:
+    """A fresh stripe partial whose reservoirs keep ``capacity``."""
+    return {key: CohortAggregate(
+        key=key, moments={m: StreamingMoments() for m in METRICS},
+        hists={m: HistogramSketch() for m in HIST_METRICS},
+        sample=ReservoirSample(capacity=capacity, seed=seed))
+        for key in cohort_keys(spec)}
+
+
+def scored_chunk(rng: np.random.Generator, spec: PopulationSpec,
+                 allowed: Sequence[Sequence[int]], uid_pool: int,
+                 n: int) -> Tuple[SessionChunk, Dict[str, np.ndarray]]:
+    """``n`` sessions with device/region/title codes drawn from
+    ``allowed``, uids from ``range(uid_pool)`` (so uids repeat), and
+    metric values mixing :data:`EDGE_VALUES` with values spread over
+    17 decades of both signs."""
+    device, region, title = (rng.choice(np.asarray(codes), n)
+                             for codes in allowed)
+    zeros = np.zeros(n)
+    chunk = SessionChunk(
+        uid=rng.integers(0, uid_pool, n), device=device, region=region,
+        cell=np.zeros(n, dtype=np.int64), title=title,
+        duration_seconds=zeros, bandwidth=zeros, start_seconds=zeros)
+    spread = (rng.choice([-1.0, 1.0], n)
+              * 10.0 ** rng.uniform(-8.0, 9.0, n))
+    metrics = {name: np.where(rng.random(n) < 0.3,
+                              rng.choice(EDGE_VALUES, n), spread)
+               for name in METRICS}
+    return chunk, metrics
+
+
+def every_code(spec: PopulationSpec) -> List[range]:
+    """Every device, region and title code of ``spec``."""
+    return [range(len(spec.device_classes)), range(len(spec.regions)),
+            range(len(spec.titles))]
+
+
+def fold_both(spec: PopulationSpec, capacity: int, seed: int,
+              chunks: Sequence[Tuple[SessionChunk, Dict[str, np.ndarray]]]
+              ) -> Tuple[Dict[str, object], Dict[str, object]]:
+    """(grouped, masked reference) JSON of every cohort after folding
+    ``chunks`` in order."""
+    grouped = empty_partial(spec, capacity, seed)
+    reference = empty_partial(spec, capacity, seed)
+    for chunk, metrics in chunks:
+        fold_chunk(grouped, spec, chunk, metrics)
+        fold_chunk_masked(reference, spec, chunk, metrics)
+    return ({key: cohort.to_jsonable() for key, cohort in grouped.items()},
+            {key: cohort.to_jsonable()
+             for key, cohort in reference.items()})
+
+
+class TestGroupedFold:
+    """``fold_chunk`` against the per-cohort masked reference."""
+
+    @given(st.data(), st.integers(1, 8), st.integers(0, 2**32),
+           st.integers(1, 400), st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_masked_reference(self, data, capacity, seed,
+                                      uid_pool, rng_seed):
+        spec = default_population()
+        rng = np.random.default_rng(rng_seed)
+        chunks = []
+        for _ in range(data.draw(st.integers(1, 5), label="chunks")):
+            # Mostly every code, so the reservoirs fill and the
+            # admission bound engages; sometimes a subset, so cohorts
+            # go missing from the chunk.
+            allowed = [data.draw(st.one_of(
+                st.just(codes),
+                st.lists(st.sampled_from(codes), min_size=1, unique=True)))
+                for codes in every_code(spec)]
+            n = data.draw(st.integers(1, 300), label="sessions")
+            chunks.append(scored_chunk(rng, spec, allowed, uid_pool, n))
+        grouped, reference = fold_both(spec, capacity, seed, chunks)
+        assert grouped == reference
+
+    def test_reoffered_uids_at_the_bound(self):
+        # Capacity 1 fills every cohort with its smallest-priority uid;
+        # offering the same uids again ties on (priority, uid) exactly
+        # at each cohort's admission bound.
+        spec = default_population()
+        rng = np.random.default_rng(5)
+        every = every_code(spec)
+        first, metrics = scored_chunk(rng, spec, every, 10**6, 300)
+        partial = empty_partial(spec, 1, 9)
+        fold_chunk(partial, spec, first, metrics)
+        assert all(cohort.sample.admission_bound() is not None
+                   for cohort in partial.values())
+        twice = SessionChunk(**{name: np.tile(column, 2)
+                                for name, column in vars(first).items()})
+        _, new_values = scored_chunk(rng, spec, every, 1, 600)
+        grouped, reference = fold_both(
+            spec, 1, 9, [(first, metrics), (twice, new_values)])
+        assert grouped == reference
+
+    def test_nan_rejected(self):
+        spec = default_population()
+        rng = np.random.default_rng(1)
+        every = every_code(spec)
+        chunk, metrics = scored_chunk(rng, spec, every, 100, 50)
+        metrics["radio_energy"][7] = np.nan
+        with pytest.raises(FleetError):
+            fold_chunk(empty_partial(spec, 4, 0), spec, chunk, metrics)
 
 
 class TestHashing:

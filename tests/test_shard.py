@@ -174,6 +174,21 @@ class TestMergePlane:
         assert plane.offer_partial(world, task,
                                    execute_stripe(world, task))
 
+    def test_near_equal_quantum_rejected(self, spec, world):
+        # Moments merge only on an identical grid, so a partial on a
+        # nearby one must fail validation, before any state is merged.
+        plane = MergePlane(spec, seed=5)
+        task = StripeTask(phase=PHASE_SCORE, stripe_id=0, chunks=(0,))
+        broken = json.loads(json.dumps(
+            execute_stripe(world, task).to_jsonable()))
+        broken["payload"]["cohorts"]["title:V8"]["moments"][
+            "stall_seconds"]["quantum"] = 1.000001e-3
+        with pytest.raises(FleetError, match="quantum"):
+            plane.offer_partial(world, task,
+                                StripePartial.from_jsonable(broken))
+        assert plane.offer_partial(world, task,
+                                   execute_stripe(world, task))
+
     def test_result_requires_merged_stripes(self, spec):
         plane = MergePlane(spec, seed=5)
         with pytest.raises(ShardError):

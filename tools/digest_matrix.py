@@ -9,10 +9,13 @@ each side: videos V1/V3/V8/V14 x the schemes Baseline, MAB, GAB and
 GAB+DCC x thermal throttling off/on, plus the eager MACH-buffer policy,
 the display cache and the MACH buffer switched off, digest-collision
 faults with and without verification, CO-MACH, the ``weak-sum`` digest
-and the unbounded MACH.  Each run is reduced to the sha256 of its
-``to_jsonable()`` with sorted keys, alongside the number of frames
-whose writeback took the scalar per-block walk.  Prints one line per
-run and exits 1 when any digest or walked-frame count differs.
+and the unbounded MACH.  It adds ``run_fleet`` over the default
+population at seed 7: 1, 8,193 and 50,001 sessions x contention on/off
+x 1 and 3 shards, on one ``calibrate`` per side.  Each run is reduced
+to the sha256 of its ``to_jsonable()`` with sorted keys, alongside the
+number of frames whose writeback took the scalar per-block walk (0 for
+a fleet run).  Prints one line per run and exits 1 when any digest or
+walked-frame count differs.
 """
 
 from __future__ import annotations
@@ -38,10 +41,17 @@ def _case(video: str, scheme: str, *, thermal: bool = False,
     return {"video": video, "scheme": scheme, "thermal": thermal, **options}
 
 
+def _fleet_case(sessions: int, contention: bool,
+                shards: int) -> Dict[str, Any]:
+    return {"population": "default", "sessions": sessions,
+            "contention": contention, "shards": shards}
+
+
 def matrix() -> List[Dict[str, Any]]:
-    """Every run of the matrix.  Keys beyond video/scheme/thermal:
-    ``mach`` and ``faults`` are config overrides, the rest are
-    ``simulate`` keywords."""
+    """Every run of the matrix.  A ``simulate`` case has video, scheme
+    and thermal keys; beyond them ``mach`` and ``faults`` are config
+    overrides, the rest are ``simulate`` keywords.  A ``run_fleet``
+    case has population, sessions, contention and shards keys."""
     cases = [_case(video, scheme, thermal=thermal)
              for video in ("V1", "V3", "V8", "V14")
              for scheme in ("BASELINE", "MAB", "GAB", "GAB_DCC")
@@ -69,10 +79,18 @@ def matrix() -> List[Dict[str, Any]]:
         _case("V8", "GAB", mach={"digest_scheme": "weak-sum"}),
         _case("V3", "GAB_DCC", mach={"digest_scheme": "weak-sum"}),
     ]
+    cases += [_fleet_case(sessions, contention, shards)
+              for sessions in (1, 8_193, 50_001)
+              for contention in (True, False)
+              for shards in (1, 3)]
     return cases
 
 
 def case_name(case: Dict[str, Any]) -> str:
+    if "population" in case:
+        return (f"fleet {case['population']} sessions={case['sessions']} "
+                f"contention={'on' if case['contention'] else 'off'} "
+                f"shards={case['shards']}")
     extras = {k: v for k, v in case.items()
               if k not in ("video", "scheme", "thermal")}
     name = f"{case['video']} {case['scheme']}"
@@ -91,6 +109,7 @@ from dataclasses import replace
 from repro import config as C
 from repro.core import pipeline
 from repro.core.writeback import WritebackEngine
+from repro.fleet import calibrate, default_population, run_fleet
 from repro.video import workload
 
 frames, seed, cases = json.load(sys.stdin)
@@ -101,8 +120,24 @@ def counting(engine, *args):
     return walk(engine, *args)
 WritebackEngine._process_mach_scalar = counting
 
+def digest(result):
+    canonical = json.dumps(result.to_jsonable(), sort_keys=True,
+                           separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+population = calibration = None
 out = []
 for case in cases:
+    if "population" in case:
+        if calibration is None:
+            population = default_population()
+            calibration = calibrate(population)
+        result = run_fleet(population, case["sessions"], seed=seed,
+                           shards=case["shards"],
+                           contention=case["contention"],
+                           calibration=calibration)
+        out.append([digest(result), 0])
+        continue
     case = dict(case)
     video, scheme = case.pop("video"), getattr(C, case.pop("scheme"))
     config = C.SimulationConfig()
@@ -115,9 +150,7 @@ for case in cases:
     walked[0] = 0
     result = pipeline.simulate(workload(video), scheme, n_frames=frames,
                                config=config, seed=seed, **case)
-    canonical = json.dumps(result.to_jsonable(), sort_keys=True,
-                           separators=(",", ":"))
-    out.append([hashlib.sha256(canonical.encode()).hexdigest(), walked[0]])
+    out.append([digest(result), walked[0]])
 print(json.dumps(out))
 """
 
