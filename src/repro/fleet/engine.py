@@ -37,7 +37,8 @@ from ..analysis.ascii_plot import sparkline
 from ..config import SimulationConfig
 from ..errors import FleetError
 from .cell import CellLoadAccumulator, ContentionField
-from .population import PopulationModel, PopulationSpec, SessionChunk
+from .population import (PopulationModel, PopulationSpec, SessionChunk,
+                         threshold_count)
 from .sketches import (HistogramSketch, ReservoirSample, RunSums,
                        StreamingMoments, quantize, run_sums)
 from .surrogate import FleetCalibration, calibrate
@@ -351,9 +352,9 @@ def _score_chunk(spec: PopulationSpec, chunk: SessionChunk,
     duration = chunk.duration_seconds
     bw_eff = np.maximum(chunk.bandwidth * factor, BANDWIDTH_FLOOR)
 
-    rung = np.searchsorted(ladder, spec.abr_safety * bw_eff,
-                           side="right") - 1
-    rung = np.clip(rung, 0, ladder.size - 1)
+    # Rungs above the bottom one that fit: the highest fitting rung,
+    # or the bottom rung when none fits.
+    rung = threshold_count(spec.abr_safety * bw_eff, ladder[1:])
     rate = ladder[rung]
 
     # Mid-stream stalls: playing 1 s of bottom-rung content over a

@@ -22,7 +22,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from ..config import (
     SchemeConfig,
     SimulationConfig,
 )
-from ..errors import ConfigError
+from ..errors import ConfigError, FleetError
 from ..units import MBPS, W
 from ..video import workload
 from .sketches import hash_u01_array
@@ -87,10 +87,20 @@ def _normal_from_hashes(seed: int, site_a: int, site_b: int,
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)
 
 
-def _categorical(u: np.ndarray, cumulative: np.ndarray) -> np.ndarray:
-    """Index draws from normalized cumulative weights."""
-    idx = np.searchsorted(cumulative, u, side="right")
-    return np.clip(idx, 0, cumulative.size - 1).astype(np.int64)
+def threshold_count(
+        u: np.ndarray,
+        thresholds: Union[np.ndarray, Sequence[np.ndarray]]) -> np.ndarray:
+    """Per element of ``u``, how many ``thresholds`` are ``<= u``.
+
+    Each threshold is a scalar or an array shaped like ``u``.  Over the
+    first ``size - 1`` entries of an ascending table ``cum`` this is
+    ``clip(searchsorted(cum, u, side="right"), 0, size - 1)``,
+    exactly: leaving the last entry uncounted is the clip.
+    """
+    count = np.zeros(np.shape(u), dtype=np.min_scalar_type(len(thresholds)))
+    for threshold in thresholds:
+        count += u >= threshold
+    return count.astype(np.int64)
 
 
 def _cumulative(weights: Tuple[float, ...]) -> np.ndarray:
@@ -390,34 +400,61 @@ class PopulationModel:
     ``draw_chunk(start, count)`` returns sessions ``start ..
     start+count-1``; every value is a pure function of ``(seed, uid)``,
     so chunk boundaries never change what any session looks like.
+
+    Every categorical draw is a :func:`threshold_count` of its uniform
+    against the table's cumulative weights less the last, which the
+    constructor builds once per spec.
     """
 
     def __init__(self, spec: PopulationSpec, seed: int = 0) -> None:
         self.spec = spec
         self.seed = seed
         self._device_cum = _cumulative(
-            tuple(d.weight for d in spec.device_classes))
+            tuple(d.weight for d in spec.device_classes))[:-1]
         self._region_cum = _cumulative(
-            tuple(r.weight for r in spec.regions))
+            tuple(r.weight for r in spec.regions))[:-1]
         ranks = np.arange(1, len(spec.titles) + 1, dtype=np.float64)
         zipf = ranks ** -spec.zipf_exponent
-        self._title_cum = np.cumsum(zipf) / zipf.sum()
+        self._title_cum = (np.cumsum(zipf) / zipf.sum())[:-1]
         self._cells = np.asarray([r.cells for r in spec.regions],
                                  dtype=np.int64)
+        # Bandwidth mixture tables, one row per (region, component)
+        # slot ``region * width + component``.  Component cumulative
+        # weights are padded with +inf, which no uniform reaches, so a
+        # region's draw never lands past its own last component.
+        width = max(len(r.bandwidth) for r in spec.regions)
+        self._mix_width = width
+        self._mix_cum = np.full((width - 1, len(spec.regions)), np.inf)
+        self._mix_median = np.ones(len(spec.regions) * width)
+        self._mix_sigma = np.zeros(len(spec.regions) * width)
+        for r_idx, region_spec in enumerate(spec.regions):
+            comps = region_spec.bandwidth
+            slots = slice(r_idx * width, r_idx * width + len(comps))
+            self._mix_cum[:len(comps) - 1, r_idx] = _cumulative(
+                tuple(c.weight for c in comps))[:-1]
+            self._mix_median[slots] = [c.median for c in comps]
+            self._mix_sigma[slots] = [c.sigma for c in comps]
 
     def draw_chunk(self, start: int, count: int) -> SessionChunk:
-        """Sessions ``[start, start+count)`` as parallel arrays."""
+        """Sessions ``[start, start+count)`` as parallel arrays.
+
+        Raises :class:`FleetError` for a negative ``start`` or
+        ``count``; ``count == 0`` is an empty chunk.
+        """
+        if start < 0 or count < 0:
+            raise FleetError(f"cannot draw {count} sessions from uid "
+                             f"{start}: start and count must be >= 0")
         spec = self.spec
         seed = self.seed
         uids = np.arange(start, start + count, dtype=np.int64)
 
-        device = _categorical(
+        device = threshold_count(
             hash_u01_array(seed, _SITE_DEVICE, uids), self._device_cum)
-        region = _categorical(
+        region = threshold_count(
             hash_u01_array(seed, _SITE_REGION, uids), self._region_cum)
         cell = np.floor(hash_u01_array(seed, _SITE_CELL, uids)
                         * self._cells[region]).astype(np.int64)
-        title = _categorical(
+        title = threshold_count(
             hash_u01_array(seed, _SITE_TITLE, uids), self._title_cum)
 
         z_dur = _normal_from_hashes(seed, _SITE_DURATION_A,
@@ -427,22 +464,13 @@ class PopulationModel:
             * np.exp(spec.duration_sigma * z_dur),
             spec.duration_min_seconds, spec.duration_max_seconds)
 
-        u_comp = hash_u01_array(seed, _SITE_BW_COMPONENT, uids)
+        comp = threshold_count(
+            hash_u01_array(seed, _SITE_BW_COMPONENT, uids),
+            [row[region] for row in self._mix_cum])
+        slot = region * self._mix_width + comp
         z_bw = _normal_from_hashes(seed, _SITE_BW_A, _SITE_BW_B, uids)
-        bandwidth = np.empty(count, dtype=np.float64)
-        for r_idx, region_spec in enumerate(spec.regions):
-            mask = region == r_idx
-            if not mask.any():
-                continue
-            comp_cum = _cumulative(
-                tuple(c.weight for c in region_spec.bandwidth))
-            comp = _categorical(u_comp[mask], comp_cum)
-            medians = np.asarray(
-                [c.median for c in region_spec.bandwidth])
-            sigmas = np.asarray(
-                [c.sigma for c in region_spec.bandwidth])
-            bandwidth[mask] = (medians[comp]
-                               * np.exp(sigmas[comp] * z_bw[mask]))
+        bandwidth = (self._mix_median[slot]
+                     * np.exp(self._mix_sigma[slot] * z_bw))
 
         start_s = (hash_u01_array(seed, _SITE_START, uids)
                    * spec.arrival_window_seconds)

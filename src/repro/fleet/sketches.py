@@ -79,13 +79,18 @@ def hash_u64_array(seed: int, site: int,
     never on array layout, so chunked and monolithic evaluation agree
     bit-for-bit.
     """
-    base = np.uint64(_splitmix64((seed ^ (site << 32)) & _MASK64))
-    x = base ^ np.asarray(indices, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        x = x + np.uint64(0x9E3779B97F4A7C15)
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        x = x ^ (x >> np.uint64(31))
+    x = np.array(indices, dtype=np.uint64)
+    x ^= np.uint64(_splitmix64((seed ^ (site << 32)) & _MASK64))
+    x += np.uint64(0x9E3779B97F4A7C15)
+    shifted = np.empty_like(x)
+    np.right_shift(x, np.uint64(30), out=shifted)
+    x ^= shifted
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    np.right_shift(x, np.uint64(27), out=shifted)
+    x ^= shifted
+    x *= np.uint64(0x94D049BB133111EB)
+    np.right_shift(x, np.uint64(31), out=shifted)
+    x ^= shifted
     return x
 
 
@@ -93,7 +98,10 @@ def hash_u01_array(seed: int, site: int,
                    indices: np.ndarray) -> np.ndarray:
     """Vectorized uniform in [0, 1) from hashed coordinates."""
     bits = hash_u64_array(seed, site, indices)
-    return (bits >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    bits >>= np.uint64(11)
+    u = bits.astype(np.float64)
+    u *= _INV_2_53
+    return u
 
 
 def quantize(values: np.ndarray, quantum: float) -> np.ndarray:

@@ -13,8 +13,10 @@ from repro.config import SimulationConfig, VideoConfig
 from repro.core import pipeline
 from repro.core.writeback import WritebackEngine
 from repro.display import MachBuffer
+from repro.fleet import population
 from repro.fleet.engine import METRICS, CohortAggregate
-from repro.fleet.population import PopulationSpec, SessionChunk
+from repro.fleet.population import PopulationModel, PopulationSpec, SessionChunk
+from repro.fleet.sketches import _INV_2_53, _MASK64, _splitmix64
 from repro.video import SyntheticVideo, workload
 
 
@@ -120,6 +122,106 @@ def fold_chunk_masked(partial: Dict[str, CohortAggregate],
                 cohort.hists[name].add_array(metrics[name][rows])
         cohort.sample.offer_array(chunk.uid[rows],
                                   metrics["total_energy"][rows])
+
+
+def hash_u64_reference(seed: int, site: int,
+                       indices: np.ndarray) -> np.ndarray:
+    """splitmix64 of ``(seed, site, index)``, a fresh array per step:
+    the reference :func:`repro.fleet.sketches.hash_u64_array` must
+    match."""
+    base = np.uint64(_splitmix64((seed ^ (site << 32)) & _MASK64))
+    x = base ^ np.asarray(indices, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        x = x + np.uint64(0x9E3779B97F4A7C15)
+        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        x = x ^ (x >> np.uint64(31))
+    return x
+
+
+def _u01_reference(seed: int, site: int, uids: np.ndarray) -> np.ndarray:
+    bits = hash_u64_reference(seed, site, uids)
+    return (bits >> np.uint64(11)).astype(np.float64) * _INV_2_53
+
+
+def _normal_reference(seed: int, site_a: int, site_b: int,
+                      uids: np.ndarray) -> np.ndarray:
+    u1 = np.maximum(_u01_reference(seed, site_a, uids), population._U_FLOOR)
+    u2 = _u01_reference(seed, site_b, uids)
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(population._TWO_PI * u2)
+
+
+def _categorical_reference(u: np.ndarray,
+                           cumulative: np.ndarray) -> np.ndarray:
+    idx = np.searchsorted(cumulative, u, side="right")
+    return np.clip(idx, 0, cumulative.size - 1).astype(np.int64)
+
+
+def _cumulative_reference(weights: Tuple[float, ...]) -> np.ndarray:
+    total = float(sum(weights))
+    return np.cumsum(np.asarray(weights, dtype=np.float64)) / total
+
+
+def draw_chunk_searchsorted(model: PopulationModel, start: int,
+                            count: int) -> SessionChunk:
+    """Sessions ``[start, start+count)`` drawn by ``searchsorted``
+    categoricals and a masked loop over regions for the bandwidth
+    mixture: the reference :meth:`PopulationModel.draw_chunk` must
+    match column for column."""
+    spec = model.spec
+    seed = model.seed
+    uids = np.arange(start, start + count, dtype=np.int64)
+    ranks = np.arange(1, len(spec.titles) + 1, dtype=np.float64)
+    zipf = ranks ** -spec.zipf_exponent
+    cells = np.asarray([r.cells for r in spec.regions], dtype=np.int64)
+
+    device = _categorical_reference(
+        _u01_reference(seed, population._SITE_DEVICE, uids),
+        _cumulative_reference(tuple(d.weight
+                                    for d in spec.device_classes)))
+    region = _categorical_reference(
+        _u01_reference(seed, population._SITE_REGION, uids),
+        _cumulative_reference(tuple(r.weight for r in spec.regions)))
+    cell = np.floor(_u01_reference(seed, population._SITE_CELL, uids)
+                    * cells[region]).astype(np.int64)
+    title = _categorical_reference(
+        _u01_reference(seed, population._SITE_TITLE, uids),
+        np.cumsum(zipf) / zipf.sum())
+
+    z_dur = _normal_reference(seed, population._SITE_DURATION_A,
+                              population._SITE_DURATION_B, uids)
+    duration = np.clip(
+        spec.duration_median_seconds * np.exp(spec.duration_sigma * z_dur),
+        spec.duration_min_seconds, spec.duration_max_seconds)
+
+    u_comp = _u01_reference(seed, population._SITE_BW_COMPONENT, uids)
+    z_bw = _normal_reference(seed, population._SITE_BW_A,
+                             population._SITE_BW_B, uids)
+    bandwidth = np.empty(count, dtype=np.float64)
+    for r_idx, region_spec in enumerate(spec.regions):
+        mask = region == r_idx
+        if not mask.any():
+            continue
+        comp_cum = _cumulative_reference(
+            tuple(c.weight for c in region_spec.bandwidth))
+        comp = _categorical_reference(u_comp[mask], comp_cum)
+        medians = np.asarray([c.median for c in region_spec.bandwidth])
+        sigmas = np.asarray([c.sigma for c in region_spec.bandwidth])
+        bandwidth[mask] = medians[comp] * np.exp(sigmas[comp] * z_bw[mask])
+
+    start_s = (_u01_reference(seed, population._SITE_START, uids)
+               * spec.arrival_window_seconds)
+    return SessionChunk(uid=uids, device=device, region=region, cell=cell,
+                        title=title, duration_seconds=duration,
+                        bandwidth=bandwidth, start_seconds=start_s)
+
+
+def rung_searchsorted(ladder: np.ndarray, fit: np.ndarray) -> np.ndarray:
+    """The highest ``ladder`` rung at or below ``fit``, the bottom rung
+    when none is: the reference for the rung pick in
+    :func:`repro.fleet.engine._score_chunk`."""
+    rung = np.searchsorted(ladder, fit, side="right") - 1
+    return np.clip(rung, 0, ladder.size - 1)
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ fleet is.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -37,16 +38,24 @@ from repro.fleet import (
     run_fleet,
 )
 from repro.fleet.engine import (
+    BANDWIDTH_FLOOR,
     HIST_METRICS,
     METRICS,
     CohortAggregate,
+    _score_chunk,
     cohort_keys,
     fold_chunk,
 )
 from repro.fleet.population import SessionChunk
 from repro.units import MBPS
+from repro.video import workload_keys
 
-from .conftest import fold_chunk_masked
+from .conftest import (
+    draw_chunk_searchsorted,
+    fold_chunk_masked,
+    hash_u64_reference,
+    rung_searchsorted,
+)
 
 finite_values = st.lists(
     st.floats(min_value=-1e4, max_value=1e4,
@@ -56,6 +65,39 @@ positive_values = st.lists(
     st.floats(min_value=1e-7, max_value=1e6,
               allow_nan=False, allow_infinity=False),
     max_size=120)
+
+
+#: Mixture and categorical weights spanning 24 decades, so cumulative
+#: tables carry entries near 0 and entries that round to 1 before
+#: their end.
+extreme_weights = st.one_of(
+    st.sampled_from((1e-12, 1e-6, 1.0, 1e6, 1e12)),
+    st.floats(min_value=1e-12, max_value=1e12))
+
+bandwidth_components = st.builds(
+    LognormalComponent, weight=extreme_weights,
+    median=st.floats(min_value=0.1 * MBPS, max_value=100 * MBPS),
+    sigma=st.floats(min_value=0.0, max_value=2.0))
+
+
+@st.composite
+def population_specs(draw) -> PopulationSpec:
+    """1-4 devices, 1-4 regions of 1-4 bandwidth components each, 1-8
+    titles with a Zipf exponent in [0, 2]."""
+    devices = tuple(
+        DeviceClass(name=f"d{i}", weight=draw(extreme_weights))
+        for i in range(draw(st.integers(1, 4))))
+    regions = tuple(
+        RegionSpec(name=f"r{i}", weight=draw(extreme_weights),
+                   cells=draw(st.integers(1, 40)),
+                   bandwidth=tuple(draw(st.lists(bandwidth_components,
+                                                 min_size=1, max_size=4))))
+        for i in range(draw(st.integers(1, 4))))
+    titles = tuple(draw(st.lists(st.sampled_from(workload_keys()),
+                                 min_size=1, max_size=8, unique=True)))
+    return PopulationSpec(
+        device_classes=devices, regions=regions, titles=titles,
+        zipf_exponent=draw(st.floats(min_value=0.0, max_value=2.0)))
 
 
 def tiny_spec(seed: int = 3) -> PopulationSpec:
@@ -392,6 +434,21 @@ class TestHashing:
         again = hash_u01_array(9, 0x1234, idx)
         assert np.array_equal(u, again)
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1), site=st.integers(0, 2 ** 16),
+           indices=st.lists(st.integers(-2 ** 63, 2 ** 63 - 1),
+                            max_size=50))
+    def test_matches_reference_and_keeps_input(self, seed, site, indices):
+        idx = np.asarray(indices, dtype=np.int64)
+        before = idx.copy()
+        bits = hash_u64_array(seed, site, idx)
+        assert bits.dtype == np.uint64
+        assert np.array_equal(bits, hash_u64_reference(seed, site, idx))
+        assert np.array_equal(idx, before)
+        as_u64 = idx.astype(np.uint64)
+        assert np.array_equal(hash_u64_array(seed, site, as_u64), bits)
+        assert np.array_equal(as_u64, before.astype(np.uint64))
+
     def test_site_and_seed_separation(self):
         idx = np.arange(256, dtype=np.int64)
         base = hash_u64_array(9, 0x1234, idx)
@@ -410,6 +467,30 @@ class TestPopulation:
         for name in ("duration_seconds", "bandwidth", "start_seconds"):
             assert np.array_equal(getattr(whole, name)[200:],
                                   getattr(tail, name))
+
+    @settings(max_examples=80, deadline=None)
+    @given(spec=population_specs(), seed=st.integers(0, 2 ** 63),
+           start=st.integers(0, 2 ** 62), count=st.integers(0, 400))
+    def test_table_draw_matches_searchsorted_reference(self, spec, seed,
+                                                       start, count):
+        model = PopulationModel(spec, seed=seed)
+        drawn = model.draw_chunk(start, count)
+        expected = draw_chunk_searchsorted(model, start, count)
+        for name in ("uid", "device", "region", "cell", "title",
+                     "duration_seconds", "bandwidth", "start_seconds"):
+            got, want = getattr(drawn, name), getattr(expected, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+
+    def test_degenerate_draws_raise_fleet_error(self, spec):
+        model = PopulationModel(spec, seed=2)
+        with pytest.raises(FleetError):
+            model.draw_chunk(0, -3)
+        with pytest.raises(FleetError):
+            model.draw_chunk(-5, 3)
+        empty = model.draw_chunk(0, 0)
+        assert empty.size == 0
+        assert empty.bandwidth.size == 0 and empty.device.dtype == np.int64
 
     def test_chunk_invariants(self, spec):
         chunk = PopulationModel(spec, seed=4).draw_chunk(0, 2000)
@@ -443,6 +524,48 @@ class TestPopulation:
         with pytest.raises(ConfigError):
             RegionSpec(name="r", cells=0, bandwidth=(
                 LognormalComponent(median=MBPS),))
+
+
+class TestRungPick:
+    @settings(max_examples=60, deadline=None)
+    @given(bottom=st.floats(min_value=0.2, max_value=5.0),
+           steps=st.lists(st.floats(min_value=0.05, max_value=3.0),
+                          max_size=5),
+           safety=st.sampled_from((1.0, 0.5, 0.8)),
+           scales=st.lists(st.floats(min_value=0.0, max_value=3.0),
+                           max_size=20))
+    def test_matches_searchsorted_reference(self, bottom, steps, safety,
+                                            scales):
+        rungs = [bottom * MBPS]
+        for step in steps:
+            rungs.append(rungs[-1] * (1.0 + step))
+        spec = replace(tiny_spec(), ladder=tuple(rungs), abr_safety=safety)
+        ladder = np.asarray(spec.ladder)
+        # Bandwidths that fit each rung exactly (exact products for the
+        # power-of-two safeties), values just below the bottom rung and
+        # below the bandwidth floor, and random spans up to 3x the top.
+        bandwidth = np.concatenate([
+            ladder / safety,
+            [ladder[0] / safety * 0.999, 0.0, 1.0],
+            np.asarray(scales) * ladder[-1] / safety])
+        if safety != 0.8:
+            assert np.array_equal(safety * (ladder / safety), ladder)
+        n = bandwidth.size
+        zeros = np.zeros(n, dtype=np.int64)
+        chunk = SessionChunk(
+            uid=np.arange(n, dtype=np.int64), device=zeros, region=zeros,
+            cell=zeros, title=zeros, duration_seconds=np.full(n, 10.0),
+            bandwidth=bandwidth, start_seconds=np.zeros(n))
+        tables = {"energy_per_frame": np.zeros((1, 2)),
+                  "stall_power": np.zeros(1),
+                  "throttle_fraction": np.zeros((1, 2))}
+        factor = np.ones(n)
+        metrics = _score_chunk(spec, chunk, factor, tables, 30.0)
+        bw_eff = np.maximum(bandwidth, BANDWIDTH_FLOOR)
+        rate = ladder[rung_searchsorted(ladder, safety * bw_eff)]
+        expected = (spec.radio.promotion_latency
+                    + spec.preroll_seconds * rate / bw_eff)
+        assert np.array_equal(metrics["startup_seconds"], expected)
 
 
 class TestCalibration:
