@@ -262,8 +262,10 @@ class DisplayConfig:
 
         Same rationale as :meth:`MachConfig.scaled_for`: 16 KB against a
         24 MB 4K frame becomes a proportionally smaller cache against a
-        scaled frame, floored at four lines (the short-range straddle
-        reuse the cache exists for survives even at that size).
+        scaled frame, floored at 16 lines (1 KB at 64-byte lines) and
+        rounded down to a power of two.  The floor binds at the default
+        sizes: 16 KB scales to about 41 bytes, so the default cache is
+        16 lines.
         """
         ratio = 1.0 / video.scale_to_native
         if ratio >= 1.0:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from ..config import GAB, SchemeConfig, SimulationConfig
+from ..errors import ConfigError
 from ..video.frame import DecodedFrame
 from .readpath import DisplayReadEngine
 from .writeback import WritebackEngine, WritebackResult
@@ -75,7 +76,7 @@ class ProducerConsumerPipeline:
                  scheme: SchemeConfig = GAB) -> None:
         self.config = config or SimulationConfig()
         if consumer_reads_per_frame < 1:
-            raise ValueError("consumer must read each frame at least once")
+            raise ConfigError("consumer must read each frame at least once")
         self.consumer_reads = consumer_reads_per_frame
         self.scheme = scheme
 

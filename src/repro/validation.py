@@ -3,7 +3,8 @@
 :func:`paper_ledger` plays one run set -- every Table 1 video under the
 Fig. 11 schemes, plus the variant runs the single-figure studies need
 -- and computes every paper figure from it: per-video rows, mix means,
-cuts and ratios.  :func:`render` turns that data into
+cuts and ratios.  It also plays the paper's extension studies (Sec.
+3.3, 4.4, 6.4 and 7) and the BurstLink delivery studies.  :func:`render` turns that data into
 ``EXPERIMENTS.md``.  ``tools/make_experiments.py`` writes the ledger to
 ``EXPERIMENTS.json`` and renders the markdown from that file, and
 ``tests/test_paper_ledger.py`` asserts each figure's shape over it.
@@ -42,6 +43,8 @@ from .config import (
     RACE_TO_SLEEP,
     RACING,
     MachConfig,
+    NetworkConfig,
+    RadioConfig,
     SchemeConfig,
     SimulationConfig,
     VideoConfig,
@@ -49,13 +52,24 @@ from .config import (
 from .core.gradient import to_gradient
 from .core.mach import MachStats
 from .core.pipeline import simulate
+from .core.pipelines import RecordingPipeline, RenderPipeline
 from .core.readpath import ReadStats
+from .core.related_work import simulate_slack_dvfs
 from .core.results import RunResult
 from .core.writeback import WritebackEngine
 from .decoder import vd_cache_study
 from .decoder.power import PowerState
 from .hashing.digest import CollisionTracker, get_scheme
-from .units import to_mj
+from .network import (
+    AbrPolicy,
+    DeliveryResult,
+    deliver_for_config,
+    lte_trace,
+    make_abr,
+    segment_video,
+    simulate_delivery,
+)
+from .units import MBPS, mbps, to_mj
 from .video import (
     PAPER_WORKLOADS,
     SyntheticVideo,
@@ -76,6 +90,10 @@ _FIG1A_MIX = ("V1", "V4", "V8", "V12")
 _VARIANT_MIX = ("V1", "V8", "V12", "V14")
 
 _CDF_PARTS = ("execution", "short_slack", "transition", "s1", "s3")
+
+#: One minute of 60 fps V8 per delivery: long enough for the radio's
+#: tail energy to dominate.
+_DELIVERY_FRAMES = 3600
 
 JsonDict = Dict[str, Any]
 
@@ -271,6 +289,117 @@ def _hash_comparison(video_cfg: VideoConfig, seed: int,
     return table
 
 
+def _extension_studies(frames: int, seed: int) -> JsonDict:
+    """Sec. 3.3, 4.4, 6.4 and 7 over ``frames`` frames per run; Sec.
+    6.4's pipelines play at most 48 frames per video."""
+    runs = _Runs(frames, seed, None)
+    cfg = runs.config
+    preroll: List[JsonDict] = []
+    for depth in (4, 16, 120):
+        # A thin streaming buffer underruns every scheme; Race-to-Sleep
+        # adapts its batches to whatever is buffered.
+        thin = SimulationConfig(network=NetworkConfig(
+            preroll_frames=depth, chunk_interval=0.45))
+        base = runs.play("V8", BASELINE, config=thin)
+        rts = runs.play("V8", RACE_TO_SLEEP, config=thin)
+        preroll.append({
+            "preroll_frames": depth,
+            "rts_normalized_energy": rts.energy.total / base.energy.total,
+            "baseline_drops": base.drops,
+            "rts_drops": rts.drops})
+    coalesced = runs.get("V8", GAB)
+    uncoalesced = runs.play("V8", GAB, config=replace(
+        cfg, mach=replace(cfg.mach, coalescing=False)))
+    pipeline_frames = min(frames, 48)
+    pipelines: JsonDict = {}
+    for video in ("V1", "V8", "V12"):
+        clip = list(SyntheticVideo(cfg.video, workload(video), seed=seed,
+                                   n_frames=pipeline_frames))
+        pipelines[video] = {
+            "recording_savings":
+                RecordingPipeline(cfg).run(iter(clip)).total_savings,
+            "render_savings":
+                RenderPipeline(cfg).run(iter(clip)).total_savings}
+    dvfs: JsonDict = {}
+    for video in ("V1", "V6", "V8"):
+        slack = simulate_slack_dvfs(workload(video), frames, seed=seed)
+        base_vd = runs.get(video, BASELINE).energy.vd_total
+        rts = runs.get(video, RACE_TO_SLEEP)
+        dvfs[video] = {"dvfs_vd_energy": slack.vd_energy / base_vd,
+                       "dvfs_drops": slack.drops,
+                       "rts_vd_energy": rts.energy.vd_total / base_vd,
+                       "rts_drops": rts.drops}
+    return {
+        "sec33_preroll": {"frames": frames, "rows": preroll},
+        "sec44_coalescing": {
+            "frames": frames,
+            "coalesced": {"energy": coalesced.energy.total,
+                          "write_savings": coalesced.write_savings},
+            "uncoalesced": {"energy": uncoalesced.energy.total,
+                            "write_savings": uncoalesced.write_savings}},
+        "sec64_pipelines": {"frames": pipeline_frames,
+                            "per_video": pipelines},
+        "sec7_slack_dvfs": {"frames": frames, "per_video": dvfs},
+    }
+
+
+def _deliver_v8(mode: str, abr: AbrPolicy, trace_seed: int,
+                radio: Optional[RadioConfig] = None) -> DeliveryResult:
+    """V8 over an LTE-like 24 Mbit/s trace, delivered ``mode``."""
+    segments = segment_video(workload("V8"), VideoConfig(),
+                             n_frames=_DELIVERY_FRAMES, seed=trace_seed)
+    trace = lte_trace(mbps(24), duration=120, seed=trace_seed)
+    return simulate_delivery(segments, trace, abr, radio or RadioConfig(),
+                             download_mode=mode)
+
+
+def _burst_vs_steady(trace_seed: int) -> JsonDict:
+    """Steady and burst delivery of one trace at rung 2."""
+    abr = make_abr("fixed", rung=2)
+    steady = _deliver_v8("steady", abr, trace_seed)
+    burst = _deliver_v8("burst", abr, trace_seed)
+    return {"trace_seed": trace_seed,
+            "steady_stalls": steady.stall_events,
+            "burst_stalls": burst.stall_events,
+            "steady_radio": steady.radio.total,
+            "burst_radio": burst.radio.total}
+
+
+def _delivery_studies(seed: int) -> JsonDict:
+    """BurstLink's delivery claims (PAPERS.md): V8 over an LTE-like
+    24 Mbit/s trace, bursting the buffer full and parking the modem
+    versus dripping one segment per segment duration."""
+    video_cfg = VideoConfig()
+    burst_rows = [_burst_vs_steady(trace_seed) for trace_seed in (0, seed, 11)]
+    policies: JsonDict = {}
+    for name, abr in (("fixed-0", make_abr("fixed", rung=0)),
+                      ("fixed-top", make_abr("fixed", rung=99)),
+                      ("rate", make_abr("rate")),
+                      ("bba", make_abr("bba"))):
+        result = _deliver_v8("burst", abr, seed)
+        delivered = sum(chunk.size_bytes for chunk in result.chunks)
+        policies[name] = {
+            "delivered_mbps":
+                delivered / result.n_frames * video_cfg.fps / MBPS,
+            "stall_seconds": result.stall_seconds,
+            "switches": result.switches,
+            "radio": result.radio.total}
+    tail_rows: List[JsonDict] = []
+    abr = make_abr("fixed", rung=2)
+    for tail in (0.5, 2.5, 5.0):
+        radio = RadioConfig(tail_seconds=tail)
+        steady = _deliver_v8("steady", abr, seed, radio=radio)
+        burst = _deliver_v8("burst", abr, seed, radio=radio)
+        tail_rows.append({
+            "tail_seconds": tail,
+            "steady_radio": steady.radio.total,
+            "steady_promotions": steady.radio.promotions,
+            "burst_radio": burst.radio.total,
+            "burst_saving": 1.0 - burst.radio.total / steady.radio.total})
+    return {"delivery_burst": burst_rows, "delivery_abr": policies,
+            "delivery_tail": tail_rows}
+
+
 def paper_ledger(
     frames: int = 120,
     videos: Optional[Sequence[str]] = None,
@@ -281,7 +410,8 @@ def paper_ledger(
     ``videos`` (default: all of Table 1) are played under the Fig. 11
     schemes, the Fig. 9a capacity oracle, the Fig. 10e naive display
     layout and the Sec. 6.2 DCC pair; the single-figure studies run
-    their own fixed videos.  The result is plain JSON data:
+    their own fixed videos, and the extension studies play at most 96
+    frames.  The result is plain JSON data:
     ``EXPERIMENTS.json`` is this function's output at the defaults,
     plus the host fingerprint the writing tool adds.
     """
@@ -475,6 +605,11 @@ def paper_ledger(
         "display_cache_bytes": display.display_cache_bytes,
         "display_power": display.power,
     }
+
+    report("extension studies")
+    ledger.update(_extension_studies(min(frames, 96), seed))
+    report("delivery studies")
+    ledger.update(_delivery_studies(seed))
     return ledger
 
 
@@ -703,6 +838,90 @@ def render(ledger: Dict[str, Any]) -> str:
       "detects every residual collision (0 silent).")
     w()
 
+    sec33 = ledger["sec33_preroll"]
+    w("## Sec. 3.3 — Race-to-Sleep vs streaming-buffer depth")
+    w()
+    w(format_table(
+        ["preroll frames", "RtS normalized energy", "baseline drops",
+         "RtS drops"],
+        [[row["preroll_frames"], row["rts_normalized_energy"],
+          row["baseline_drops"], row["rts_drops"]] for row in sec33["rows"]],
+        title=f"V8, {sec33['frames']} frames, 0.45 s delivery chunks: thin "
+              "buffers cause underrun drops for every scheme; Race-to-Sleep "
+              "adapts its batches and still saves energy"))
+    w()
+
+    sec44 = ledger["sec44_coalescing"]
+    w("## Sec. 4.4 — coalescing ablation")
+    w()
+    w(format_table(
+        ["write path", "energy (J)", "write savings"],
+        [[label, sec44[label]["energy"], sec44[label]["write_savings"]]
+         for label in ("coalesced", "uncoalesced")],
+        title=f"V8/GAB, {sec44['frames']} frames: MACH without its "
+              "write-combining buffers costs energy"))
+    w()
+
+    sec64 = ledger["sec64_pipelines"]
+    w("## Sec. 6.4 — MACH on the recording and render pipelines")
+    w()
+    w(format_table(
+        ["video", "recording pipeline savings", "render pipeline savings"],
+        [[video, row["recording_savings"], row["render_savings"]]
+         for video, row in sec64["per_video"].items()],
+        title=f"{sec64['frames']} frames per video: camera->encoder and "
+              "GPU->display traffic saved"))
+    w()
+
+    sec7 = ledger["sec7_slack_dvfs"]
+    w("## Sec. 7 — slack-prediction DVFS vs Race-to-Sleep")
+    w()
+    w(format_table(
+        ["video", "DVFS vd-energy (norm)", "DVFS drops",
+         "RtS vd-energy (norm)", "RtS drops"],
+        [[video, row["dvfs_vd_energy"], row["dvfs_drops"],
+          row["rts_vd_energy"], row["rts_drops"]]
+         for video, row in sec7["per_video"].items()],
+        title=f"{sec7['frames']} frames per video (paper: DVFS's savings "
+              "cost frame drops; Race-to-Sleep drops none)"))
+    w()
+
+    w("## Delivery — burst vs steady downloads (BurstLink, PAPERS.md)")
+    w()
+    w(format_table(
+        ["trace seed", "steady stalls", "burst stalls", "steady radio (J)",
+         "burst radio (J)", "burst/steady"],
+        [[row["trace_seed"], row["steady_stalls"], row["burst_stalls"],
+          row["steady_radio"], row["burst_radio"],
+          row["burst_radio"] / row["steady_radio"]]
+         for row in ledger["delivery_burst"]],
+        title=f"V8, {_DELIVERY_FRAMES} frames over an LTE-like 24 Mbit/s "
+              "trace at rung 2: burst downloads deep-sleep the modem "
+              "between fills"))
+    w()
+
+    w("## Delivery — ABR policies")
+    w()
+    w(format_table(
+        ["ABR", "delivered Mbit/s", "stall (s)", "switches", "radio (J)"],
+        [[name, row["delivered_mbps"], row["stall_seconds"],
+          row["switches"], row["radio"]]
+         for name, row in ledger["delivery_abr"].items()],
+        title="Burst downloads on the seed-7 trace"))
+    w()
+
+    w("## Delivery — tail-timer sweep")
+    w()
+    w(format_table(
+        ["tail timer (s)", "steady radio (J)", "steady promotions",
+         "burst radio (J)", "burst saving"],
+        [[row["tail_seconds"], row["steady_radio"], row["steady_promotions"],
+          row["burst_radio"], row["burst_saving"]]
+         for row in ledger["delivery_tail"]],
+        title="Seed-7 trace at rung 2: bursting wins at every tail "
+              "length, most when the tail timer lets the modem reach idle"))
+    w()
+
     w("## Known deviations from the paper")
     w()
     w("* **Racing** lands at ~1.01-1.03x vs the paper's 1.12x: our "
@@ -831,21 +1050,10 @@ def validate_against_paper(
     # (BurstLink's recipe, PAPERS.md — the delivery-side mirror of the
     # paper's Race-to-Sleep.)  Pure arithmetic, no pipeline run.
     report("network")
-    from .network import deliver_for_config
-    from dataclasses import replace as dc_replace
-
-    net_cfg = dc_replace(cfg.network, mode="trace", trace_kind="lte",
-                         abr="fixed", abr_fixed_rung=2, trace_seed=seed)
-    deliveries = {
-        mode: deliver_for_config(
-            dc_replace(net_cfg, download_mode=mode), cfg.video,
-            source=workload("V8"), n_frames=3600, seed=seed)
-        for mode in ("steady", "burst")
-    }
-    same_stalls = (deliveries["burst"].stall_events
-                   == deliveries["steady"].stall_events)
-    ratio = (deliveries["burst"].radio.total
-             / deliveries["steady"].radio.total)
+    # The ledger's seed row (``delivery_burst``), computed the same way.
+    burst_row = _burst_vs_steady(seed)
+    same_stalls = burst_row["burst_stalls"] == burst_row["steady_stalls"]
+    ratio = burst_row["burst_radio"] / burst_row["steady_radio"]
     add("burst-vs-steady radio energy at equal stalls (BurstLink)",
         "<1.0", ratio, same_stalls and ratio < 1.0)
 
@@ -856,7 +1064,7 @@ def validate_against_paper(
     # 1. A faulted playback completes, conceals a bounded fraction of
     #    blocks, and never lets an injected digest collision reach the
     #    screen: every one is verified and falls back to a full store.
-    fault_sim = dc_replace(cfg, faults=FaultConfig(
+    fault_sim = replace(cfg, faults=FaultConfig(
         block_bit_error=2e-5, digest_collision=1e-3))
     faulted = simulate(workload("V8"), GAB, n_frames=frames,
                        seed=seed, config=fault_sim)
@@ -874,8 +1082,9 @@ def validate_against_paper(
     # 2. Retries are not free: on a constant link with a pinned rung
     #    (so ABR cannot mask the extra transfers), a lossy run's radio
     #    active energy must be at least the lossless run's.
-    lossy_net = dc_replace(net_cfg, trace_kind="constant",
-                           download_mode="burst")
+    lossy_net = replace(cfg.network, mode="trace", trace_kind="constant",
+                        abr="fixed", abr_fixed_rung=2, trace_seed=seed,
+                        download_mode="burst")
     lossless_d = deliver_for_config(lossy_net, cfg.video,
                                     source=workload("V8"),
                                     n_frames=1800, seed=seed)
@@ -901,9 +1110,9 @@ def validate_against_paper(
             enabled=True, adaptive=adaptive, seed=seed,
             event_interval=1.0, cap_drop_rate=1.0, cap_drop_duty=duty,
             delayed_transition_rate=0.5)
-        pressed = dc_replace(
+        pressed = replace(
             cfg, thermal=thermal,
-            network=dc_replace(cfg.network, preroll_frames=30))
+            network=replace(cfg.network, preroll_frames=30))
         return simulate(workload("V5"), RACE_TO_SLEEP, n_frames=frames,
                         seed=seed, config=pressed)
 
@@ -977,8 +1186,6 @@ def validate_against_paper(
         calibrate,
         run_fleet,
     )
-    from .units import MBPS
-
     # A population whose every session plays exactly the calibration
     # frame count (zero duration spread) on an unconstrained link, so
     # the surrogate's per-title play energy is structurally the exact
@@ -1121,7 +1328,6 @@ def validate_against_paper(
     report("realtime")
     from .config import RealtimeConfig
     from .realtime import RealtimeResult, simulate_realtime
-    from .units import MBPS
 
     # 1. FEC beats bounded retransmission on deadline-miss fraction when
     #    the RTT does not fit the latency budget, at comparable byte
@@ -1140,8 +1346,8 @@ def validate_against_paper(
             link_rate=6 * MBPS, start_rate=3 * MBPS, min_rate=1 * MBPS,
             max_rate=4 * MBPS, ladder=False, fec_group=6, max_retx=2,
             loss_threshold=1.0, recovery=mode, seed=seed)
-        rt_cfg = dc_replace(cfg, realtime=rt,
-                            faults=FaultConfig(packet_loss=0.20, seed=seed))
+        rt_cfg = replace(cfg, realtime=rt,
+                         faults=FaultConfig(packet_loss=0.20, seed=seed))
         return simulate_realtime(rt_cfg, n_frames=rt_frames,
                                  profile=rt_profile)
 
@@ -1166,7 +1372,7 @@ def validate_against_paper(
     def ladder_run(ladder: bool) -> RealtimeResult:
         rt = RealtimeConfig(enabled=True, link_rate=6 * MBPS,
                             ladder=ladder, rate_schedule=cliff, seed=seed)
-        return simulate_realtime(dc_replace(cfg, realtime=rt),
+        return simulate_realtime(replace(cfg, realtime=rt),
                                  n_frames=max(2 * frames, 480),
                                  profile=rt_profile)
 

@@ -19,6 +19,7 @@ from repro.core.related_work import (
     power_at_frequency,
     simulate_slack_dvfs,
 )
+from repro.errors import ConfigError
 from repro.video import SyntheticVideo, workload
 
 
@@ -53,8 +54,10 @@ class TestExtensionPipelines:
         assert report.raw_read_lines == 12 * lines
 
     def test_consumer_must_read(self, tiny_cfg):
-        with pytest.raises(ValueError):
-            ProducerConsumerPipeline(tiny_cfg, consumer_reads_per_frame=0)
+        for reads in (0, -1):
+            with pytest.raises(ConfigError):
+                ProducerConsumerPipeline(tiny_cfg,
+                                         consumer_reads_per_frame=reads)
 
     def test_empty_stream(self, tiny_cfg):
         report = RenderPipeline(tiny_cfg).run(iter([]))

@@ -162,13 +162,21 @@ class TestConcealBlocks:
         assert (blocks[1] == 128).all()
 
 
+def _faulted_v8(n_frames, seed, fault_seed, **rates):
+    """V8 under GAB with the given :class:`FaultConfig` rates."""
+    cfg = replace(SimulationConfig(),
+                  faults=FaultConfig(seed=fault_seed, **rates))
+    return simulate(workload("V8"), GAB, n_frames=n_frames, seed=seed,
+                    config=cfg)
+
+
 class TestDeliveryResilience:
     video = VideoConfig()
 
-    def _deliver(self, faults=None, n_frames=1800, **net_kwargs):
-        return deliver_for_config(_network(**net_kwargs), self.video,
-                                  source=workload("V8"),
-                                  n_frames=n_frames, seed=3,
+    def _deliver(self, faults=None, n_frames=1800, seed=3, **net_kwargs):
+        return deliver_for_config(_network(trace_seed=seed, **net_kwargs),
+                                  self.video, source=workload("V8"),
+                                  n_frames=n_frames, seed=seed,
                                   faults=faults)
 
     def test_zero_rates_reproduce_clean_run(self):
@@ -193,11 +201,23 @@ class TestDeliveryResilience:
                 == [c.finish for c in b.chunks])
 
     def test_retries_cost_radio_energy(self):
-        clean = self._deliver()
-        lossy = self._deliver(faults=FaultConfig(segment_loss=0.3, seed=5))
-        assert lossy.retries > 0
-        assert lossy.failed_attempts >= lossy.retries
-        assert lossy.radio.active_energy > clean.radio.active_energy
+        # (delivery seed, frames, fault seed, loss rates); the second is
+        # the one-minute segment-loss sweep at seed 7.
+        for seed, n_frames, fault_seed, losses in (
+                (3, 1800, 5, (0.3,)),
+                (7, 3600, 7, (0.02, 0.05, 0.10))):
+            clean = self._deliver(n_frames=n_frames, seed=seed)
+            assert clean.retries == 0
+            retries = []
+            for loss in losses:
+                lossy = self._deliver(
+                    faults=FaultConfig(segment_loss=loss, seed=fault_seed),
+                    n_frames=n_frames, seed=seed)
+                assert lossy.retries > 0
+                assert lossy.failed_attempts >= lossy.retries
+                assert lossy.radio.active_energy > clean.radio.active_energy
+                retries.append(lossy.retries)
+            assert retries == sorted(retries), "retries must rise with loss"
 
     def test_abandonment_bounded_by_retries(self):
         faults = FaultConfig(segment_loss=0.97, max_retries=2, seed=1)
@@ -238,24 +258,46 @@ class TestPipelineFaults:
         assert zeroed.fallback_writes == 0
 
     def test_bit_errors_concealed_deterministically(self):
-        cfg = replace(SimulationConfig(),
-                      faults=FaultConfig(block_bit_error=2e-5, seed=8))
-        a = simulate(workload("V8"), GAB, n_frames=24, seed=5, config=cfg)
-        b = simulate(workload("V8"), GAB, n_frames=24, seed=5, config=cfg)
-        assert a.concealed_blocks > 0
-        assert a.concealed_blocks == b.concealed_blocks
-        assert a.energy.total == b.energy.total
+        # (frames, seed, fault seed, rates); the last two are the V8/GAB
+        # bit-error sweep at seed 7 and its 48-frame smoke.  The rerun
+        # proves determinism once, on the first case.
+        for n_frames, seed, fault_seed, rates in (
+                (24, 5, 8, (0.0, 2e-5)),
+                (96, 7, 7, (0.0, 1e-6, 1e-5)),
+                (48, 7, 7, (0.0, 1e-6, 1e-5))):
+            runs = [_faulted_v8(n_frames, seed, fault_seed,
+                                block_bit_error=rate) for rate in rates]
+            concealed = [run.concealed_blocks for run in runs]
+            assert concealed[0] == 0, "BER 0 must conceal nothing"
+            assert concealed == sorted(concealed), (
+                "concealment grows with BER")
+            assert concealed[-1] > 0
+            clean, worst = runs[0].energy.total, runs[-1].energy.total
+            assert abs(worst - clean) / clean < 0.05, (
+                "concealment must not blow up the energy budget")
+            if n_frames == 24:
+                again = _faulted_v8(n_frames, seed, fault_seed,
+                                    block_bit_error=rates[-1])
+                assert again.concealed_blocks == concealed[-1]
+                assert again.energy.total == worst
 
     def test_collisions_always_fall_back(self):
-        clean = simulate(workload("V8"), GAB, n_frames=24, seed=5)
-        cfg = replace(SimulationConfig(),
-                      faults=FaultConfig(digest_collision=2e-3, seed=8))
-        run = simulate(workload("V8"), GAB, n_frames=24, seed=5,
-                       config=cfg)
-        assert run.injected_collisions > 0
-        assert run.fallback_writes == run.injected_collisions
-        # No injected collision slips through as silently-wrong content.
-        assert run.silent_collisions == clean.silent_collisions
+        # (frames, seed, fault seed, rates); the last two are the V8/GAB
+        # digest-collision sweep at seed 7 and its 48-frame smoke.
+        for n_frames, seed, fault_seed, rates in (
+                (24, 5, 8, (0.0, 2e-3)),
+                (96, 7, 7, (0.0, 1e-4, 1e-3)),
+                (48, 7, 7, (0.0, 1e-4, 1e-3))):
+            runs = [_faulted_v8(n_frames, seed, fault_seed,
+                                digest_collision=rate) for rate in rates]
+            for run in runs:
+                assert run.fallback_writes == run.injected_collisions
+                # No injected collision slips through as
+                # silently-wrong content.
+                assert run.silent_collisions == runs[0].silent_collisions
+            assert runs[-1].injected_collisions > 0
+            assert runs[-1].write_bytes >= runs[0].write_bytes, (
+                "fallbacks store full blocks")
 
     def test_unverified_collisions_go_silent(self):
         cfg = replace(SimulationConfig(),

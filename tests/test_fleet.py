@@ -10,7 +10,11 @@ fleet is.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -118,6 +122,49 @@ def tiny_spec(seed: int = 3) -> PopulationSpec:
         calib_frames=16,
         calib_seed=seed,
     )
+
+
+def smoke_spec() -> PopulationSpec:
+    """A 1-device, 2-title population whose calibration runs in <1 s,
+    for the throughput, memory and supervision budgets."""
+    return PopulationSpec(
+        device_classes=(DeviceClass(name="ref", scheme="gab"),),
+        regions=(RegionSpec(
+            name="town", cells=4, cell_capacity=40 * MBPS,
+            bandwidth=(LognormalComponent(median=10 * MBPS, sigma=0.5),),
+        ),),
+        titles=("V1", "V8"),
+        calib_frames=16,
+        calib_seed=7,
+    )
+
+
+#: Run in a fresh interpreter: sessions/s at the reference population
+#: size, then the process's peak RSS after each rung of the ladder.  The
+#: peak is the kernel's VmHWM of this process alone: ``ru_maxrss`` would
+#: start at the spawning process's high-water mark.
+_FLEET_BUDGET_SCRIPT = """
+import json, sys, time
+from repro.fleet import PopulationSpec, calibrate, run_fleet
+
+def peak_bytes():
+    with open("/proc/self/status", encoding="utf-8") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) * 1024
+
+spec = PopulationSpec.from_jsonable(json.loads(sys.argv[1]))
+reference, ladder = int(sys.argv[2]), json.loads(sys.argv[3])
+calibration = calibrate(spec)
+start = time.perf_counter()
+run_fleet(spec, reference, seed=7, shards=4, calibration=calibration)
+per_second = reference / (time.perf_counter() - start)
+peaks = []
+for sessions in ladder:
+    run_fleet(spec, sessions, seed=7, shards=4, calibration=calibration)
+    peaks.append(peak_bytes())
+print(json.dumps({"sessions_per_second": per_second, "peaks": peaks}))
+"""
 
 
 @pytest.fixture(scope="module")
@@ -641,6 +688,32 @@ class TestRunFleet:
                                  entries=dict(calib.entries))
         with pytest.raises(FleetError):
             run_fleet(spec, 100, calibration=stale)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads the kernel's per-process VmHWM")
+    @pytest.mark.parametrize("make_spec,reference,ladder", [
+        (smoke_spec, 50_000, (50_000, 500_000)),
+        (default_population, 100_000, (100_000, 400_000, 1_000_000)),
+    ], ids=["smoke", "default"])
+    def test_streams_fast_in_bounded_memory(self, make_spec, reference,
+                                            ladder):
+        """>10k sessions/s, and peak RSS set by the chunk size, not the
+        population: a 10x larger population grows it by <10%."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        out = subprocess.run(
+            [sys.executable, "-c", _FLEET_BUDGET_SCRIPT,
+             json.dumps(make_spec().to_jsonable()), str(reference),
+             json.dumps(ladder)],
+            env=env, capture_output=True, text=True, check=True).stdout
+        budget = json.loads(out)
+        assert budget["sessions_per_second"] > 10_000, (
+            "the flow-level surrogate has stopped being a surrogate")
+        first, last = budget["peaks"][0], budget["peaks"][-1]
+        assert (last - first) / first < 0.10, (
+            f"peak RSS grew {last / first - 1:.1%} across a "
+            f"{ladder[-1] // ladder[0]}x population")
 
     def test_report_renders(self, spec, calib):
         result = run_fleet(spec, 300, seed=1, calibration=calib)

@@ -334,3 +334,86 @@ def test_fig12d_hash_comparison(ledger):
 def test_sec63_co_mach(ledger):
     # With CO-MACH no collision goes unnoticed.
     assert ledger["sec63"]["co_mach_crc48"]["silent"] == 0
+
+
+# --- Sec. 3.3 / 4.4 / 6.4 / 7 extension studies ----------------------------
+
+
+def test_sec33_preroll_sweep(ledger):
+    """Race-to-Sleep adapts to however many frames are buffered."""
+    study = ledger["sec33_preroll"]
+    assert study["frames"] == 96
+    rows = study["rows"]
+    assert [row["preroll_frames"] for row in rows] == [4, 16, 120]
+    for row in rows:
+        assert row["rts_normalized_energy"] < 1.0, (
+            "RtS must save energy at every buffer depth")
+        assert row["rts_drops"] <= row["baseline_drops"], (
+            "RtS must never drop more than baseline")
+    # With a healthy buffer RtS recovers its zero-drop property.
+    assert rows[-1]["rts_drops"] == 0
+    # Deeper buffers allow fuller batches and at least as much saving.
+    assert (rows[-1]["rts_normalized_energy"]
+            <= rows[0]["rts_normalized_energy"] + 0.02)
+
+
+def test_sec44_coalescing_ablation(ledger):
+    study = ledger["sec44_coalescing"]
+    assert study["frames"] == 96
+    assert study["uncoalesced"]["energy"] > study["coalesced"]["energy"], (
+        "dropping the coalescing buffers must cost energy")
+
+
+def test_sec64_extension_pipelines(ledger):
+    study = ledger["sec64_pipelines"]
+    assert study["frames"] == 48
+    assert list(study["per_video"]) == ["V1", "V8", "V12"]
+    for row in study["per_video"].values():
+        assert row["recording_savings"] > 0.05
+        assert row["render_savings"] > 0.05
+
+
+def test_sec7_slack_dvfs_vs_rts(ledger):
+    study = ledger["sec7_slack_dvfs"]
+    assert study["frames"] == 96
+    assert list(study["per_video"]) == ["V1", "V6", "V8"]
+    for row in study["per_video"].values():
+        assert row["rts_drops"] == 0, "Race-to-Sleep must never drop"
+        assert row["dvfs_drops"] > 0, (
+            "slack DVFS must drop frames on this content")
+
+
+# --- delivery (BurstLink, PAPERS.md) ----------------------------------------
+
+
+def test_delivery_burst_vs_steady(ledger):
+    """Burst downloads must beat steady at an equal stall count."""
+    rows = ledger["delivery_burst"]
+    assert [row["trace_seed"] for row in rows] == [0, 7, 11]
+    for row in rows:
+        assert row["steady_stalls"] == row["burst_stalls"], (
+            "modes must stall equally often")
+        assert row["burst_radio"] < row["steady_radio"], (
+            "burst radio energy must be strictly below steady")
+
+
+def test_delivery_abr_policies(ledger):
+    policies = ledger["delivery_abr"]
+    # The adaptive policies deliver more bits than the floor rung.
+    assert (policies["bba"]["delivered_mbps"]
+            > policies["fixed-0"]["delivered_mbps"])
+    assert (policies["rate"]["delivered_mbps"]
+            > policies["fixed-0"]["delivered_mbps"])
+    # Higher delivered bitrate costs more radio-active energy.
+    assert policies["fixed-top"]["radio"] > policies["fixed-0"]["radio"]
+
+
+def test_delivery_tail_timer_sweep(ledger):
+    """Burst savings come from idle time the tail timer doesn't eat:
+    burst mode's idle periods shrink as the tail timer grows."""
+    rows = ledger["delivery_tail"]
+    assert [row["tail_seconds"] for row in rows] == [0.5, 2.5, 5.0]
+    savings = [row["burst_saving"] for row in rows]
+    assert savings == sorted(savings, reverse=True), (
+        "burst saving must shrink as the tail timer eats the idle gaps")
+    assert all(s > 0 for s in savings), "bursting must always win"

@@ -8,11 +8,12 @@ after a mid-run kill plus checkpoint resume.
 
 import json
 import os
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from tests.test_fleet import tiny_spec
+from tests.test_fleet import smoke_spec, tiny_spec
 
 from repro.errors import FleetError, RunnerError, ShardError
 from repro.executor import (
@@ -37,6 +38,7 @@ from repro.fleet import (
     MergePlane,
     StripePartial,
     SupervisorConfig,
+    default_population,
     execute_stripe,
     run_fleet,
     run_fleet_supervised,
@@ -299,6 +301,69 @@ class TestSupervisedRuns:
                                    supervisor=_supervisor())
         assert run.report.resumed >= 2
         assert _json(run.result) == _json(serial)
+
+
+class TestSupervisionBudgets:
+    """5,000 sessions of the smoke population and 50,000 of the default
+    one, at seed 7: supervision is cheap, absorbs a seeded chaos
+    schedule, and speculation cuts the straggler tail, all without
+    changing a bit of the result."""
+
+    @pytest.fixture(scope="class", params=[(smoke_spec, 5000),
+                                           (default_population, 50_000)],
+                    ids=["smoke", "default"])
+    def population(self, request):
+        make_spec, sessions = request.param
+        spec = make_spec()
+        return spec, calibrate(spec), sessions
+
+    def test_overhead_within_budget(self, population):
+        spec, calib, sessions = population
+        start = time.perf_counter()
+        serial = run_fleet(spec, sessions, seed=7, shards=1,
+                           calibration=calib)
+        serial_seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        run = run_fleet_supervised(
+            spec, sessions, seed=7, shards=4, calibration=calib,
+            supervisor=_supervisor(lease_seconds=2.0, heartbeat_seconds=0.15,
+                                   backoff_cap=0.25))
+        ratio = (time.perf_counter() - start) / serial_seconds
+        assert _json(run.result) == _json(serial)
+        assert ratio < 25.0, (
+            f"supervision overhead {ratio:.1f}x over the serial fold")
+
+    def test_chaos_absorbed_bit_exactly(self, population):
+        spec, calib, sessions = population
+        serial = run_fleet(spec, sessions, seed=7, shards=1,
+                           calibration=calib)
+        run = run_fleet_supervised(
+            spec, sessions, seed=7, shards=4, calibration=calib,
+            faults=ShardFaultConfig(crash_rate=0.25, stall_rate=0.1,
+                                    corrupt_rate=0.2, slow_rate=0.1,
+                                    slow_seconds=0.3, max_faulty_attempts=2,
+                                    seed=7),
+            supervisor=_supervisor(lease_seconds=1.0, backoff_cap=0.25))
+        assert _json(run.result) == _json(serial)
+        assert run.report.faults_absorbed > 0, "the schedule injected nothing"
+
+    def test_speculation_cuts_p99(self, population):
+        spec, calib, sessions = population
+        slow = ShardFaultConfig(slow_rate=0.4, slow_seconds=2.0,
+                                max_faulty_attempts=1, seed=9)
+        patient, eager = (run_fleet_supervised(
+            spec, sessions, seed=7, shards=6, contention=False,
+            calibration=calib, faults=slow,
+            supervisor=_supervisor(lease_seconds=4.0, heartbeat_seconds=0.15,
+                                   backoff_cap=0.25, speculate=speculate,
+                                   speculation_min_seconds=0.4))
+            for speculate in (False, True))
+        assert _json(eager.result) == _json(patient.result)
+        assert eager.report.speculations > 0
+        p99_off = patient.report.p99_task_seconds("score")
+        p99_on = eager.report.p99_task_seconds("score")
+        assert p99_off > 0 and p99_on / p99_off < 0.7, (
+            "stragglers are not being cut")
 
 
 class TestStripeCheckpoints:
