@@ -109,6 +109,10 @@ class _TrafficLog:
                 masks[agent] = np.zeros(len(times), dtype=bool)
             masks[agent][cursor:cursor + len(chunk)] = True
             cursor += len(chunk)
+        # Release the chunks, so the replay does not hold the run's
+        # traffic twice.
+        self._times, self._addresses, self._writes = [], [], []
+        self._agents = []
         return times, addresses, writes, masks
 
 
@@ -190,7 +194,9 @@ def simulate(
         A :class:`RunResult` with the energy breakdown and statistics.
 
     Raises:
-        ConfigError: the source and ``n_frames`` leave no frame to play.
+        ConfigError: the source and ``n_frames`` leave no frame to play,
+            or a frame's block geometry disagrees with ``config.video``
+            (a :class:`~repro.video.trace.FrameTrace` sets its own).
     """
     cfg = config or SimulationConfig()
     stream, count, profile_key, cfg = _resolve_source(
@@ -264,6 +270,7 @@ class _Playback:
         self.rng = np.random.default_rng(seed + 0x5EED)
         self.timeline = FrameTimeline.empty(count)
         self.raw_frame_lines = cfg.video.frame_bytes / cfg.dram.line_bytes
+        self.frame_shape = (cfg.video.blocks_per_frame, cfg.video.block_bytes)
 
         self.now = 0.0
         self.next_frame = 0
@@ -501,6 +508,11 @@ class _Playback:
         """Decode one frame: VD timing and thermal, input reads and
         concealment, the write path, and the frame's timeline row."""
         index = frame.index
+        if frame.blocks.shape != self.frame_shape:
+            raise ConfigError(
+                f"frame {index} holds {frame.n_blocks} blocks of "
+                f"{frame.block_bytes} bytes; the video config expects "
+                f"{self.frame_shape[0]} blocks of {self.frame_shape[1]}")
         start = self.now
         if self.scheme.batch_size == 1:
             # Frame-by-frame decoding starts no earlier than its call slot.
@@ -514,7 +526,7 @@ class _Playback:
         if self.thermal is not None:
             self.thermal.advance_to(finish, power)
         slot = self.pool.admit(index)
-        self._read_inputs(frame, start, finish)
+        frame = self._read_inputs(frame, start, finish)
         result = self.writeback.process_frame(frame, slot.base)
         self.traffic.add("vd_write", _uniform_times(
             self.rng, start, finish, len(result.write_lines)),
@@ -533,9 +545,10 @@ class _Playback:
         self.show_until(finish)
 
     def _read_inputs(self, frame: DecodedFrame, start: float,
-                     finish: float) -> None:
+                     finish: float) -> DecodedFrame:
         """The VD's reads: encoded stream and motion reference, then the
-        concealment of blocks lost to bit errors or upstream."""
+        concealment of blocks lost to bit errors or upstream.  Returns
+        the frame to write back: ``frame``, or its concealed copy."""
         index, pool = frame.index, self.pool
         # The previous frame's buffer: motion reference, concealment source.
         previous = (pool.slot(index - 1).base if pool.is_live(index - 1)
@@ -551,10 +564,10 @@ class _Playback:
                          is_write=False)
         corrupt = self._lost_blocks(frame)
         if len(corrupt):
-            # Copy before concealing: the stream may derive later frames
-            # from this buffer, and the source content must not inherit
-            # the receiver's damage.
-            frame.blocks = frame.blocks.copy()
+            # Conceal into this decode's own frame: the caller's frame
+            # (a stream's source content, or a list played again) must
+            # not inherit the receiver's damage.
+            frame = replace(frame, blocks=frame.blocks.copy())
             self.concealed += conceal_blocks(frame.blocks, corrupt,
                                              self.prev_blocks)
             # Concealment re-reads each co-located block from the
@@ -568,6 +581,7 @@ class _Playback:
                     self.rng, start, finish, len(addresses)),
                     addresses, is_write=False)
         self.prev_blocks = frame.blocks
+        return frame
 
     def _lost_blocks(self, frame: DecodedFrame) -> np.ndarray:
         """Macroblocks of ``frame`` corrupted by injected bit errors or

@@ -39,7 +39,8 @@ import numpy as np
 
 from ..config import SimulationConfig
 from ..errors import FleetError
-from ..video import workload
+from ..video import SyntheticVideo, workload
+from ..video.synthesis import FrameList
 from .population import PopulationSpec
 
 #: Relative tolerance for the drift probe: a cached entry farther than
@@ -172,16 +173,29 @@ def _stall_power(config: SimulationConfig) -> float:
             * config.dram.self_refresh_fraction)
 
 
-def _calibrate_pair(spec: PopulationSpec, device_index: int,
-                    title: str,
+def _title_frames(spec: PopulationSpec, title: str,
+                  base: SimulationConfig) -> FrameList:
+    """One title's calibration frames, synthesised once for every device.
+
+    Device classes differ in decoder, display, thermal and MACH
+    settings, never in the video geometry or the content's complexity
+    spread, so every class plays the same frames.
+    """
+    return SyntheticVideo(
+        base.video, workload(title), seed=spec.calib_seed,
+        n_frames=spec.calib_frames,
+        complexity_sigma=base.calibration.complexity_sigma).materialize()
+
+
+def _calibrate_pair(spec: PopulationSpec, device_index: int, title: str,
+                    frames: FrameList,
                     base: SimulationConfig) -> CalibEntry:
     """Run the exact pipeline once for one (device, title) pair."""
     from ..core.pipeline import simulate
 
     device = spec.device_classes[device_index]
     config = device.to_simulation_config(base)
-    run = simulate(workload(title), device.scheme_config(),
-                   n_frames=spec.calib_frames, config=config,
+    run = simulate(frames, device.scheme_config(), config=config,
                    seed=spec.calib_seed)
     throttle_fraction = (run.throttle_seconds / run.elapsed
                          if run.elapsed > 0 else 0.0)
@@ -200,15 +214,21 @@ def calibrate(spec: PopulationSpec,
               config: Optional[SimulationConfig] = None,
               progress: Optional[Callable[[str], None]] = None
               ) -> FleetCalibration:
-    """Calibrate every (device class, title) pair from scratch."""
+    """Calibrate every (device class, title) pair from scratch.
+
+    Each title is synthesised once and played by every device class,
+    and its frames are dropped before the next title's.
+    """
     base = config or SimulationConfig()
     entries: Dict[str, CalibEntry] = {}
-    for d_idx, device in enumerate(spec.device_classes):
-        for title in spec.titles:
+    for title in spec.titles:
+        frames = _title_frames(spec, title, base)
+        for d_idx, device in enumerate(spec.device_classes):
             if progress is not None:
                 progress(f"calibrating {device.name} x {title}")
-            entry = _calibrate_pair(spec, d_idx, title, base)
-            entries[_entry_key(device.name, title)] = entry
+            entries[_entry_key(device.name, title)] = _calibrate_pair(
+                spec, d_idx, title, frames, base)
+        del frames
     return FleetCalibration(fingerprint=spec.fingerprint(),
                             entries=entries)
 
@@ -251,7 +271,8 @@ def load_or_calibrate(spec: PopulationSpec, path: str,
         probe_device = spec.device_classes[0].name
         if progress is not None:
             progress(f"drift probe {probe_device} x {probe_title}")
-        fresh = _calibrate_pair(spec, 0, probe_title, base)
+        fresh = _calibrate_pair(spec, 0, probe_title,
+                                _title_frames(spec, probe_title, base), base)
         try:
             stored = cached.entry(probe_device, probe_title)
         except FleetError:

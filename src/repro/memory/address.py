@@ -48,19 +48,23 @@ class AddressMapper:
         banks uniformly.
         """
         addresses = np.asarray(addresses, dtype=np.int64)
+        # One full-length working array shifted in place, and each
+        # field dropped as soon as it is folded in: the replay maps a
+        # whole run's accesses at once.
         lines = addresses >> self._line_bits
-        channel = lines & (self.config.channels - 1)
-        rest = lines >> self._channel_bits
-        rest = rest >> self._column_bits  # column bits do not change the bank
-        bank = rest & (self.config.banks_per_rank - 1)
-        rest >>= self._bank_bits
-        rank = rest & (self.config.ranks_per_channel - 1)
-        row = rest >> self._rank_bits
-        global_bank = (
-            (rank * self.config.channels + channel) * self.config.banks_per_rank
-            + bank
-        )
-        return global_bank, row
+        global_bank = lines & (self.config.channels - 1)  # the channel
+        # Column bits do not change the bank.
+        lines >>= self._channel_bits + self._column_bits
+        bank = lines & (self.config.banks_per_rank - 1)
+        lines >>= self._bank_bits
+        rank = lines & (self.config.ranks_per_channel - 1)
+        lines >>= self._rank_bits  # now the row
+        rank *= self.config.channels
+        global_bank += rank
+        del rank
+        global_bank *= self.config.banks_per_rank
+        global_bank += bank
+        return global_bank, lines
 
     def map_line(self, address: int) -> Tuple[int, int]:
         """Scalar convenience wrapper around :meth:`map_lines`."""

@@ -108,41 +108,58 @@ class MemoryController:
             # allow (they always do at simulator scale), halving the
             # lexsort passes over the window.
             quanta = (times / self.config.scheduler_quantum).astype(np.int64)
-            quanta_span = int(quanta.max()) + 1 if len(quanta) else 1
-            row_span = int(rows.max()) + 1 if len(rows) else 1
+            quanta_span = int(quanta.max()) + 1
+            row_span = int(rows.max()) + 1
             if self.config.total_banks * quanta_span * row_span < (1 << 62):
-                key = (banks * quanta_span + quanta) * row_span + rows
+                key = banks * quanta_span
+                key += quanta
+                del quanta
+                key *= row_span
+                key += rows
                 order = np.lexsort((times, key))
+                del key
             else:
                 order = np.lexsort((times, rows, quanta, banks))
+                del quanta
         else:
             order = np.lexsort((times, banks))
+        # The window is replayed in bank order.  Each full-length array
+        # is gathered into that order only when it is next needed and
+        # dropped once used, so a long window holds a few at a time.
         sorted_banks = banks[order]
-        sorted_rows = rows[order]
-        sorted_times = times[order]
-
-        same_bank = np.empty(len(order), dtype=bool)
-        same_bank[0] = False
-        same_bank[1:] = sorted_banks[1:] == sorted_banks[:-1]
-
-        hits = same_bank.copy()
-        hits[1:] &= sorted_rows[1:] == sorted_rows[:-1]
-        hits[1:] &= (sorted_times[1:] - sorted_times[:-1]
-                     <= self.config.row_max_open)
-
+        del banks
+        hits = np.empty(len(order), dtype=bool)  # first: same bank as before
+        hits[0] = False
+        np.equal(sorted_banks[1:], sorted_banks[:-1], out=hits[1:])
         # Run boundaries consult the persistent bank state: after the
         # sort each bank is one contiguous run, so the starts gather
         # and the ends scatter touch every bank at most once.
-        run_starts = np.flatnonzero(~same_bank)
-        start_banks = sorted_banks[run_starts]
-        hits[run_starts] = (
-            (sorted_rows[run_starts] == self._open_rows[start_banks])
-            & (sorted_times[run_starts] - self._last_access[start_banks]
-               <= self.config.row_max_open))
+        run_starts = np.flatnonzero(~hits)
         run_ends = np.append(run_starts[1:] - 1, len(order) - 1)
+        start_banks = sorted_banks[run_starts]
         end_banks = sorted_banks[run_ends]
-        self._open_rows[end_banks] = sorted_rows[run_ends]
-        self._last_access[end_banks] = sorted_times[run_ends]
+        del sorted_banks
+
+        sorted_rows = rows[order]
+        del rows
+        hits[1:] &= sorted_rows[1:] == sorted_rows[:-1]
+        start_rows = sorted_rows[run_starts]
+        end_rows = sorted_rows[run_ends]
+        del sorted_rows
+
+        sorted_times = times[order]
+        hits[1:] &= (sorted_times[1:] - sorted_times[:-1]
+                     <= self.config.row_max_open)
+        start_times = sorted_times[run_starts]
+        end_times = sorted_times[run_ends]
+        del sorted_times
+
+        hits[run_starts] = (
+            (start_rows == self._open_rows[start_banks])
+            & (start_times - self._last_access[start_banks]
+               <= self.config.row_max_open))
+        self._open_rows[end_banks] = end_rows
+        self._last_access[end_banks] = end_times
 
         activations = int((~hits).sum())
         self.stats.activations += activations

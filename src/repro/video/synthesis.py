@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, List, Optional
 
 import numpy as np
 
@@ -134,6 +134,10 @@ class SyntheticVideo:
     def __len__(self) -> int:
         return self.n_frames
 
+    def materialize(self) -> "FrameList":
+        """Every frame, generated once and held for any number of runs."""
+        return FrameList(self.frames(), self.profile.key)
+
     # -- generation -----------------------------------------------------
 
     def frames(self) -> Iterator[DecodedFrame]:
@@ -173,6 +177,19 @@ class SyntheticVideo:
     def _encoded_bits(self, frame_type: FrameType, complexity: float) -> int:
         pixels = self.config.width * self.config.height
         return int(pixels * _BITS_PER_PIXEL[frame_type] * complexity)
+
+
+class FrameList(List[DecodedFrame]):
+    """Decoded frames held in memory, labelled with their content's key.
+
+    ``simulate`` plays it like any frame list and reports ``key`` as the
+    run's ``profile_key``, so a run from a materialized stream equals
+    the run from its profile.
+    """
+
+    def __init__(self, frames: Iterable[DecodedFrame], key: str) -> None:
+        super().__init__(frames)
+        self.key = key
 
 
 class _SceneState:

@@ -57,3 +57,6 @@ def test_matrix(digest_matrix):
         for sessions in (1, 8_193, 50_001)
         for contention in (True, False)
         for shards in (1, 3))
+    # calibrate() itself, at two calibration seeds.
+    assert sorted(c["calib_seed"] for c in cases
+                  if "calibration" in c) == [7, 11]

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import DramConfig
+from repro.config import DramConfig, SimulationConfig
 from repro.errors import MemoryModelError
 from repro.memory import (
     AddressMapper,
@@ -234,6 +237,38 @@ class TestMemoryController:
         bank, row = mapper.map_line(address)
         assert 0 <= bank < 8
         assert row >= 0
+
+
+class TestReplayMemory:
+    #: Bytes per access the replay may allocate beyond its inputs.  A
+    #: replay that keeps each full-length intermediate to the end needs
+    #: ~75; one that drops each once used needs ~32.
+    PEAK_BYTES_PER_ACCESS = 56
+
+    def test_window_peak_stays_lean(self):
+        # One run's traffic, as the pipeline replays it: ~100k accesses
+        # over a second from four agents, on the scaled controller.
+        scale = SimulationConfig().video.scale_to_native
+        dram = DramConfig()
+        dram = replace(dram, row_max_open=dram.row_max_open * scale,
+                       scheduler_quantum=dram.scheduler_quantum * scale)
+        count = 100_000
+        rng = np.random.default_rng(7)
+        times = np.sort(rng.uniform(0.0, 1.0, count))
+        addresses = rng.integers(0, 32 << 20, count) // 64 * 64
+        writes = rng.random(count) < 0.3
+        agents = {name: rng.integers(0, 4, count) == i
+                  for i, name in enumerate(("vd_write", "vd_read", "dc",
+                                            "other"))}
+        controller = MemoryController(dram)
+        tracemalloc.start()  # traces only what the replay allocates
+        try:
+            controller.process_window(times, addresses, writes, agents)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert controller.stats.bursts == count
+        assert peak / count < self.PEAK_BYTES_PER_ACCESS
 
 
 class TestMemoryEnergy:

@@ -20,6 +20,7 @@ from repro.config import (
     MAB,
     RACE_TO_SLEEP,
     RACING,
+    FaultConfig,
     SimulationConfig,
     ThermalConfig,
     VideoConfig,
@@ -195,6 +196,63 @@ class TestFrameCounts:
     def test_empty_frame_list_is_a_config_error(self):
         with pytest.raises(ConfigError, match="at least one frame"):
             simulate([], GAB, config=_TINY)
+
+
+def _materialized(video, n_frames, seed):
+    """The frames a profile run of ``video`` plays, as a frame list."""
+    cfg = SimulationConfig()
+    return SyntheticVideo(
+        cfg.video, workload(video), seed=seed, n_frames=n_frames,
+        complexity_sigma=cfg.calibration.complexity_sigma).materialize()
+
+
+@pytest.fixture(scope="module")
+def shared_frames():
+    return {video: _materialized(video, 32, seed=4)
+            for video in ("V3", "V8")}
+
+
+class TestFrameListSource:
+    """A materialized stream plays exactly like its profile, as often
+    as it is played."""
+
+    @pytest.mark.parametrize("video", ["V3", "V8"])
+    @pytest.mark.parametrize("scheme, options", [
+        (BASELINE, {}), (RACE_TO_SLEEP, {}), (GAB, {}), (MAB, {}),
+        (GAB_DCC, {}), (GAB, {"unbounded_mach": True}),
+        (GAB, {"use_display_cache": False}),
+    ], ids=["BASELINE", "RACE_TO_SLEEP", "GAB", "MAB", "GAB_DCC",
+            "GAB-unbounded", "GAB-no-dc"])
+    def test_frame_list_equals_profile(self, shared_frames, video,
+                                       scheme, options):
+        frames = shared_frames[video]
+        from_list = simulate(frames, scheme, seed=4, **options)
+        from_profile = simulate(workload(video), scheme, n_frames=32,
+                                seed=4, **options)
+        assert from_list.profile_key == video
+        assert from_list.to_jsonable() == from_profile.to_jsonable()
+
+    def test_concealment_leaves_the_callers_frames_intact(self):
+        frames = _materialized("V8", 48, seed=7)
+        faulted = simulate(frames, GAB, seed=7, config=SimulationConfig(
+            faults=FaultConfig(block_bit_error=1e-5)))
+        assert faulted.concealed_blocks > 0
+        again = simulate(frames, GAB, seed=7)
+        clean = simulate(workload("V8"), GAB, n_frames=48, seed=7)
+        assert again.to_jsonable() == clean.to_jsonable()
+
+    @pytest.mark.parametrize("scheme", [BASELINE, GAB],
+                             ids=lambda scheme: scheme.name)
+    def test_mismatched_geometry_is_a_config_error(self, scheme):
+        wide = VideoConfig(width=2 * _TINY_VIDEO.width,
+                           height=_TINY_VIDEO.height)
+        frames = list(SyntheticVideo(wide, workload("V8"), seed=3,
+                                     n_frames=4))
+        with pytest.raises(ConfigError, match="video config expects"):
+            simulate(frames, scheme, config=_TINY)
+        # A trace carries its own geometry, which overrides the config.
+        trace = FrameTrace.from_frames(frames, wide.width, wide.height)
+        assert simulate(trace, scheme, config=_TINY).n_frames == 4
 
 
 class TestBatchEdges:

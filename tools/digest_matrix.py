@@ -11,11 +11,14 @@ the display cache and the MACH buffer switched off, digest-collision
 faults with and without verification, CO-MACH, the ``weak-sum`` digest
 and the unbounded MACH.  It adds ``run_fleet`` over the default
 population at seed 7: 1, 8,193 and 50,001 sessions x contention on/off
-x 1 and 3 shards, on one ``calibrate`` per side.  Each run is reduced
-to the sha256 of its ``to_jsonable()`` with sorted keys, alongside the
-number of frames whose writeback took the scalar per-block walk (0 for
-a fleet run).  Prints one line per run and exits 1 when any digest or
-walked-frame count differs.
+x 1 and 3 shards, on one ``calibrate`` per side, and that
+``calibrate`` itself (the ``FleetCalibration`` of the default
+population) at calibration seeds 7 and 11, so a last-bit change in a
+coefficient shows even where the fleet's quantised aggregates hide it.
+Each run is reduced to the sha256 of its ``to_jsonable()`` with sorted
+keys, alongside the number of frames whose writeback took the scalar
+per-block walk (0 for a fleet or calibration run).  Prints one line
+per run and exits 1 when any digest or walked-frame count differs.
 """
 
 from __future__ import annotations
@@ -47,11 +50,16 @@ def _fleet_case(sessions: int, contention: bool,
             "contention": contention, "shards": shards}
 
 
+def _calibration_case(calib_seed: int) -> Dict[str, Any]:
+    return {"calibration": "default", "calib_seed": calib_seed}
+
+
 def matrix() -> List[Dict[str, Any]]:
     """Every run of the matrix.  A ``simulate`` case has video, scheme
     and thermal keys; beyond them ``mach`` and ``faults`` are config
     overrides, the rest are ``simulate`` keywords.  A ``run_fleet``
-    case has population, sessions, contention and shards keys."""
+    case has population, sessions, contention and shards keys, and a
+    ``calibrate`` case calibration and calib_seed keys."""
     cases = [_case(video, scheme, thermal=thermal)
              for video in ("V1", "V3", "V8", "V14")
              for scheme in ("BASELINE", "MAB", "GAB", "GAB_DCC")
@@ -83,10 +91,14 @@ def matrix() -> List[Dict[str, Any]]:
               for sessions in (1, 8_193, 50_001)
               for contention in (True, False)
               for shards in (1, 3)]
+    cases += [_calibration_case(calib_seed) for calib_seed in (7, 11)]
     return cases
 
 
 def case_name(case: Dict[str, Any]) -> str:
+    if "calibration" in case:
+        return (f"calibrate {case['calibration']} "
+                f"calib_seed={case['calib_seed']}")
     if "population" in case:
         return (f"fleet {case['population']} sessions={case['sessions']} "
                 f"contention={'on' if case['contention'] else 'off'} "
@@ -125,17 +137,24 @@ def digest(result):
                            separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
-population = calibration = None
+calibrations = {}
+def calibrated(calib_seed):
+    if calib_seed not in calibrations:
+        calibrations[calib_seed] = calibrate(
+            replace(default_population(), calib_seed=calib_seed))
+    return calibrations[calib_seed]
+
+population = default_population()
 out = []
 for case in cases:
+    if "calibration" in case:
+        out.append([digest(calibrated(case["calib_seed"])), 0])
+        continue
     if "population" in case:
-        if calibration is None:
-            population = default_population()
-            calibration = calibrate(population)
         result = run_fleet(population, case["sessions"], seed=seed,
                            shards=case["shards"],
                            contention=case["contention"],
-                           calibration=calibration)
+                           calibration=calibrated(population.calib_seed))
         out.append([digest(result), 0])
         continue
     case = dict(case)
