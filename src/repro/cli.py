@@ -27,7 +27,6 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
@@ -502,56 +501,24 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from .lint import (
-        Baseline,
-        all_rules,
-        lint_paths,
-        load_baseline,
-        render_sarif,
-        write_baseline,
-    )
+    from .errors import LintError
+    from .lint import all_rules, lint_paths
 
     if args.list_rules:
-        rows = [[r.id, r.name, r.scope, r.severity, r.family, r.description]
+        rows = [[r.id, r.name, r.scope, r.family, r.description]
                 for r in all_rules()]
-        print(format_table(
-            ["id", "name", "scope", "severity", "family", "guards"],
-            rows, title="repro-lint rules"))
+        print(format_table(["id", "name", "scope", "family", "guards"],
+                           rows, title="repro-lint rules"))
         return 0
     select = ([rule_id.strip().upper()
                for rule_id in args.select.split(",") if rule_id.strip()]
               if args.select else None)
-    baseline = (load_baseline(args.baseline)
-                if args.baseline and not args.update_baseline
-                else Baseline.empty())
-    jobs = args.jobs
-    if jobs == 0:
-        jobs = os.cpu_count() or 1
-    report = lint_paths(args.paths or None, baseline=baseline,
-                        select=select, cache_path=args.cache, jobs=jobs)
-    if args.update_baseline:
-        if not args.baseline:
-            print("--update-baseline requires --baseline PATH",
-                  file=sys.stderr)
-            return 2
-        write_baseline(Baseline.from_violations(report.violations),
-                       args.baseline)
-        print(f"wrote {len(report.violations)} finding(s) to "
-              f"{args.baseline}")
-        return 0
-    if args.format == "json":
-        output = report.render_json()
-    elif args.format == "sarif":
-        output = render_sarif(report)
-    else:
-        output = report.render_text()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(output + "\n")
-    if args.sarif:
-        with open(args.sarif, "w", encoding="utf-8") as handle:
-            handle.write(render_sarif(report) + "\n")
-    print(output)
+    try:
+        report = lint_paths(args.paths or None, select=select)
+    except LintError as exc:
+        print(f"repro lint: {exc}", file=sys.stderr)
+        return 2
+    print(report.render_text())
     return 0 if report.ok else 1
 
 
@@ -772,24 +739,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("paths", nargs="*",
                       help="files/directories (default: the installed "
                            "repro package)")
-    lint.add_argument("--baseline", default=None,
-                      help="baseline JSON of acknowledged findings")
-    lint.add_argument("--update-baseline", action="store_true",
-                      help="rewrite --baseline with the current findings")
     lint.add_argument("--select", default=None,
                       help="comma-separated rule ids (default: all)")
-    lint.add_argument("--format", default="text",
-                      choices=("text", "json", "sarif"))
-    lint.add_argument("--output", default=None,
-                      help="also write the report to this file")
-    lint.add_argument("--sarif", default=None,
-                      help="also write a SARIF 2.1.0 report here")
-    lint.add_argument("--cache", default=None,
-                      help="incremental-analysis cache file (per-file "
-                           "results keyed by content fingerprint)")
-    lint.add_argument("--jobs", type=int, default=None,
-                      help="analyze files in N worker processes "
-                           "(0 = one per CPU)")
     lint.add_argument("--list-rules", action="store_true",
                       help="print the rule catalogue and exit")
     lint.set_defaults(func=_cmd_lint)

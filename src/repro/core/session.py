@@ -29,10 +29,12 @@ the three axes a streaming vendor actually balances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence, Union
 
 from ..config import SchemeConfig, SimulationConfig
+from ..errors import ConfigError
 from ..video.synthesis import VideoProfile
 from .pipeline import simulate
 from .results import RunResult
@@ -52,6 +54,11 @@ class Pause:
     """The viewer pauses for ``duration`` seconds."""
 
     duration: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.duration) and self.duration >= 0.0):
+            raise ConfigError(f"pause duration must be a finite number "
+                              f"of seconds >= 0, got {self.duration}")
 
 
 SessionEvent = Union[Play, Pause]

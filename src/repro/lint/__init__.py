@@ -35,15 +35,11 @@ Violations are suppressed per line with a *justified* comment::
 
     thing()  # repro-lint: disable=E002 isolation is the point
 
-or acknowledged wholesale in a checked-in baseline file; the tier-1
-suite lints the tree with an **empty** baseline, so new violations
-fail CI.
+The tier-1 suite lints the whole tree, so a new violation fails it.
 """
 
 from __future__ import annotations
 
-from .baseline import Baseline, load_baseline, write_baseline
-from .cache import LintCache, config_hash, file_fingerprint
 from .callgraph import ProjectContext
 from .engine import (
     LintReport,
@@ -55,7 +51,6 @@ from .engine import (
     lint_source,
 )
 from .registry import Rule, all_rules, get_rule
-from .sarif import render_sarif, report_to_sarif
 
 # Importing the rule modules registers every built-in rule; the
 # project-scope passes register on import of their defining modules.
@@ -65,8 +60,6 @@ from . import roundtrip as _roundtrip  # noqa: F401
 from . import taint as _taint  # noqa: F401
 
 __all__ = [
-    "Baseline",
-    "LintCache",
     "LintReport",
     "ModuleContext",
     "ProjectContext",
@@ -74,14 +67,8 @@ __all__ = [
     "Violation",
     "all_rules",
     "analyze_file",
-    "config_hash",
     "default_lint_root",
-    "file_fingerprint",
     "get_rule",
     "lint_paths",
     "lint_source",
-    "load_baseline",
-    "render_sarif",
-    "report_to_sarif",
-    "write_baseline",
 ]

@@ -1,8 +1,8 @@
 """Whole-program link: the shared symbol table + call graph.
 
 Phase 2 of the analysis.  Takes every module summary produced by
-:mod:`repro.lint.symbols` (possibly straight from the incremental
-cache) and links them into one :class:`ProjectContext`:
+:mod:`repro.lint.symbols` and links them into one
+:class:`ProjectContext`:
 
 * a project-wide function table keyed by qualified reference
   (``repro.core.mach.classify``, ``repro.fleet.engine.CohortAggregate
@@ -16,9 +16,8 @@ cache) and links them into one :class:`ProjectContext`:
 * the sink table — serialized result/aggregate classes — against
   which the recorded sink writes are judged.
 
-Linking is cheap by construction (dict lookups over plain JSON
-summaries, no re-parsing), which is what makes the warm incremental
-path fast: only changed files re-run phase 1; phase 2 always re-runs.
+Linking is cheap by construction: dict lookups over plain JSON
+summaries, no re-parsing.
 """
 
 from __future__ import annotations

@@ -667,7 +667,7 @@ def unconverted_store_or_return(project: "ProjectContext"
 
 @rule("UD103", "unit-ambiguous-public-parameter", "dimension",
       "quantity-named public parameters state their unit somewhere",
-      scope="project", severity="warning")
+      scope="project")
 def unit_ambiguous_public_parameter(project: "ProjectContext"
                                     ) -> Iterator[RawProjectViolation]:
     return _findings(project, "UD103")

@@ -1,65 +1,37 @@
 """Lint engine: two-phase whole-program analysis.
 
-**Phase 1 — per-file analysis** (cacheable, parallelizable): each file
-is parsed once (stdlib :mod:`ast` + :mod:`tokenize`, no third-party
-dependencies), every *file-scope* rule runs over it, and
-:mod:`repro.lint.symbols` extracts a module summary — call edges,
-inferred return dimensions, taint sources, serialization surface, and
-the semantic checks that cannot be decided without other files.  The
-product depends only on that file's bytes, so it is cached by content
-fingerprint (:mod:`repro.lint.cache`) and can be computed for many
-files in parallel.
+**Phase 1 — per-file analysis**: each file is parsed once (stdlib
+:mod:`ast` + :mod:`tokenize`, no third-party dependencies), every
+*file-scope* rule runs over it, and :mod:`repro.lint.symbols` extracts
+a module summary — call edges, taint sources, serialization surface,
+and the semantic checks that cannot be decided without other files.
+The product depends only on that file's bytes.
 
-**Phase 2 — whole-program link** (always re-runs, cheap): the
-summaries are linked into a :class:`~repro.lint.callgraph
-.ProjectContext` and every *project-scope* rule (``UD``/``DT``/``RT``
-families) runs over it.  Because the link re-runs from the same
-summaries either way, a warm cached run produces a bit-identical
-finding set to a cold one.
+**Phase 2 — whole-program link**: the summaries are linked into a
+:class:`~repro.lint.callgraph.ProjectContext` and every
+*project-scope* rule runs over it.
 
-Findings then pass through two escape hatches:
-
-* **inline suppressions** — ``# repro-lint: disable=D001 <reason>`` on
-  the flagged line (or ``disable-next-line=`` on the line above, or
-  ``disable-file=`` anywhere for module-wide scope).  A suppression
-  *must* carry a justification after the rule list; a bare one is
-  itself a violation (``S001``), which is how "every suppression is
-  justified" stays mechanically true.
-* **a baseline** (:mod:`repro.lint.baseline`) — pre-existing findings
-  acknowledged in bulk, fingerprinted by (path, rule, source text) so
-  they survive line drift but die with the offending code.
+Findings on a line can be suppressed inline —
+``# repro-lint: disable=D001 <reason>`` on the flagged line (or
+``disable-next-line=`` on the line above, or ``disable-file=``
+anywhere for module-wide scope).  A suppression *must* carry a
+justification after the rule list; a bare one is itself a violation
+(``S001``), which is how "every suppression is justified" stays
+mechanically true.
 """
 
 from __future__ import annotations
 
 import ast
 import io
-import json
 import os
 import re
-import time
 import tokenize
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    TYPE_CHECKING,
-)
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..errors import LintError
-from ..units import to_ms
-
-if TYPE_CHECKING:  # pragma: no cover — runtime import lives in lint_paths
-    from .baseline import Baseline
-from .registry import Rule, all_rules, file_rules, get_rule, \
-    project_rules, rule
+from .registry import all_rules, file_rules, get_rule, project_rules, rule
 
 # The S-family is emitted by the engine itself while processing
 # suppression directives; registering the ids here keeps --list-rules,
@@ -79,14 +51,6 @@ _SUPPRESS_RE = re.compile(
 _FILE_SCOPE = 0
 
 
-def _as_int(value: object) -> int:
-    return value if isinstance(value, int) else 0
-
-
-def _as_float(value: object) -> float:
-    return float(value) if isinstance(value, (int, float)) else 0.0
-
-
 @dataclass(frozen=True)
 class Violation:
     """One finding: a rule fired at a source location."""
@@ -96,11 +60,7 @@ class Violation:
     col: int  # 0-based
     rule_id: str
     message: str
-    context: str  # stripped source line, for baselines and humans
-
-    def fingerprint(self) -> Tuple[str, str, str]:
-        """Line-number-free identity used by the baseline."""
-        return (self.path, self.rule_id, self.context)
+    context: str  # stripped source line of the finding
 
     def render(self) -> str:
         return (f"{self.path}:{self.line}:{self.col + 1}: "
@@ -154,11 +114,7 @@ class LintReport:
 
     violations: List[Violation] = field(default_factory=list)
     files_checked: int = 0
-    baselined: int = 0  # findings absorbed by the baseline
     suppressed: int = 0  # findings absorbed by inline directives
-    elapsed_seconds: float = 0.0  # s, wall time of the whole run
-    cache_hits: int = 0  # files served from the incremental cache
-    cache_misses: int = 0  # files analyzed from scratch
 
     @property
     def ok(self) -> bool:
@@ -170,70 +126,18 @@ class LintReport:
             counts[violation.rule_id] = counts.get(violation.rule_id, 0) + 1
         return dict(sorted(counts.items()))
 
-    def to_jsonable(self) -> Dict[str, object]:
-        return {
-            "version": 1,
-            "files_checked": self.files_checked,
-            "baselined": self.baselined,
-            "suppressed": self.suppressed,
-            "elapsed_seconds": self.elapsed_seconds,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "counts": self.counts_by_rule(),
-            "violations": [
-                {"path": v.path, "line": v.line, "col": v.col,
-                 "rule": v.rule_id, "message": v.message,
-                 "context": v.context}
-                for v in self.violations
-            ],
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: Dict[str, object]) -> "LintReport":
-        """Inverse of :meth:`to_jsonable` (summary fields only — the
-        CI artifact reader rebuilds reports from JSON)."""
-        report = cls(files_checked=_as_int(data.get("files_checked", 0)),
-                     baselined=_as_int(data.get("baselined", 0)),
-                     suppressed=_as_int(data.get("suppressed", 0)),
-                     elapsed_seconds=_as_float(
-                         data.get("elapsed_seconds", 0.0)),
-                     cache_hits=_as_int(data.get("cache_hits", 0)),
-                     cache_misses=_as_int(data.get("cache_misses", 0)))
-        violations = data.get("violations", [])
-        if isinstance(violations, list):
-            for entry in violations:
-                report.violations.append(Violation(
-                    path=entry["path"], line=entry["line"],
-                    col=entry["col"], rule_id=entry["rule"],
-                    message=entry["message"],
-                    context=entry.get("context", "")))
-        return report
-
     def render_text(self) -> str:
         lines = [violation.render() for violation in self.violations]
         counts = self.counts_by_rule()
         summary = (f"{len(self.violations)} violation(s) across "
                    f"{self.files_checked} file(s)"
                    + (f"; {self.suppressed} suppressed inline"
-                      if self.suppressed else "")
-                   + (f"; {self.baselined} baselined"
-                      if self.baselined else ""))
+                      if self.suppressed else ""))
         if counts:
             summary += "  [" + ", ".join(
                 f"{rule_id}: {n}" for rule_id, n in counts.items()) + "]"
         lines.append(summary)
-        if self.elapsed_seconds > 0.0:
-            cached = ""
-            if self.cache_hits or self.cache_misses:
-                cached = (f" ({self.cache_hits} cached, "
-                          f"{self.cache_misses} analyzed)")
-            lines.append(f"analysis time: "
-                         f"{to_ms(self.elapsed_seconds):.1f} ms"
-                         + cached)
         return "\n".join(lines)
-
-    def render_json(self) -> str:
-        return json.dumps(self.to_jsonable(), indent=2, sort_keys=True)
 
 
 def _parse_suppressions(source: str, path: str) -> List[_Suppression]:
@@ -292,8 +196,8 @@ def _module_name_for(path: str) -> str:
 
 def _suppression_maps(directives: List[_Suppression]
                       ) -> Dict[str, Any]:
-    """JSON-friendly (line -> rules, file-wide rules) maps, so link-time
-    findings can honor inline directives without re-reading the file."""
+    """(line -> rules, file-wide rules) maps, so link-time findings can
+    honor inline directives without re-reading the file."""
     by_line: Dict[str, List[str]] = {}
     file_wide: Set[str] = set()
     for directive in directives:
@@ -310,8 +214,8 @@ def _suppression_maps(directives: List[_Suppression]
 def analyze_file(source: str, path: str, module: Optional[str] = None
                  ) -> Dict[str, Any]:
     """Phase 1 for one file: file-rule violations (post-suppression),
-    the module summary, and the suppression maps — a plain-JSON dict,
-    which is exactly what the incremental cache stores."""
+    the module summary, and the suppression maps, as a plain-JSON
+    dict."""
     from .symbols import extract_summary  # deferred: symbols imports us
 
     try:
@@ -344,15 +248,6 @@ def analyze_file(source: str, path: str, module: Optional[str] = None
         "summary": extract_summary(tree, ctx.module, ctx.lines),
         "suppressions": _suppression_maps(directives),
     }
-
-
-def _analyze_worker(task: Tuple[str, str, Optional[str]]
-                    ) -> Tuple[str, Dict[str, Any]]:
-    """Process-pool entry point for :func:`analyze_file`."""
-    import repro.lint  # noqa: F401 — registers every rule in the worker
-
-    path, source, module = task
-    return path, analyze_file(source, path, module)
 
 
 def _apply_suppressions(raw: List[Violation],
@@ -447,8 +342,8 @@ def lint_source(source: str, path: str = "<memory>",
     """Lint one in-memory module through the *full* pipeline — file
     rules plus the project passes linked over this single module.
 
-    Returns the violations that survive inline suppressions (baseline
-    filtering is the caller's concern).  ``select`` restricts the
+    Returns the violations that survive inline suppressions.
+    ``select`` restricts the
     reported rule ids; the analysis itself always runs everything, so
     selection never changes what any rule could see.
     """
@@ -482,7 +377,7 @@ def _iter_python_files(paths: Sequence[str]) -> Iterable[str]:
 
 
 def _display_path(path: str) -> str:
-    """Repo-relative posix path when possible (stable baselines)."""
+    """Repo-relative posix path when possible."""
     absolute = os.path.abspath(path)
     cwd = os.getcwd()
     if absolute.startswith(cwd + os.sep):
@@ -497,28 +392,16 @@ def default_lint_root() -> str:
 
 
 def lint_paths(paths: Optional[Sequence[str]] = None,
-               baseline: Optional["Baseline"] = None,
-               select: Optional[Sequence[str]] = None,
-               cache_path: Optional[str] = None,
-               jobs: Optional[int] = None) -> LintReport:
-    """Lint files/directories and return a filtered :class:`LintReport`.
+               select: Optional[Sequence[str]] = None) -> LintReport:
+    """Lint files/directories and return a :class:`LintReport`.
 
-    ``cache_path`` enables the incremental cache: per-file phase-1
-    results keyed by content fingerprint, with phase 2 always re-run
-    (warm runs are bit-identical to cold ones).  ``jobs`` > 1 analyzes
-    uncached files in that many worker processes.
+    ``select`` restricts the reported rule ids, as for
+    :func:`lint_source`.
     """
-    from .baseline import Baseline  # local import: baseline imports us
-    from .cache import LintCache, file_fingerprint
-
-    # Tooling self-timing for the report's analysis-time line — this is
-    # host wall time, never simulated time.
-    started = time.perf_counter()  # repro-lint: disable=D002 lint-report timing is host tooling, not model time
-
     targets = list(paths) if paths else [default_lint_root()]
     report = LintReport()
 
-    sources: Dict[str, Tuple[str, str]] = {}  # display -> (source, module)
+    entries: Dict[str, Dict[str, Any]] = {}
     for filename in _iter_python_files(targets):
         try:
             with open(filename, "r", encoding="utf-8") as handle:
@@ -526,39 +409,8 @@ def lint_paths(paths: Optional[Sequence[str]] = None,
         except OSError as exc:
             raise LintError(f"cannot read {filename!r}: {exc}") from exc
         display = _display_path(filename)
-        sources[display] = (source, _module_name_for(display))
-
-    cache = LintCache.load(cache_path)
-    entries: Dict[str, Dict[str, Any]] = {}
-    pending: List[Tuple[str, str, Optional[str]]] = []
-    fingerprints: Dict[str, str] = {}
-    for display, (source, module) in sources.items():
-        fingerprint = file_fingerprint(source)
-        fingerprints[display] = fingerprint
-        cached = cache.get(display, fingerprint) if cache_path else None
-        if cached is not None:
-            entries[display] = cached
-        else:
-            pending.append((display, source, module))
-
-    if jobs is not None and jobs > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for display, entry in pool.map(_analyze_worker, pending,
-                                           chunksize=4):
-                entries[display] = entry
-    else:
-        for display, source, module in pending:
-            entries[display] = analyze_file(source, display, module)
-
-    if cache_path is not None:
-        for display, _source, _module in pending:
-            cache.put(display, fingerprints[display], entries[display])
-        # Drop entries for files that no longer exist in the target set.
-        cache.entries = {key: value for key, value in cache.entries.items()
-                         if key in sources}
-        cache.save(cache_path)
-        report.cache_hits = cache.hits
-        report.cache_misses = cache.misses
+        entries[display] = analyze_file(source, display,
+                                        _module_name_for(display))
 
     all_violations: List[Violation] = []
     for display in sorted(entries):
@@ -571,12 +423,5 @@ def lint_paths(paths: Optional[Sequence[str]] = None,
     all_violations.extend(project_violations)
     report.suppressed += project_suppressed
     all_violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule_id))
-
-    all_violations = _filter_select(all_violations, select)
-    if baseline is None:
-        baseline = Baseline.empty()
-    kept, absorbed = baseline.filter(all_violations)
-    report.violations = kept
-    report.baselined = absorbed
-    report.elapsed_seconds = time.perf_counter() - started  # repro-lint: disable=D002 lint-report timing is host tooling, not model time
+    report.violations = _filter_select(all_violations, select)
     return report

@@ -10,11 +10,9 @@ Two rule scopes share one id space:
   :class:`~repro.lint.callgraph.ProjectContext` of linked module
   summaries — the semantic passes (``UD``/``DT``/``RT`` families).
 
-The registry keys both by short id (``D001``, ``UD101``, ...) so the
-engine, the CLI's ``--select``, the suppression comments, the SARIF
-export, and the baseline all speak the same names.  Every rule also
-carries a severity tier (``error`` or ``warning``); both fail the run,
-but the tier is surfaced in reports and mapped to the SARIF ``level``.
+The registry keys both by short id (``D001``, ``DT201``, ...) so the
+engine, the CLI's ``--select`` and the suppression comments all speak
+the same names.
 """
 
 from __future__ import annotations
@@ -37,20 +35,17 @@ CheckFunction = Callable[["ModuleContext"], Iterable[RawViolation]]
 ProjectCheckFunction = Callable[["ProjectContext"],
                                 Iterable[RawProjectViolation]]
 
-_VALID_SEVERITIES = ("error", "warning")
-
 
 @dataclass(frozen=True)
 class Rule:
     """One registered invariant check."""
 
-    id: str  # short id used in suppressions/baselines, e.g. "D001"
+    id: str  # short id used in suppressions and --select, e.g. "D001"
     name: str  # kebab-case slug, e.g. "unseeded-rng"
     family: str  # determinism | units | dimension | taint | round-trip | ...
     description: str  # one line: the invariant this rule guards
     check: Union[CheckFunction, ProjectCheckFunction]
     scope: str = "file"  # "file" | "project"
-    severity: str = "error"  # "error" | "warning" (SARIF level)
 
     def run(self, ctx: "ModuleContext") -> Iterable[RawViolation]:
         if self.scope != "file":
@@ -68,20 +63,17 @@ _REGISTRY: Dict[str, Rule] = {}
 
 
 def rule(rule_id: str, name: str, family: str, description: str,
-         scope: str = "file", severity: str = "error"
-         ) -> Callable[[Callable], Callable]:
+         scope: str = "file") -> Callable[[Callable], Callable]:
     """Register ``check`` under ``rule_id`` (decorator)."""
     if scope not in ("file", "project"):
         raise LintError(f"rule {rule_id}: unknown scope {scope!r}")
-    if severity not in _VALID_SEVERITIES:
-        raise LintError(f"rule {rule_id}: unknown severity {severity!r}")
 
     def register(check: Callable) -> Callable:
         if rule_id in _REGISTRY:
             raise LintError(f"duplicate lint rule id: {rule_id}")
         _REGISTRY[rule_id] = Rule(id=rule_id, name=name, family=family,
                                   description=description, check=check,
-                                  scope=scope, severity=severity)
+                                  scope=scope)
         return check
 
     return register
@@ -107,7 +99,3 @@ def file_rules() -> List[Rule]:
 
 def project_rules() -> List[Rule]:
     return [r for r in all_rules() if r.scope == "project"]
-
-
-def known_ids() -> List[str]:
-    return sorted(_REGISTRY)

@@ -238,7 +238,7 @@ def field_never_restored(project: "ProjectContext"
 
 @rule("RT303", "stale-roundtrip-key", "round-trip",
       "from_jsonable only reads keys to_jsonable writes",
-      scope="project", severity="warning")
+      scope="project")
 def stale_roundtrip_key(project: "ProjectContext"
                         ) -> Iterator[RawProjectViolation]:
     return _findings(project, "RT303")

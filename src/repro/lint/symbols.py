@@ -4,10 +4,8 @@ Each file is summarized *once* into a plain-JSON dict — functions with
 their call edges, inferred return dimensions, and taint sources;
 classes with their serialization/merge surface; locally decidable
 findings; and the checks that must wait for the cross-module link.
-Summaries are what the incremental cache stores and what
-:mod:`repro.lint.callgraph` links: re-analyzing a file never requires
-looking at any other file, so a warm run only re-summarizes what
-changed and re-links the (cheap) whole-program step.
+Summarizing a file never looks at any other file;
+:mod:`repro.lint.callgraph` links the summaries.
 """
 
 from __future__ import annotations

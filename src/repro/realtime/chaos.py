@@ -31,7 +31,7 @@ import numpy as np
 
 from ..analysis import format_table
 from ..config import RealtimeConfig, SimulationConfig
-from ..errors import RealtimeError
+from ..errors import ConfigError, RealtimeError
 from ..fleet.population import PopulationModel, PopulationSpec, default_population
 from ..fleet.sketches import HistogramSketch, StreamingMoments, hash_u64_array
 from ..units import MBPS, to_ms
@@ -354,7 +354,14 @@ def run_chaos(config: Optional[SimulationConfig] = None,
     entry are scored under every regime.  ``config.realtime`` supplies
     the base link/recovery parameters (it is force-enabled for the
     campaign); each regime layers its impairment timelines on top.
+    Fleet sessions play titles from ``videos``, so ``sessions > 0``
+    needs at least one video.
     """
+    if sessions < 0:
+        raise ConfigError(f"sessions must be >= 0, got {sessions}")
+    if sessions > 0 and not videos:
+        raise ConfigError("fleet sessions play titles from videos; "
+                          "pass at least one video")
     cfg = config or SimulationConfig()
     if not cfg.realtime.enabled:
         cfg = replace(cfg, realtime=replace(cfg.realtime, enabled=True))

@@ -15,8 +15,8 @@ the paper's value, and a tolerance band.  ``repro validate`` runs them
 from the command line: the compact, user-facing summary ("does my
 checkout still reproduce the paper?").  Its paper-figure checks share
 the ledger's matrix arithmetic over a small deterministic video set, so
-the whole suite finishes in about two minutes at the default frame
-count.
+the whole suite finishes in about 12 s at the default frame count
+(2-vCPU host).
 """
 
 from __future__ import annotations

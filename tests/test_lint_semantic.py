@@ -4,36 +4,15 @@ Covers the three flow-aware families — unit-dimension inference
 (UD1xx), determinism taint tracking (DT2xx), round-trip completeness
 (RT3xx) — each with true-positive *and* false-positive fixtures, the
 interprocedural link (dimensions and taint resolved across function
-and module boundaries), and the engine growth around them: the
-incremental cache (warm runs must be bit-identical to cold ones — a
-hypothesis property), parallel analysis, severity tiers, SARIF
-export, and baseline migration for the new rule ids.
+and module boundaries), and the registry and per-file analysis entry
+point around them.
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.cli import main
-from repro.lint import (
-    Baseline,
-    LintCache,
-    all_rules,
-    analyze_file,
-    config_hash,
-    file_fingerprint,
-    get_rule,
-    lint_paths,
-    lint_source,
-    load_baseline,
-    report_to_sarif,
-    write_baseline,
-)
+from repro.lint import all_rules, analyze_file, get_rule, lint_source
 
 #: Path handed to lint_source so fixtures count as in-package modules.
 FAKE = "src/repro/fake_module.py"
@@ -392,7 +371,7 @@ class TestRoundTripCompleteness:
 
 
 # --------------------------------------------------------------------------
-# Engine growth: registry scopes/severities, SARIF, cache, parallel
+# Registry scopes and the per-file analysis entry point
 # --------------------------------------------------------------------------
 
 
@@ -409,278 +388,6 @@ class TestRegistryGrowth:
         assert get_rule("DT201").scope == "project"
         assert get_rule("RT301").scope == "project"
 
-    def test_severity_tiers(self):
-        assert get_rule("UD101").severity == "error"
-        assert get_rule("UD103").severity == "warning"
-        assert get_rule("RT303").severity == "warning"
-
-    def test_every_rule_has_valid_severity(self):
-        assert all(rule.severity in ("error", "warning")
-                   for rule in all_rules())
-
-
-class TestSarifExport:
-    def _report(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text("import numpy as np\n"
-                       "rng = np.random.default_rng()\n")
-        return lint_paths([str(bad)])
-
-    def test_sarif_shape(self, tmp_path):
-        sarif = report_to_sarif(self._report(tmp_path))
-        assert sarif["version"] == "2.1.0"
-        run = sarif["runs"][0]
-        assert run["tool"]["driver"]["name"] == "repro-lint"
-        rule_index = {r["id"]: r for r in run["tool"]["driver"]["rules"]}
-        assert "UD101" in rule_index and "D001" in rule_index
-        assert rule_index["UD103"]["defaultConfiguration"]["level"] \
-            == "warning"
-        result = run["results"][0]
-        assert result["ruleId"] == "D001"
-        assert result["level"] == "error"
-        location = result["locations"][0]["physicalLocation"]
-        assert location["region"]["startLine"] == 2
-
-    def test_cli_sarif_output(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text("import time\nt = time.time()\n")
-        out = tmp_path / "report.sarif"
-        code = main(["lint", str(bad), "--sarif", str(out)])
-        assert code == 1
-        payload = json.loads(out.read_text())
-        assert payload["runs"][0]["results"][0]["ruleId"] == "D002"
-
-    def test_cli_format_sarif(self, tmp_path, capsys):
-        good = tmp_path / "good.py"
-        good.write_text("X = 1\n")
-        assert main(["lint", str(good), "--format", "sarif"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == "2.1.0"
-
-
-def _violation_key(violation):
-    return (violation.path, violation.line, violation.col,
-            violation.rule_id, violation.message, violation.context)
-
-
-class TestIncrementalCache:
-    def _tree(self, tmp_path, files):
-        root = tmp_path / "proj"
-        root.mkdir(exist_ok=True)
-        for name, text in files.items():
-            (root / name).write_text(text)
-        return root
-
-    def test_warm_run_identical_and_cached(self, tmp_path):
-        root = self._tree(tmp_path, {
-            "a.py": "import time\nt = time.time()\n",
-            "b.py": "def total_ms(elapsed_seconds: float) -> float:\n"
-                    "    return elapsed_seconds\n",
-        })
-        cache = tmp_path / "cache.json"
-        cold = lint_paths([str(root)], cache_path=str(cache))
-        warm = lint_paths([str(root)], cache_path=str(cache))
-        assert cold.cache_misses == 2 and cold.cache_hits == 0
-        assert warm.cache_hits == 2 and warm.cache_misses == 0
-        assert [_violation_key(v) for v in cold.violations] \
-            == [_violation_key(v) for v in warm.violations]
-        assert len(cold.violations) == 2  # D002 + UD102
-
-    def test_edit_invalidates_only_that_file(self, tmp_path):
-        root = self._tree(tmp_path, {"a.py": "X = 1\n", "b.py": "Y = 2\n"})
-        cache = tmp_path / "cache.json"
-        lint_paths([str(root)], cache_path=str(cache))
-        (root / "a.py").write_text("import time\nt = time.time()\n")
-        report = lint_paths([str(root)], cache_path=str(cache))
-        assert report.cache_hits == 1 and report.cache_misses == 1
-        assert [v.rule_id for v in report.violations] == ["D002"]
-
-    def test_corrupt_cache_degrades_to_cold_run(self, tmp_path):
-        root = self._tree(tmp_path, {"a.py": "X = 1\n"})
-        cache = tmp_path / "cache.json"
-        cache.write_text("{not json")
-        report = lint_paths([str(root)], cache_path=str(cache))
-        assert report.ok and report.cache_misses == 1
-
-    def test_cache_is_select_independent(self, tmp_path):
-        # A run with --select must not poison the cache for a full run.
-        root = self._tree(tmp_path, {
-            "a.py": "import time\nt = time.time()\n"
-                    "def total_ms(elapsed_seconds: float) -> float:\n"
-                    "    return elapsed_seconds\n"})
-        cache = tmp_path / "cache.json"
-        narrow = lint_paths([str(root)], select=["D002"],
-                            cache_path=str(cache))
-        assert [v.rule_id for v in narrow.violations] == ["D002"]
-        full = lint_paths([str(root)], cache_path=str(cache))
-        assert full.cache_hits == 1
-        assert sorted(v.rule_id for v in full.violations) \
-            == ["D002", "UD102"]
-
-    def test_config_hash_invalidation(self, tmp_path):
-        root = self._tree(tmp_path, {"a.py": "X = 1\n"})
-        cache_file = tmp_path / "cache.json"
-        lint_paths([str(root)], cache_path=str(cache_file))
-        payload = json.loads(cache_file.read_text())
-        assert payload["config"] == config_hash()
-        payload["config"] = "stale"
-        cache_file.write_text(json.dumps(payload))
-        report = lint_paths([str(root)], cache_path=str(cache_file))
-        assert report.cache_misses == 1  # stale config = cold run
-
-    def test_parallel_jobs_identical_findings(self, tmp_path):
-        root = self._tree(tmp_path, {
-            "a.py": "import time\nt = time.time()\n",
-            "b.py": "def total_ms(elapsed_seconds: float) -> float:\n"
-                    "    return elapsed_seconds\n",
-            "c.py": "X = 1\n",
-        })
-        serial = lint_paths([str(root)])
-        parallel = lint_paths([str(root)], jobs=2)
-        assert [_violation_key(v) for v in serial.violations] \
-            == [_violation_key(v) for v in parallel.violations]
-
-    def test_timing_line_present(self, tmp_path):
-        root = self._tree(tmp_path, {"a.py": "X = 1\n"})
-        report = lint_paths([str(root)])
-        assert report.elapsed_seconds > 0.0
-        assert "analysis time:" in report.render_text()
-
-    def test_report_jsonable_round_trip(self, tmp_path):
-        from repro.lint import LintReport
-
-        root = self._tree(tmp_path, {
-            "a.py": "import time\nt = time.time()\n"})
-        cache = tmp_path / "cache.json"
-        report = lint_paths([str(root)], cache_path=str(cache))
-        clone = LintReport.from_jsonable(
-            json.loads(json.dumps(report.to_jsonable())))
-        assert clone.files_checked == report.files_checked
-        assert clone.elapsed_seconds == report.elapsed_seconds
-        assert clone.cache_hits == report.cache_hits
-        assert clone.cache_misses == report.cache_misses
-        assert [_violation_key(v) for v in clone.violations] \
-            == [_violation_key(v) for v in report.violations]
-
-
-#: Statement templates for the hypothesis property: a mix of clean and
-#: violating module bodies exercising file *and* project rules.
-_SNIPPETS = [
-    "X = 1\n",
-    "import time\nt = time.time()\n",
-    "import numpy as np\nrng = np.random.default_rng()\n",
-    "import numpy as np\nrng = np.random.default_rng(7)\n",
-    "def total_ms(elapsed_seconds: float) -> float:\n"
-    "    return elapsed_seconds\n",
-    "from repro.units import to_ms\n"
-    "def span_ms(elapsed_seconds: float) -> float:\n"
-    "    return to_ms(elapsed_seconds)\n",
-    "def f(values: list) -> float:\n"
-    "    total = 0.0\n"
-    "    for v in set(values):\n"
-    "        total += v * 2.0\n"
-    "    return total\n",
-    "from dataclasses import dataclass\n"
-    "@dataclass\n"
-    "class Thing:\n"
-    "    a: float = 0.0\n"
-    "    b: float = 0.0\n"
-    "    def to_jsonable(self) -> dict:\n"
-    "        return {'a': self.a}\n"
-    "    @classmethod\n"
-    "    def from_jsonable(cls, d: dict) -> 'Thing':\n"
-    "        return cls(a=d['a'])\n",
-]
-
-
-class TestIncrementalProperty:
-    @settings(max_examples=12, deadline=None)
-    @given(st.lists(st.sampled_from(range(len(_SNIPPETS))),
-                    min_size=1, max_size=4),
-           st.lists(st.sampled_from(range(len(_SNIPPETS))),
-                    min_size=0, max_size=4))
-    def test_incremental_equals_cold(self, tmp_path_factory,
-                                     first, second):
-        """Cold run == warm run == warm run after edits, always."""
-        tmp_path = tmp_path_factory.mktemp("lintprop")
-        root = tmp_path / "proj"
-        root.mkdir()
-        for index, pick in enumerate(first):
-            (root / f"m{index}.py").write_text(_SNIPPETS[pick])
-        cache = tmp_path / "cache.json"
-
-        cold = lint_paths([str(root)])
-        warm_first = lint_paths([str(root)], cache_path=str(cache))
-        warm_again = lint_paths([str(root)], cache_path=str(cache))
-        expected = [_violation_key(v) for v in cold.violations]
-        assert [_violation_key(v) for v in warm_first.violations] \
-            == expected
-        assert [_violation_key(v) for v in warm_again.violations] \
-            == expected
-        assert warm_again.cache_hits == len(first)
-
-        # Mutate some files, then demand the warm run still matches a
-        # from-scratch run exactly.
-        for index, pick in enumerate(second):
-            (root / f"m{index}.py").write_text(_SNIPPETS[pick])
-        cold_after = lint_paths([str(root)])
-        warm_after = lint_paths([str(root)], cache_path=str(cache))
-        assert [_violation_key(v) for v in warm_after.violations] \
-            == [_violation_key(v) for v in cold_after.violations]
-
-
-# --------------------------------------------------------------------------
-# Baseline migration for the new rule ids
-# --------------------------------------------------------------------------
-
-
-class TestBaselineMigration:
-    def test_baseline_absorbs_project_findings(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text("def total_ms(elapsed_seconds: float) -> float:\n"
-                       "    return elapsed_seconds\n")
-        first = lint_paths([str(bad)])
-        assert [v.rule_id for v in first.violations] == ["UD102"]
-        baseline = Baseline.from_violations(first.violations)
-        again = lint_paths([str(bad)], baseline=baseline)
-        assert again.ok and again.baselined == 1
-
-    def test_baseline_round_trip_with_new_ids(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text("import time\n"
-                       "def total_ms(elapsed_seconds: float) -> float:\n"
-                       "    t = time.time()\n"
-                       "    return elapsed_seconds + t\n")
-        report = lint_paths([str(bad)])
-        ids = sorted(v.rule_id for v in report.violations)
-        assert "UD102" in ids and "D002" in ids
-        path = tmp_path / "baseline.json"
-        write_baseline(Baseline.from_violations(report.violations),
-                       str(path))
-        reloaded = load_baseline(str(path))
-        assert lint_paths([str(bad)], baseline=reloaded).ok
-
-    def test_baseline_dies_with_the_code(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text("def total_ms(elapsed_seconds: float) -> float:\n"
-                       "    return elapsed_seconds\n")
-        baseline = Baseline.from_violations(
-            lint_paths([str(bad)]).violations)
-        bad.write_text("from repro.units import to_ms\n"
-                       "def total_ms(elapsed_seconds: float) -> float:\n"
-                       "    return to_ms(elapsed_seconds)\n")
-        report = lint_paths([str(bad)], baseline=baseline)
-        assert report.ok and report.baselined == 0  # nothing to absorb
-
-    def test_fingerprints_of_new_rules_are_stable(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text("def total_ms(elapsed_seconds: float) -> float:\n"
-                       "    return elapsed_seconds\n")
-        violation = lint_paths([str(bad)]).violations[0]
-        path, rule_id, context = violation.fingerprint()
-        assert rule_id == "UD102"
-        assert context == "return elapsed_seconds"
-
 
 class TestAnalyzeFileApi:
     def test_entry_is_json_serializable(self):
@@ -688,17 +395,3 @@ class TestAnalyzeFileApi:
         clone = json.loads(json.dumps(entry))
         assert clone["summary"]["module"] == "repro.fake_module"
         assert clone["violations"][0]["rule"] == "D002"
-
-    def test_fingerprint_is_content_keyed(self):
-        assert file_fingerprint("a = 1\n") != file_fingerprint("a = 2\n")
-        assert file_fingerprint("a = 1\n") == file_fingerprint("a = 1\n")
-
-    def test_cache_round_trip(self, tmp_path):
-        cache = LintCache()
-        cache.put("x.py", "fp", {"violations": [], "suppressed": 0,
-                                 "summary": {}, "suppressions": {}})
-        target = tmp_path / "cache.json"
-        cache.save(str(target))
-        loaded = LintCache.load(str(target))
-        assert loaded.get("x.py", "fp") is not None
-        assert loaded.get("x.py", "other") is None

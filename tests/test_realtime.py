@@ -368,6 +368,14 @@ class TestChaos:
         back = ChaosResult.from_jsonable(result.to_jsonable())
         assert back.to_jsonable() == result.to_jsonable()
 
+    @pytest.mark.parametrize("videos, sessions", [
+        ((), 2),  # fleet titles come from videos: none to draw from
+        (("V1",), -1),  # would report phantom empty fleet rows
+    ])
+    def test_degenerate_campaign_rejected(self, videos, sessions):
+        with pytest.raises(ConfigError):
+            run_chaos(videos=videos, sessions=sessions, n_frames=8)
+
     def test_report_covers_all_cells(self):
         report = self._campaign().report()
         for regime in ("calm", "bursty-loss"):

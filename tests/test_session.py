@@ -11,6 +11,7 @@ from repro.core.session import (
     SessionSimulator,
     simulate_session,
 )
+from repro.errors import ConfigError
 from repro.video import workload
 
 
@@ -135,6 +136,20 @@ class TestSessionEdgeCases:
         assert result.playback_energy == 0.0
         assert result.total_energy == pytest.approx(result.pause_energy)
         assert result.average_power > 0
+
+    @pytest.mark.parametrize("duration", [-1.0, float("nan"),
+                                          float("inf")])
+    def test_bad_pause_duration_rejected(self, duration):
+        # A negative pause would price negative pause energy and lower
+        # the session total.
+        with pytest.raises(ConfigError):
+            simulate_session([Play(workload("V8"), 8), Pause(duration)],
+                             BASELINE, seed=1)
+
+    def test_zero_pause_is_valid(self):
+        result = simulate_session([Pause(0.0)], BASELINE, seed=1)
+        assert result.pause_seconds == 0.0
+        assert result.pause_energy == 0.0
 
     def test_psr_idle_power_ordering(self):
         config = SimulationConfig()
