@@ -95,25 +95,26 @@ class _TrafficLog:
         self._agents.append(agent)
 
     def drain(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                             Dict[str, np.ndarray]]:
+                             Tuple[List[str], np.ndarray]]:
+        """The window's accesses, and ``(names, codes)``: access ``i``
+        came from agent ``names[codes[i]]``, names in first-seen order."""
         if not self._times:
             empty = np.empty(0)
-            return empty, empty.astype(np.int64), empty.astype(bool), {}
+            return (empty, empty.astype(np.int64), empty.astype(bool),
+                    ([], empty.astype(np.uint8)))
         times = np.concatenate(self._times)
         addresses = np.concatenate(self._addresses)
         writes = np.concatenate(self._writes)
-        masks: Dict[str, np.ndarray] = {}
-        cursor = 0
-        for agent, chunk in zip(self._agents, self._times):
-            if agent not in masks:
-                masks[agent] = np.zeros(len(times), dtype=bool)
-            masks[agent][cursor:cursor + len(chunk)] = True
-            cursor += len(chunk)
+        names = list(dict.fromkeys(self._agents))
+        chunk_codes = np.asarray([names.index(agent) for agent in self._agents],
+                                 dtype=np.uint8)
+        codes = np.repeat(chunk_codes,
+                          [len(chunk) for chunk in self._times])
         # Release the chunks, so the replay does not hold the run's
         # traffic twice.
         self._times, self._addresses, self._writes = [], [], []
         self._agents = []
-        return times, addresses, writes, masks
+        return times, addresses, writes, (names, codes)
 
 
 def _resolve_source(
@@ -625,8 +626,8 @@ class _Playback:
 
     def _energy(self, end_time: float) -> EnergyBreakdown:
         """Replay all DRAM traffic, then integrate the energy breakdown."""
-        times, addresses, writes, masks = self.traffic.drain()
-        self.memory.process_window(times, addresses, writes, masks)
+        times, addresses, writes, agents = self.traffic.drain()
+        self.memory.process_window(times, addresses, writes, agents)
         mem_energy = memory_energy(self.dram_cfg, self.memory.stats,
                                    end_time).scaled(
             self.cfg.video.scale_to_native)

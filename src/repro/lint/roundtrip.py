@@ -72,13 +72,19 @@ def _field_names(classdef: ast.ClassDef) -> List[str]:
 
 def _covers_all_fields(method: ast.FunctionDef) -> bool:
     """Does the method use a fields()/asdict()/** idiom that touches
-    every dataclass field without naming them?"""
+    every dataclass field without naming them?
+
+    A fields()-family call covers the class only when it walks ``self``
+    or ``cls``: ``fields(self.read_stats)`` covers a nested object's
+    fields, not this one's.
+    """
     for node in ast.walk(method):
         if isinstance(node, ast.Call):
             name = dotted_name(node.func)
             short = name.split(".")[-1] if name else None
-            if short in ("fields", "asdict", "astuple", "replace",
-                         "vars"):
+            if (short in ("fields", "asdict", "astuple", "replace", "vars")
+                    and node.args and isinstance(node.args[0], ast.Name)
+                    and node.args[0].id in ("self", "cls")):
                 return True
             if any(kw.arg is None for kw in node.keywords):  # **unpack
                 return True

@@ -48,22 +48,24 @@ class AddressMapper:
         banks uniformly.
         """
         addresses = np.asarray(addresses, dtype=np.int64)
-        # One full-length working array shifted in place, and each
-        # field dropped as soon as it is folded in: the replay maps a
-        # whole run's accesses at once.
+        # The fields are powers of two, so the global bank
+        # ``(rank * channels + channel) * banks_per_rank + bank`` is the
+        # bit string rank|channel|bank.  One full-length working array
+        # is shifted in place: the replay maps a whole run at once.
         lines = addresses >> self._line_bits
         global_bank = lines & (self.config.channels - 1)  # the channel
+        global_bank <<= self._bank_bits
         # Column bits do not change the bank.
         lines >>= self._channel_bits + self._column_bits
-        bank = lines & (self.config.banks_per_rank - 1)
+        field = lines & (self.config.banks_per_rank - 1)
+        global_bank |= field
         lines >>= self._bank_bits
-        rank = lines & (self.config.ranks_per_channel - 1)
-        lines >>= self._rank_bits  # now the row
-        rank *= self.config.channels
-        global_bank += rank
-        del rank
-        global_bank *= self.config.banks_per_rank
-        global_bank += bank
+        if self._rank_bits:
+            np.bitwise_and(lines, self.config.ranks_per_channel - 1,
+                           out=field)
+            field <<= self._channel_bits + self._bank_bits
+            global_bank |= field
+            lines >>= self._rank_bits  # now the row
         return global_bank, lines
 
     def map_line(self, address: int) -> Tuple[int, int]:

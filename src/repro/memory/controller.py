@@ -6,8 +6,9 @@ plays them against the per-bank open-row-with-timeout model to count
 activations and bursts.  Bank state persists across calls, so the
 pipeline can feed one window (e.g. one frame interval) at a time.
 
-The whole computation is numpy: accesses are lex-sorted by (bank,
-time); within each bank's run an access hits iff the previous access in
+The whole computation is numpy: accesses are sorted by bank (with
+FR-FCFS batching, then by quantum and row) and time; within each bank's
+run an access hits iff the previous access in
 that bank touched the same row within the timeout.  Only the first
 access of each bank run consults the carried-over bank state — one
 gather and one scatter over SoA per-bank arrays.  Equivalence with the scalar
@@ -17,7 +18,7 @@ gather and one scatter over SoA per-bank arrays.  Equivalence with the scalar
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -81,7 +82,7 @@ class MemoryController:
         times: np.ndarray,
         addresses: np.ndarray,
         is_write: np.ndarray,
-        agents: Dict[str, np.ndarray] | None = None,
+        agents: Optional[Tuple[Sequence[str], np.ndarray]] = None,
     ) -> int:
         """Process one time window of accesses; returns activations added.
 
@@ -89,8 +90,9 @@ class MemoryController:
             times: seconds, one per access (any order).
             addresses: byte addresses, line-aligned not required.
             is_write: boolean per access.
-            agents: optional {agent name -> boolean mask} used only for
-                per-agent burst attribution in the stats.
+            agents: optional ``(names, codes)``: access ``i`` came from
+                agent ``names[codes[i]]`` (uint8 codes).  Used only for
+                per-agent burst and activation attribution in the stats.
         """
         times = np.asarray(times, dtype=np.float64)
         addresses = np.asarray(addresses, dtype=np.int64)
@@ -100,34 +102,9 @@ class MemoryController:
         if len(times) == 0:
             return 0
 
-        banks, rows = self.mapper.map_lines(addresses)
-        if self.config.scheduler_quantum > 0:
-            # FR-FCFS batching: within one scheduling quantum on one
-            # bank, row hits are served together (row-hit-first).  The
-            # three integer keys pack into one int64 when their ranges
-            # allow (they always do at simulator scale), halving the
-            # lexsort passes over the window.
-            quanta = (times / self.config.scheduler_quantum).astype(np.int64)
-            quanta_span = int(quanta.max()) + 1
-            row_span = int(rows.max()) + 1
-            if self.config.total_banks * quanta_span * row_span < (1 << 62):
-                key = banks * quanta_span
-                key += quanta
-                del quanta
-                key *= row_span
-                key += rows
-                order = np.lexsort((times, key))
-                del key
-            else:
-                order = np.lexsort((times, rows, quanta, banks))
-                del quanta
-        else:
-            order = np.lexsort((times, banks))
-        # The window is replayed in bank order.  Each full-length array
-        # is gathered into that order only when it is next needed and
-        # dropped once used, so a long window holds a few at a time.
-        sorted_banks = banks[order]
-        del banks
+        order, sorted_banks, sorted_rows = self._schedule(times, addresses)
+        # The window is replayed in bank order; each full-length array
+        # is dropped once used, so a long window holds a few at a time.
         hits = np.empty(len(order), dtype=bool)  # first: same bank as before
         hits[0] = False
         np.equal(sorted_banks[1:], sorted_banks[:-1], out=hits[1:])
@@ -140,8 +117,6 @@ class MemoryController:
         end_banks = sorted_banks[run_ends]
         del sorted_banks
 
-        sorted_rows = rows[order]
-        del rows
         hits[1:] &= sorted_rows[1:] == sorted_rows[:-1]
         start_rows = sorted_rows[run_starts]
         end_rows = sorted_rows[run_ends]
@@ -161,24 +136,77 @@ class MemoryController:
         self._open_rows[end_banks] = end_rows
         self._last_access[end_banks] = end_times
 
-        activations = int((~hits).sum())
+        activations = len(hits) - int(np.count_nonzero(hits))
         self.stats.activations += activations
-        writes = int(is_write.sum())
+        writes = int(np.count_nonzero(is_write))
         self.stats.write_bursts += writes
         self.stats.read_bursts += len(times) - writes
-        if agents:
+        if agents is not None:
             # Attribute each activation to the agent whose access
-            # triggered it (un-sort the hit mask back to arrival order).
-            acts_in_order = np.empty(len(order), dtype=bool)
-            acts_in_order[order] = ~hits
-            for name, mask in agents.items():
-                mask = np.asarray(mask, dtype=bool)
+            # triggered it: one bincount of (code, hit) pairs counts
+            # every agent's activating (even bin) and hitting accesses.
+            names, codes = agents
+            codes = np.asarray(codes, dtype=np.uint8)
+            tally = np.left_shift(codes[order], 1, dtype=np.uint16)
+            tally |= hits
+            counts = np.bincount(tally, minlength=2 * len(names))
+            for name, (acts, row_hits) in zip(
+                    names, counts.reshape(-1, 2).tolist()):
                 self.stats.by_agent[name] = (
-                    self.stats.by_agent.get(name, 0) + int(mask.sum()))
+                    self.stats.by_agent.get(name, 0) + acts + row_hits)
                 self.stats.acts_by_agent[name] = (
-                    self.stats.acts_by_agent.get(name, 0)
-                    + int(acts_in_order[mask].sum()))
+                    self.stats.acts_by_agent.get(name, 0) + acts)
         return activations
+
+    def _schedule(self, times: np.ndarray, addresses: np.ndarray
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The replay order, and the bank and row of each access in it.
+
+        Accesses are served bank by bank and, with FR-FCFS batching,
+        within one scheduling quantum on one bank the row hits together
+        (row-hit-first): the order sorts by (bank, quantum, row, time),
+        or by (bank, time) without a quantum.  Ties keep arrival order,
+        which decides the access of a tie that activates.
+        """
+        banks, rows = self.mapper.map_lines(addresses)
+        quantum = self.config.scheduler_quantum
+        if quantum <= 0:
+            order = np.lexsort((times, banks))
+            return order, banks[order], rows[order]
+        quanta = np.empty(len(times), dtype=np.int64)
+        np.divide(times, quantum, out=quanta, casting="unsafe")  # truncates
+        row_bits = int(rows.max()).bit_length()
+        quanta_bits = int(quanta.max()).bit_length()
+        bank_bits = (self.config.total_banks - 1).bit_length()
+        rank_bits = len(times).bit_length()
+        if (bank_bits + quanta_bits + row_bits + rank_bits > 62
+                or int(quanta.min()) < 0):
+            order = np.lexsort((times, rows, quanta, banks))
+            return order, banks[order], rows[order]
+        # One int64 sort: (bank, quantum, row) packed above each
+        # access's rank in a stable time sort, so equal keys sort by
+        # time and then by arrival.  The packed key is unique, so any
+        # sort gives this order, and the bank and row decode from it.
+        key = banks
+        key <<= quanta_bits
+        key |= quanta
+        del quanta
+        key <<= row_bits
+        key |= rows
+        del banks, rows
+        by_time = np.argsort(times, kind="stable")
+        packed = key[by_time]
+        del key
+        packed <<= rank_bits
+        packed |= np.arange(len(times))
+        packed.sort()
+        rank = packed & ((1 << rank_bits) - 1)
+        order = by_time[rank]
+        del by_time, rank
+        packed >>= rank_bits
+        sorted_rows = packed & ((1 << row_bits) - 1)
+        packed >>= quanta_bits + row_bits
+        return order, packed, sorted_rows
 
     def reset(self) -> None:
         self.stats = AccessStats()

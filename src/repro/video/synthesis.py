@@ -85,6 +85,11 @@ class VideoProfile:
             raise ConfigError("scene_len must be >= 1")
         if self.common_pool < 1 or self.flat_palette < 1:
             raise ConfigError("pools must be non-empty")
+        for name in ("f_flat", "p_offset", "p_update"):
+            if not 0.0 <= getattr(self, name) <= 1.0:  # NaN fails too
+                raise ConfigError(f"{name} must be in [0, 1]")
+        if not math.isfinite(self.zipf_s):
+            raise ConfigError("zipf_s must be finite")
 
     @property
     def f_noise(self) -> float:
@@ -192,8 +197,39 @@ class FrameList(List[DecodedFrame]):
         self.key = key
 
 
+def _texture_cdf(profile: VideoProfile) -> np.ndarray:
+    """Cumulative common-texture popularity, as ``Generator.choice``
+    builds it, so a search of it reproduces ``choice``'s draws.
+
+    Texture 0 (flat) gets probability ``f_flat``; the remaining textures
+    follow a Zipf popularity (a few hot textures and a long tail, like
+    real scene content — this is what gives the MACH realistic capacity
+    pressure and the Fig. 9b top-digest concentration).
+    """
+    ranks = np.arange(1, profile.common_pool, dtype=np.float64)
+    tail = ranks ** (-profile.zipf_s) if len(ranks) else ranks
+    weights = np.empty(profile.common_pool)
+    weights[0] = profile.f_flat
+    if len(tail):
+        weights[1:] = (1.0 - profile.f_flat) * tail / tail.sum()
+    total = weights.sum()
+    if not (np.isfinite(weights).all() and total > 0):
+        raise ConfigError("zipf_s and f_flat leave the common-texture "
+                          "popularity undefined")
+    weights /= total
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 class _SceneState:
-    """Mutable per-scene block assignment and content pools."""
+    """Per-scene block assignment and content pools, and the frame.
+
+    A common or unique row is rendered into the frame when it is
+    re-rolled and stays until its next re-roll; noise rows are drawn at
+    every render.  Every random draw (order, size, dtype) is that of a
+    render that redraws every row from stored choices.
+    """
 
     def __init__(self, rng: np.random.Generator, profile: VideoProfile,
                  n_blocks: int, block_bytes: int) -> None:
@@ -201,19 +237,14 @@ class _SceneState:
         self._profile = profile
         self._n = n_blocks
         self._k = block_bytes
-        # Filled by new_scene():
-        self._classes = np.zeros(n_blocks, dtype=np.int8)
-        self._texture_idx = np.zeros(n_blocks, dtype=np.int64)
-        self._bases = np.zeros((n_blocks, 3), dtype=np.uint8)
+        self._texture_cdf = _texture_cdf(profile)
+        # Filled by new_scene(): the pools, and each class's rows.
         self._common_textures = np.zeros((1, block_bytes), dtype=np.uint8)
         self._canonical_bases = np.zeros((1, 3), dtype=np.uint8)
         self._flat_colors = np.zeros((1, 3), dtype=np.uint8)
-        self._unique_textures = np.zeros((n_blocks, block_bytes),
-                                         dtype=np.uint8)
-        # The last rendered frame, and the rows re-rolled since: render()
-        # redraws only those (and the noise rows).
+        self._common_rows = self._unique_rows = self._noise_rows = (
+            np.zeros(0, dtype=np.int64))
         self._frame = np.zeros((n_blocks, block_bytes), dtype=np.uint8)
-        self._dirty = np.ones(n_blocks, dtype=bool)
 
     # -- scene lifecycle -------------------------------------------------
 
@@ -230,41 +261,34 @@ class _SceneState:
             0, 256, size=(pool, 3), dtype=np.uint8)
         self._flat_colors = rng.integers(
             0, 256, size=(prof.flat_palette, 3), dtype=np.uint8)
-        self._unique_textures = _smooth_textures(rng, n, k, step=11)
-        self._classes = rng.choice(
+        # The unique rows' smooth textures: drawn, but never shown, since
+        # the re-roll below gives every unique row fresh uniform bytes.
+        rng.integers(-11, 12, size=(n, k), dtype=np.int16)
+        classes = rng.choice(
             np.array([_COMMON, _UNIQUE, _NOISE], dtype=np.int8),
             size=n,
             p=[prof.f_common, prof.f_unique, prof.f_noise],
         )
-        self._reroll(np.ones(n, dtype=bool))  # marks every row dirty
+        self._common_rows = np.flatnonzero(classes == _COMMON)
+        self._unique_rows = np.flatnonzero(classes == _UNIQUE)
+        self._noise_rows = np.flatnonzero(classes == _NOISE)
+        self._reroll(self._common_rows, self._unique_rows)
 
     def churn(self) -> None:
         """Re-roll a ``p_update`` fraction of non-noise blocks."""
         update = self._rng.random(self._n) < self._profile.p_update
-        self._reroll(update)
+        self._reroll(self._common_rows[update[self._common_rows]],
+                     self._unique_rows[update[self._unique_rows]])
 
-    def _reroll(self, mask: np.ndarray) -> None:
-        """Assign fresh (texture, base) choices for the masked blocks."""
-        rng, prof = self._rng, self._profile
-        self._dirty |= mask
-        common = mask & (self._classes == _COMMON)
-        n_common = int(common.sum())
+    def _reroll(self, common: np.ndarray, unique: np.ndarray) -> None:
+        """Fresh (texture, base) choices for the ``common`` rows and
+        fresh content for the ``unique`` rows, rendered into the frame."""
+        rng, prof, k = self._rng, self._profile, self._k
+        n_common = len(common)
         if n_common:
-            # Texture 0 (flat) gets probability f_flat; the remaining
-            # textures follow a Zipf popularity (a few hot textures and
-            # a long tail, like real scene content — this is what gives
-            # the MACH realistic capacity pressure and the Fig. 9b
-            # top-digest concentration).
-            ranks = np.arange(1, prof.common_pool, dtype=np.float64)
-            tail = ranks ** (-prof.zipf_s) if len(ranks) else ranks
-            weights = np.empty(prof.common_pool)
-            weights[0] = prof.f_flat
-            if len(tail):
-                weights[1:] = (1.0 - prof.f_flat) * tail / tail.sum()
-            weights /= weights.sum()
-            choice = rng.choice(prof.common_pool, size=n_common, p=weights)
-            self._texture_idx[common] = choice
-            bases = self._canonical_bases[choice].copy()
+            choice = self._texture_cdf.searchsorted(rng.random(n_common),
+                                                    side="right")
+            bases = self._canonical_bases[choice]
             offset = rng.random(n_common) < prof.p_offset
             bases[offset] = rng.integers(
                 0, 256, size=(int(offset.sum()), 3), dtype=np.uint8)
@@ -273,38 +297,20 @@ class _SceneState:
             if n_flat:
                 palette = rng.integers(0, prof.flat_palette, size=n_flat)
                 bases[flat] = self._flat_colors[palette]
-            self._bases[common] = bases
-        unique = mask & (self._classes == _UNIQUE)
-        n_unique = int(unique.sum())
-        if n_unique:
+            textures = self._common_textures[choice].reshape(n_common, -1, 3)
+            textures += bases[:, None, :]  # uint8 wraparound by design
+            self._frame[common] = textures.reshape(n_common, k)
+        if len(unique):
             # A re-rolled unique block gets brand-new persistent content.
-            self._unique_textures[unique] = rng.integers(
-                0, 256, size=(n_unique, self._k), dtype=np.uint8)
+            self._frame[unique] = rng.integers(
+                0, 256, size=(len(unique), k), dtype=np.uint8)
 
     # -- rendering ---------------------------------------------------------
 
     def render(self) -> np.ndarray:
-        """Materialize the current frame's block matrix as a new array.
-
-        A common or unique row changes only when it is re-rolled, so
-        only the rows marked dirty since the last render are redrawn.
-        Noise rows are drawn every frame, exactly as a full render draws
-        them, so the RNG call sequence is that of a full render.
-        """
-        rng, k = self._rng, self._k
-        blocks = self._frame
-        common = self._dirty & (self._classes == _COMMON)
-        if common.any():
-            textures = self._common_textures[self._texture_idx[common]]
-            bases = np.tile(self._bases[common], (1, k // 3))
-            blocks[common] = textures + bases  # uint8 wraparound by design
-        unique = self._dirty & (self._classes == _UNIQUE)
-        if unique.any():
-            blocks[unique] = self._unique_textures[unique]
-        noise = self._classes == _NOISE
-        n_noise = int(noise.sum())
-        if n_noise:
-            blocks[noise] = rng.integers(
-                0, 256, size=(n_noise, k), dtype=np.uint8)
-        self._dirty[:] = False
-        return blocks.copy()  # the caller may mutate it
+        """Draw the noise rows and return the frame as a new array."""
+        noise = self._noise_rows
+        if len(noise):
+            self._frame[noise] = self._rng.integers(
+                0, 256, size=(len(noise), self._k), dtype=np.uint8)
+        return self._frame.copy()  # the caller may mutate it

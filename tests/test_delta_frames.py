@@ -2,9 +2,10 @@
 
 The write engine carries each block's digest, CRC16 aux and DCC size
 over from the previous frame unless the block's bytes changed, and the
-synthesizer re-renders only the rows re-rolled since its last frame.
-Both must be exact, so the oracles here recompute everything from
-scratch: the features on every frame, the every-row render, and whole
+synthesizer renders a row only when it re-rolls it.  Both must be
+exact, so the oracles here recompute everything from scratch: the
+features on every frame, the every-row render of the synthesiser's
+former scene state (``tests/synthesis_oracle.py``), and whole
 ``RunResult`` payloads with change detection forced to "every row".
 """
 
@@ -37,15 +38,11 @@ from repro.core.gradient import to_gradient
 from repro.core.writeback import WritebackEngine
 from repro.hashing.crc import crc_pair_blocks
 from repro.hashing.digest import get_scheme
-from repro.video.synthesis import (
-    _COMMON,
-    _NOISE,
-    _UNIQUE,
-    SyntheticVideo,
-    _SceneState,
-)
+from repro.video.synthesis import SyntheticVideo
 from repro.video.trace import FrameTrace
-from repro.video.workloads import workload
+from repro.video.workloads import workload, workload_keys
+
+from .synthesis_oracle import oracle_synthesis
 
 _VIDEO = VideoConfig(width=64, height=32)
 _MAB_DCC = dataclasses.replace(MAB, name="MAB+DCC", dcc=True)
@@ -156,41 +153,38 @@ def test_cached_features_equal_fresh(scheme, digest_scheme, n, block_size,
                 assert np.array_equal(g, w), (index, name)
 
 
-# -- synthesis: incremental vs full render --------------------------------------
+# -- synthesis: render-on-reroll vs the oracle ----------------------------------
 
-def full_render(state):
-    """The every-row render the incremental one replaced: the oracle."""
-    rng, n, k = state._rng, state._n, state._k
-    blocks = np.empty((n, k), dtype=np.uint8)
-    common = state._classes == _COMMON
-    if common.any():
-        textures = state._common_textures[state._texture_idx[common]]
-        bases = np.tile(state._bases[common], (1, k // 3))
-        blocks[common] = textures + bases
-    unique = state._classes == _UNIQUE
-    if unique.any():
-        blocks[unique] = state._unique_textures[unique]
-    noise = state._classes == _NOISE
-    n_noise = int(noise.sum())
-    if n_noise:
-        blocks[noise] = rng.integers(0, 256, size=(n_noise, k),
-                                     dtype=np.uint8)
-    return blocks
+def _frames_of(profile, seed, n_frames, video=_VIDEO):
+    return [(frame.blocks, frame.complexity, frame.encoded_bits,
+             frame.frame_type)
+            for frame in SyntheticVideo(video, profile, seed=seed,
+                                        n_frames=n_frames)]
 
 
-@pytest.mark.parametrize("key", ["V1", "V3", "V8"])
-@pytest.mark.parametrize("seed", [0, 7])
-def test_incremental_render_equals_full_render(monkeypatch, key, seed):
+def _assert_same_frames(got, want):
+    assert len(got) == len(want)
+    for index, (g, w) in enumerate(zip(got, want)):
+        assert np.array_equal(g[0], w[0]), index
+        assert g[1:] == w[1:], index
+
+
+@pytest.mark.parametrize("key", workload_keys())
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_incremental_render_equals_full_render(key, seed):
     # Scene cuts at frames 10 and 20, besides the first frame.
     profile = dataclasses.replace(workload(key), scene_len=10)
-    incremental = list(SyntheticVideo(_VIDEO, profile, seed=seed,
-                                      n_frames=25))
-    monkeypatch.setattr(_SceneState, "render", full_render)
-    full = list(SyntheticVideo(_VIDEO, profile, seed=seed, n_frames=25))
-    assert len(incremental) == len(full) == 25
-    for got, want in zip(incremental, full):
-        assert np.array_equal(got.blocks, want.blocks), got.index
-        assert got.complexity == want.complexity, got.index
+    got = _frames_of(profile, seed, 25)
+    for full_render in (False, True):
+        with oracle_synthesis(full_render):
+            _assert_same_frames(got, _frames_of(profile, seed, 25))
+
+
+def test_default_geometry_equals_oracle():
+    got = _frames_of(workload("V8"), 7, 100, VideoConfig())
+    with oracle_synthesis():
+        want = _frames_of(workload("V8"), 7, 100, VideoConfig())
+    _assert_same_frames(got, want)
 
 
 def test_mutating_a_yielded_frame_leaves_later_frames_alone():
@@ -236,14 +230,8 @@ def test_delta_frames_are_inert(monkeypatch, scalar_write_path, name):
         monkeypatch.setattr(
             writeback, "_changed_rows",
             lambda current, previous: np.ones(len(current), dtype=bool))
-        render = _SceneState.render
-
-        def render_every_row(state):
-            state._dirty[:] = True
-            return render(state)
-
-        monkeypatch.setattr(_SceneState, "render", render_every_row)
-        assert _run_json(name) == delta
+        with oracle_synthesis(full_render=True):
+            assert _run_json(name) == delta
 
 
 def _count_rows(monkeypatch, name):

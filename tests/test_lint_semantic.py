@@ -332,6 +332,60 @@ class TestRoundTripCompleteness:
                   " for f in fields(cls)})\n")
         assert rule_ids(source) == []
 
+    def test_fields_of_a_nested_object_does_not_cover_the_class(self):
+        # fields(self.stats) walks the nested object, not Thing: a
+        # field Thing never serializes must still fire.
+        source = ("from dataclasses import dataclass, fields\n"
+                  "@dataclass\n"
+                  "class Thing:\n"
+                  "    a: float = 0.0\n"
+                  "    b: float = 0.0\n"
+                  "    stats: object = None\n"
+                  "    def to_jsonable(self) -> dict:\n"
+                  "        out = {'a': self.a}\n"
+                  "        out['stats'] = {f.name: getattr(self.stats, f.name)"
+                  " for f in fields(self.stats)}\n"
+                  "        return out\n"
+                  "    @classmethod\n"
+                  "    def from_jsonable(cls, d: dict) -> 'Thing':\n"
+                  "        return cls(a=d['a'], b=d.get('b', 0.0),"
+                  " stats=d['stats'])\n")
+        assert hits(source, "RT301") == 1
+
+    def test_asdict_of_another_object_does_not_cover_the_class(self):
+        source = ("from dataclasses import dataclass, asdict\n"
+                  "@dataclass\n"
+                  "class Thing:\n"
+                  "    a: float = 0.0\n"
+                  "    b: float = 0.0\n"
+                  "    def to_jsonable(self) -> dict:\n"
+                  "        return {'a': self.a, 'b': self.b}\n"
+                  "    @classmethod\n"
+                  "    def from_jsonable(cls, d: dict) -> 'Thing':\n"
+                  "        other = cls(a=d['a'])\n"
+                  "        return cls(**asdict(other))\n")
+        # The ** unpack still marks from_jsonable opaque; asdict(other)
+        # alone would not.
+        assert hits(source, "RT302") == 0
+        source = source.replace("cls(**asdict(other))", "asdict(other)")
+        assert hits(source, "RT302") == 1
+
+    def test_self_and_cls_idioms_cover_the_class(self):
+        source = ("from dataclasses import dataclass, asdict, fields\n"
+                  "@dataclass\n"
+                  "class Thing:\n"
+                  "    a: float = 0.0\n"
+                  "    b: float = 0.0\n"
+                  "    def to_jsonable(self) -> dict:\n"
+                  "        return asdict(self)\n"
+                  "    @classmethod\n"
+                  "    def from_jsonable(cls, d: dict) -> 'Thing':\n"
+                  "        thing = cls()\n"
+                  "        for f in fields(cls):\n"
+                  "            setattr(thing, f.name, d[f.name])\n"
+                  "        return thing\n")
+        assert rule_ids(source) == []
+
     def test_stale_key_read_fires(self):
         source = ("from dataclasses import dataclass\n"
                   "@dataclass\n"

@@ -69,6 +69,24 @@ class TestAddressMapper:
             bank, row = mapper.map_line(int(addresses[i]))
             assert (bank, row) == (int(banks[i]), int(rows[i]))
 
+    @pytest.mark.parametrize("channels, ranks, banks",
+                             [(2, 1, 4), (2, 2, 8), (4, 4, 2), (1, 2, 1)])
+    def test_fields_fold_into_global_bank(self, rng, channels, ranks, banks):
+        config = small_dram(channels=channels, ranks_per_channel=ranks,
+                            banks_per_rank=banks)
+        addresses = rng.integers(0, 1 << 40, size=200)
+        got_banks, got_rows = AddressMapper(config).map_lines(addresses)
+        for address, got_bank, got_row in zip(addresses.tolist(), got_banks,
+                                               got_rows):
+            # RoRaBaCoCh, MSB to LSB, above the line offset.
+            line = address // config.line_bytes
+            channel, line = line % channels, line // channels
+            line //= config.lines_per_row  # the column
+            bank, line = line % banks, line // banks
+            rank, row = line % ranks, line // ranks
+            assert got_bank == (rank * channels + channel) * banks + bank
+            assert got_row == row
+
     def test_bank_ids_in_range(self, rng):
         config = small_dram()
         mapper = AddressMapper(config)
@@ -212,10 +230,64 @@ class TestMemoryController:
         addresses = np.asarray([0, 64, 128])
         writes = np.asarray([True, False, True])
         controller.process_window(times, addresses, writes,
-                                  agents={"vd": writes, "dc": ~writes})
+                                  agents=(["vd", "dc"],
+                                          (~writes).astype(np.uint8)))
         assert controller.stats.write_bursts == 2
         assert controller.stats.read_bursts == 1
         assert controller.stats.by_agent == {"vd": 2, "dc": 1}
+
+    @given(seed=st.integers(0, 2**32 - 1), n_windows=st.integers(1, 4),
+           quantum_on=st.booleans(),
+           origin=st.sampled_from(["zero", "negative", "far"]))
+    @settings(max_examples=60, deadline=None)
+    def test_windows_match_scalar_replay(self, seed, n_windows, quantum_on,
+                                         origin):
+        """Windows with tied timestamps and bank state carried between
+        them replay like the scalar model in (bank, quantum, row, time)
+        order, ties in arrival order, down to which agent activates."""
+        config = small_dram(scheduler_quantum=3e-7 if quantum_on else 0.0)
+        rng = np.random.default_rng(seed)
+        controller = MemoryController(config)
+        reference = RowBufferModel(config)
+        names = ["vd", "dc", "other"]
+        bursts = dict.fromkeys(names, 0)
+        acts = dict.fromkeys(names, 0)
+        # "far" puts rows ~2**47 and quanta ~2**20 out, past what one
+        # packed int64 sort key holds; "negative" starts before t = 0.
+        start = {"zero": 0.0, "negative": -2e-6, "far": 2.0 ** 20 * 3e-7}[
+            origin]
+        base = 1 << 60 if origin == "far" else 0
+        for _ in range(n_windows):
+            n = int(rng.integers(1, 60))
+            # A coarse time grid makes ties; a window spans less than
+            # row_max_open, so rows stay open into the next one.
+            times = start + rng.integers(0, 8, n) * 1e-7
+            addresses = base + rng.integers(0, 1 << 15, n)  # a few rows
+            writes = rng.random(n) < 0.5
+            codes = rng.integers(0, len(names), n, dtype=np.uint8)
+            banks, rows = controller.mapper.map_lines(addresses)
+            if quantum_on:
+                quanta = (times / config.scheduler_quantum).astype(np.int64)
+                order = np.lexsort((times, rows, quanta, banks))
+            else:
+                order = np.lexsort((times, banks))
+            for i in order:
+                bursts[names[codes[i]]] += 1
+                if reference.access(int(banks[i]), int(rows[i]),
+                                    float(times[i])):
+                    acts[names[codes[i]]] += 1
+            controller.process_window(times, addresses, writes,
+                                      (names, codes))
+            start += 8e-7
+        stats = controller.stats
+        assert stats.activations == reference.activations
+        assert stats.bursts == reference.accesses
+        assert stats.by_agent == bursts
+        assert stats.acts_by_agent == acts
+        assert list(stats.acts_by_agent) == names
+        for bank, state in enumerate(reference.banks):
+            assert controller._open_rows[bank] == state.open_row
+            assert controller._last_access[bank] == state.last_access
 
     def test_empty_window(self):
         controller = MemoryController(small_dram())
@@ -257,9 +329,8 @@ class TestReplayMemory:
         times = np.sort(rng.uniform(0.0, 1.0, count))
         addresses = rng.integers(0, 32 << 20, count) // 64 * 64
         writes = rng.random(count) < 0.3
-        agents = {name: rng.integers(0, 4, count) == i
-                  for i, name in enumerate(("vd_write", "vd_read", "dc",
-                                            "other"))}
+        agents = (["vd_write", "vd_read", "dc", "other"],
+                  rng.integers(0, 4, count, dtype=np.uint8))
         controller = MemoryController(dram)
         tracemalloc.start()  # traces only what the replay allocates
         try:

@@ -26,6 +26,13 @@ def ledger() -> Dict[str, Any]:
     return json.loads((_ROOT / "EXPERIMENTS.json").read_text(encoding="utf-8"))
 
 
+@pytest.fixture(scope="module")
+def tiny_ledger() -> Dict[str, Any]:
+    """The ledger of a tiny run set, computed by the current code."""
+    return json.loads(json.dumps(paper_ledger(frames=8,
+                                              videos=("V1", "V8"))))
+
+
 def _shape(value: Any) -> Any:
     """Key structure and leaf types of a JSON value."""
     if isinstance(value, dict):
@@ -53,13 +60,12 @@ def test_markdown_is_rendered_from_the_json(ledger):
     assert render(ledger) == markdown
 
 
-def test_ledger_function_emits_every_checked_key(ledger):
+def test_ledger_function_emits_every_checked_key(ledger, tiny_ledger):
     """A tiny run set has the checked-in ledger's exact key structure
     (less ``float_canary``, which the writing tool adds), so renaming a
     key in ``paper_ledger`` fails here, not only in CI's regenerate
     step."""
-    tiny = json.loads(json.dumps(paper_ledger(frames=8,
-                                              videos=("V1", "V8"))))
+    tiny = tiny_ledger
     assert tiny["videos"] == ["V1", "V8"]
     for name, table in _per_video_tables(tiny).items():
         assert list(table) == ["V1", "V8"], name
@@ -158,6 +164,19 @@ def test_fig05_energy_exchange(ledger):
     assert (fig["v8_act_pre_saved_mj_per_frame"]
             > fig["v8_extra_vd_mj_per_frame"]), (
         "memory savings must outweigh the VD's frequency cost")
+
+
+@pytest.mark.parametrize("key, paper_mj", [
+    ("v8_extra_vd_mj_per_frame", 0.5),
+    ("v8_act_pre_saved_mj_per_frame", 1.0),
+])
+def test_fig05_rows_in_paper_units(ledger, tiny_ledger, key, paper_mj):
+    """Each Fig. 5 row is within 10x of the paper's mJ/frame, so a
+    dropped or doubled unit conversion (1000x) cannot pass.  The tiny
+    ledger is computed here, so a slip in the ledger code fails before
+    the checked-in file is regenerated."""
+    for name, data in (("checked-in", ledger), ("tiny", tiny_ledger)):
+        assert paper_mj / 10 < data["fig05"][key] < paper_mj * 10, name
 
 
 def test_fig06_batch_sweep(ledger):

@@ -34,6 +34,7 @@ from repro.realtime import (
     BottleneckLink,
     ChaosResult,
     DelayLossController,
+    RegimeSLO,
     apply_fec,
     parity_count,
     realtime_playback,
@@ -367,6 +368,37 @@ class TestChaos:
         result = self._campaign()
         back = ChaosResult.from_jsonable(result.to_jsonable())
         assert back.to_jsonable() == result.to_jsonable()
+
+    def test_round_trip_keeps_every_counter(self):
+        # Every counter distinct and non-zero, so a from_jsonable that
+        # forgets one (it would take the default 0) or swaps two fails;
+        # a campaign's own cells leave some counters at 0.
+        slo = RegimeSLO(regime="calm", cohort="fleet", sessions=1,
+                        frames=2, misses=3, skipped=4, frozen=5,
+                        downscaled=6, lost_blocks=7, content_blocks=8)
+        slo.lateness.add_array(np.asarray([1e-3, 2e-2]))
+        slo.recovery_energy.add_array(np.asarray([0.5]))
+        slo.total_energy.add_array(np.asarray([9.0, 11.0]))
+        back = RegimeSLO.from_jsonable(slo.to_jsonable())
+        assert back.to_jsonable() == slo.to_jsonable()
+        for name in ("sessions", "frames", "misses", "skipped", "frozen",
+                     "downscaled", "lost_blocks", "content_blocks"):
+            assert getattr(back, name) == getattr(slo, name), name
+        result = ChaosResult(seed=9, n_jobs=10, regimes=("calm",),
+                             slos={"calm/fleet": slo})
+        again = ChaosResult.from_jsonable(result.to_jsonable())
+        assert (again.seed, again.n_jobs, again.regimes) == (9, 10, ("calm",))
+        assert again.to_jsonable() == result.to_jsonable()
+        assert again.slo("calm", "fleet").downscaled == 6
+
+    def test_default_controller_meets_every_deadline(self):
+        # Pins the realtime controller's default tuning: a unit slip in
+        # one of its thresholds makes every cell miss frames.
+        result = run_chaos(sessions=2, n_frames=120, fleet_frame_cap=120)
+        assert len(result.slos) == 8
+        for key, slo in result.slos.items():
+            assert slo.frames > 0, key
+            assert slo.misses == 0, key
 
     @pytest.mark.parametrize("videos, sessions", [
         ((), 2),  # fleet titles come from videos: none to draw from

@@ -171,6 +171,35 @@ class TestVideoProfile:
             VideoProfile(key="X", name="x", description="x", n_frames=1,
                          f_common=0.8, f_unique=0.3)
 
+    @pytest.mark.parametrize("field, value", [
+        ("f_flat", 1.5), ("f_flat", -0.1), ("f_flat", float("nan")),
+        ("p_offset", 1.7), ("p_offset", float("nan")),
+        ("p_update", -0.2), ("p_update", float("nan")),
+        ("zipf_s", float("inf")), ("zipf_s", float("nan")),
+    ])
+    def test_probability_knobs_validated(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            VideoProfile(key="X", name="x", description="x", n_frames=1,
+                         **{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("f_flat", 0.0), ("f_flat", 1.0), ("p_offset", 0.0),
+        ("p_update", 1.0), ("zipf_s", 0.0),
+    ])
+    def test_probability_knob_bounds_accepted(self, field, value):
+        profile = VideoProfile(key="X", name="x", description="x",
+                               n_frames=1, **{field: value})
+        frames = list(SyntheticVideo(VideoConfig(width=64, height=32),
+                                     profile, n_frames=3))
+        assert len(frames) == 3
+
+    def test_undefined_texture_popularity_rejected(self):
+        # One texture and no flat share: every weight is 0.
+        profile = VideoProfile(key="X", name="x", description="x",
+                               n_frames=1, common_pool=1, f_flat=0.0)
+        with pytest.raises(ConfigError, match="popularity"):
+            list(SyntheticVideo(VideoConfig(width=64, height=32), profile))
+
     def test_f_noise_derived(self):
         profile = VideoProfile(key="X", name="x", description="x",
                                n_frames=1, f_common=0.4, f_unique=0.1)
