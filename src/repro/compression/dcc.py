@@ -26,6 +26,22 @@ _HEADER_BYTES = 1
 _BASE_BYTES = 3
 
 
+def _signed_widths() -> np.ndarray:
+    """Signed bit width of every wrapped byte delta, by its uint8 value.
+
+    Delta ``u`` has magnitude ``min(u, 256 - u)`` on the mod-256 ring;
+    its width is 0 bits for magnitude 0, else ``floor(log2 m) + 2``.
+    For ``u <= 128`` that is also the width of magnitude ``u``.
+    """
+    magnitudes = (min(u, 256 - u) for u in range(256))
+    return np.array([m.bit_length() + 1 if m else 0 for m in magnitudes],
+                    dtype=np.uint8)
+
+
+#: ``_WIDTHS[u]`` is the signed width of the wrapped byte delta ``u``.
+_WIDTHS = _signed_widths()
+
+
 def compressed_sizes(blocks: np.ndarray) -> np.ndarray:
     """Per-block DCC size in bytes for an ``(n, 3p)`` uint8 matrix."""
     blocks = np.asarray(blocks)
@@ -35,18 +51,18 @@ def compressed_sizes(blocks: np.ndarray) -> np.ndarray:
             f"{blocks.dtype}")
     n, k = blocks.shape
     pixels = k // 3
-    bases = np.tile(blocks[:, :3], (1, pixels))
-    # Signed delta on the mod-256 ring, in [-128, 127].
-    deltas = ((blocks.astype(np.int16) - bases.astype(np.int16) + 128) % 256
-              ) - 128
-    max_abs = np.abs(deltas[:, 3:]).max(axis=1) if pixels > 1 else np.zeros(n)
-    # Signed width: 0 bits for all-zero deltas, else floor(log2 m) + 2.
-    bits = np.where(
-        max_abs == 0, 0,
-        np.floor(np.log2(np.maximum(max_abs, 1))).astype(np.int64) + 2)
+    bits = np.zeros(n, dtype=np.int64)
+    if pixels > 1:
+        # Each byte's delta from the base pixel, wrapped by uint8
+        # arithmetic, then its magnitude ``min(u, -u)`` on the ring.
+        # Width grows with magnitude, so the block's width is the
+        # width of its largest magnitude.
+        deltas = blocks[:, 3:] - np.tile(blocks[:, :3], (1, pixels - 1))
+        np.minimum(deltas, -deltas, out=deltas)
+        bits[:] = _WIDTHS[deltas.max(axis=1)]
     payload = ((pixels - 1) * 3 * bits + 7) // 8
     sizes = _HEADER_BYTES + _BASE_BYTES + payload
-    return np.minimum(sizes, k).astype(np.int64)
+    return np.minimum(sizes, k)
 
 
 def dcc_ratio(blocks: np.ndarray) -> float:

@@ -227,8 +227,11 @@ class _Playback:
     ``now`` is the VD's clock and ``next_frame`` the first frame not yet
     decoded; ``last_batch`` is the batch just decoded, which shares the
     next slack.  ``cursor`` is the next vsync the display has not
-    processed; ``completed`` holds each decoded frame's write-path
-    result, and ``skipped`` the frames whose vsync passed undecoded.
+    processed; ``completed`` holds the write-path result of each decoded
+    frame the display may still scan out (those not yet passed, and
+    ``last_shown``), and ``skipped`` the frames whose vsync passed
+    undecoded.  ``write_bytes`` and ``raw_write_bytes`` total every
+    decoded frame's writes, so a result can go once it is scanned out.
     """
 
     def __init__(self, cfg: SimulationConfig, scheme: SchemeConfig,
@@ -279,6 +282,8 @@ class _Playback:
         self.cursor = 0
         self.last_shown: Optional[int] = None
         self.completed: Dict[int, WritebackResult] = {}
+        self.write_bytes = 0
+        self.raw_write_bytes = 0
         self.skipped: Set[int] = set()
         self.prev_blocks: Optional[np.ndarray] = None  # for concealment
         self.concealed = 0
@@ -346,7 +351,9 @@ class _Playback:
 
         A frame decoded by its vsync is scanned out and retired; a late
         or missing one is a drop, and the DC re-scans the last frame it
-        showed.
+        showed.  Once the cursor has passed a frame, only ``last_shown``
+        can be scanned again, so every other passed frame's write result
+        is dropped (a frame decoded after its vsync keeps none).
         """
         while self.cursor < self.count:
             v = self.cursor
@@ -367,6 +374,9 @@ class _Playback:
             if self.last_shown is not None:
                 self._scan_out(self.completed[self.last_shown], vsync)
             self.cursor += 1
+            for passed in [k for k in self.completed
+                           if k < self.cursor and k != self.last_shown]:
+                del self.completed[passed]
 
     def _scan_out(self, frame: WritebackResult, vsync: float) -> None:
         """One refresh's DC reads of ``frame``, at the DC's fixed line
@@ -533,14 +543,19 @@ class _Playback:
             self.rng, start, finish, len(result.write_lines)),
             result.write_lines, is_write=True)
         self.pool.set_footprint(index, result.bytes_written)
-        self.completed[index] = result
+        self.write_bytes += result.bytes_written
+        self.raw_write_bytes += result.layout.raw_bytes
         self.tracker.record_execution(duration, power)
         self.timeline.decode_time[index] = duration
         self.timeline.exec_energy[index] = duration * power
         self.timeline.finish[index] = finish
         self.timeline.deadline[index] = self.governor.deadline(index)
         if index in self.skipped:
-            self.pool.mark_displayed(index)  # stale frame: retire at once
+            # Its vsync has passed, so no scan-out will read it: retire
+            # the slot at once and keep no write result.
+            self.pool.mark_displayed(index)
+        else:
+            self.completed[index] = result
         self.next_frame += 1
         self.now = finish
         self.show_until(finish)
@@ -626,8 +641,9 @@ class _Playback:
 
     def _energy(self, end_time: float) -> EnergyBreakdown:
         """Replay all DRAM traffic, then integrate the energy breakdown."""
-        times, addresses, writes, agents = self.traffic.drain()
-        self.memory.process_window(times, addresses, writes, agents)
+        # The replay owns the drained arrays: it reuses them as its
+        # working buffers, and nothing here reads them again.
+        self.memory.process_window(*self.traffic.drain())
         mem_energy = memory_energy(self.dram_cfg, self.memory.stats,
                                    end_time).scaled(
             self.cfg.video.scale_to_native)
@@ -641,7 +657,6 @@ class _Playback:
         # raw scheme has none.
         mach = self.writeback.stats
         thermal, adaptive = self.thermal, self.adaptive
-        written = self.completed.values()
         return RunResult(
             profile_key=profile_key,
             scheme_name=self.scheme.name,
@@ -654,8 +669,8 @@ class _Playback:
             timeline=self.timeline,
             matches=(FrameMatches(mach.intra, mach.inter, mach.none)
                      if mach else None),
-            write_bytes=sum(r.bytes_written for r in written),
-            raw_write_bytes=sum(r.layout.raw_bytes for r in written),
+            write_bytes=self.write_bytes,
+            raw_write_bytes=self.raw_write_bytes,
             read_stats=self.reader.stats if mach else None,
             mem_stats=self.memory.stats,
             peak_footprint_native_mb=self.pool.peak_footprint

@@ -16,10 +16,9 @@ The positional-table trick: the byte step ``c' = T[(c ^ b) & 0xFF] ^
 is linear over GF(2), so the final register is an XOR of independent
 per-byte contributions: ``crc(b_0..b_{k-1}) = L^k(init) ^ XOR_j
 L^(k-j)(b_j)``.  ``L^(k-j)`` restricted to byte inputs is a 256-entry
-table, built once per block length and cached.  The previous
-column-at-a-time implementation is retained as
-:func:`crc32_blocks_columnwise` / :func:`crc16_blocks_columnwise` — the
-scalar-adjacent reference the equivalence tests compare against.
+table, built once per block length and cached.  The tests check the
+vectorized digests row by row against ``zlib.crc32`` and the scalar
+:func:`crc16`.
 
 CRC-16 (CCITT, used by the paper's CO-MACH collision extension) gets
 the same treatment.
@@ -162,26 +161,6 @@ def crc_pair_blocks(blocks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     blocks = _as_block_matrix(blocks)
     index = _flat_gather_index(blocks) if blocks.shape[1] else None
     return (_crc_blocks(blocks, 32, index), _crc_blocks(blocks, 16, index))
-
-
-def crc32_blocks_columnwise(blocks: np.ndarray) -> np.ndarray:
-    """Column-at-a-time CRC-32 reference (``k`` serial table passes)."""
-    blocks = _as_block_matrix(blocks)
-    crcs = np.full(blocks.shape[0], _CRC32_INIT, dtype=np.uint32)
-    for col in range(blocks.shape[1]):
-        index = (crcs ^ blocks[:, col]) & 0xFF
-        crcs = _CRC32_TABLE[index] ^ (crcs >> np.uint32(8))
-    return crcs ^ np.uint32(0xFFFFFFFF)
-
-
-def crc16_blocks_columnwise(blocks: np.ndarray) -> np.ndarray:
-    """Column-at-a-time CRC-16 reference (``k`` serial table passes)."""
-    blocks = _as_block_matrix(blocks)
-    crcs = np.full(blocks.shape[0], _CRC16_INIT, dtype=np.uint16)
-    for col in range(blocks.shape[1]):
-        index = (crcs ^ blocks[:, col]) & np.uint16(0xFF)
-        crcs = _CRC16_TABLE[index] ^ (crcs >> np.uint16(8))
-    return crcs ^ np.uint16(0xFFFF)
 
 
 def _as_block_matrix(blocks: np.ndarray) -> np.ndarray:

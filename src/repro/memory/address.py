@@ -47,26 +47,38 @@ class AddressMapper:
         integer in ``[0, total_banks)`` so downstream code can treat
         banks uniformly.
         """
-        addresses = np.asarray(addresses, dtype=np.int64)
+        rows = np.array(addresses, dtype=np.int64)
+        return self.map_in_place(rows), rows
+
+    def map_in_place(self, addresses: np.ndarray) -> np.ndarray:
+        """Turn an int64 address array into its rows; return the banks.
+
+        The replay maps a whole run at once, so it lends the addresses
+        as the working array instead of paying for a copy.
+        """
         # The fields are powers of two, so the global bank
         # ``(rank * channels + channel) * banks_per_rank + bank`` is the
-        # bit string rank|channel|bank.  One full-length working array
-        # is shifted in place: the replay maps a whole run at once.
-        lines = addresses >> self._line_bits
+        # bit string rank|channel|bank.  Each field is cut out into a
+        # narrow scratch array; only the bank array is full width.
+        lines = addresses
+        lines >>= self._line_bits
         global_bank = lines & (self.config.channels - 1)  # the channel
         global_bank <<= self._bank_bits
+        field = np.empty(len(lines),
+                         np.min_scalar_type(self.config.total_banks - 1))
         # Column bits do not change the bank.
         lines >>= self._channel_bits + self._column_bits
-        field = lines & (self.config.banks_per_rank - 1)
+        np.bitwise_and(lines, self.config.banks_per_rank - 1, out=field,
+                       casting="unsafe")
         global_bank |= field
         lines >>= self._bank_bits
         if self._rank_bits:
             np.bitwise_and(lines, self.config.ranks_per_channel - 1,
-                           out=field)
+                           out=field, casting="unsafe")
             field <<= self._channel_bits + self._bank_bits
             global_bank |= field
             lines >>= self._rank_bits  # now the row
-        return global_bank, lines
+        return global_bank
 
     def map_line(self, address: int) -> Tuple[int, int]:
         """Scalar convenience wrapper around :meth:`map_lines`."""

@@ -26,6 +26,9 @@ from ..config import DramConfig
 from ..errors import MemoryModelError
 from .address import AddressMapper
 
+#: Accesses per slice of the replay's in-place index gather.
+_GATHER_SLICE = 1 << 16
+
 
 @dataclass
 class AccessStats:
@@ -46,21 +49,6 @@ class AccessStats:
         if not self.bursts:
             return 0.0
         return 1.0 - self.activations / self.bursts
-
-    def merge(self, other: "AccessStats") -> "AccessStats":
-        merged_agents = dict(self.by_agent)
-        for agent, count in other.by_agent.items():
-            merged_agents[agent] = merged_agents.get(agent, 0) + count
-        merged_acts = dict(self.acts_by_agent)
-        for agent, count in other.acts_by_agent.items():
-            merged_acts[agent] = merged_acts.get(agent, 0) + count
-        return AccessStats(
-            activations=self.activations + other.activations,
-            read_bursts=self.read_bursts + other.read_bursts,
-            write_bursts=self.write_bursts + other.write_bursts,
-            by_agent=merged_agents,
-            acts_by_agent=merged_acts,
-        )
 
 
 class MemoryController:
@@ -86,6 +74,12 @@ class MemoryController:
     ) -> int:
         """Process one time window of accesses; returns activations added.
 
+        The replay owns its inputs: ``addresses`` and ``is_write`` are
+        its working buffers when they already are writable int64 and
+        bool arrays, so they hold other values after the call.  A
+        caller that reads one of them afterwards passes a copy.
+        ``times`` and the agent codes are only read.
+
         Args:
             times: seconds, one per access (any order).
             addresses: byte addresses, line-aligned not required.
@@ -95,24 +89,26 @@ class MemoryController:
                 per-agent burst and activation attribution in the stats.
         """
         times = np.asarray(times, dtype=np.float64)
-        addresses = np.asarray(addresses, dtype=np.int64)
-        is_write = np.asarray(is_write, dtype=bool)
+        addresses = np.require(addresses, np.int64, "W")
+        is_write = np.require(is_write, bool, "W")
         if not (len(times) == len(addresses) == len(is_write)):
             raise MemoryModelError("access arrays must have equal length")
         if len(times) == 0:
             return 0
+        writes = int(np.count_nonzero(is_write))
 
         order, sorted_banks, sorted_rows = self._schedule(times, addresses)
         # The window is replayed in bank order; each full-length array
         # is dropped once used, so a long window holds a few at a time.
-        hits = np.empty(len(order), dtype=bool)  # first: same bank as before
-        hits[0] = False
+        hits = is_write  # counted: its buffer holds the hit flags now
+        del is_write
+        hits[0] = False  # first: same bank as before
         np.equal(sorted_banks[1:], sorted_banks[:-1], out=hits[1:])
         # Run boundaries consult the persistent bank state: after the
         # sort each bank is one contiguous run, so the starts gather
         # and the ends scatter touch every bank at most once.
         run_starts = np.flatnonzero(~hits)
-        run_ends = np.append(run_starts[1:] - 1, len(order) - 1)
+        run_ends = np.append(run_starts[1:] - 1, len(hits) - 1)
         start_banks = sorted_banks[run_starts]
         end_banks = sorted_banks[run_ends]
         del sorted_banks
@@ -123,6 +119,10 @@ class MemoryController:
         del sorted_rows
 
         sorted_times = times[order]
+        if agents is not None:
+            names, codes = agents
+            codes = np.asarray(codes, dtype=np.uint8)[order]
+        del order
         hits[1:] &= (sorted_times[1:] - sorted_times[:-1]
                      <= self.config.row_max_open)
         start_times = sorted_times[run_starts]
@@ -138,16 +138,13 @@ class MemoryController:
 
         activations = len(hits) - int(np.count_nonzero(hits))
         self.stats.activations += activations
-        writes = int(np.count_nonzero(is_write))
         self.stats.write_bursts += writes
         self.stats.read_bursts += len(times) - writes
         if agents is not None:
             # Attribute each activation to the agent whose access
             # triggered it: one bincount of (code, hit) pairs counts
             # every agent's activating (even bin) and hitting accesses.
-            names, codes = agents
-            codes = np.asarray(codes, dtype=np.uint8)
-            tally = np.left_shift(codes[order], 1, dtype=np.uint16)
+            tally = np.left_shift(codes, 1, dtype=np.uint16)
             tally |= hits
             counts = np.bincount(tally, minlength=2 * len(names))
             for name, (acts, row_hits) in zip(
@@ -166,9 +163,11 @@ class MemoryController:
         within one scheduling quantum on one bank the row hits together
         (row-hit-first): the order sorts by (bank, quantum, row, time),
         or by (bank, time) without a quantum.  Ties keep arrival order,
-        which decides the access of a tie that activates.
+        which decides the access of a tie that activates.  ``addresses``
+        becomes the rows and then, on the packed path, the sort key.
         """
-        banks, rows = self.mapper.map_lines(addresses)
+        banks = self.mapper.map_in_place(addresses)
+        rows = addresses
         quantum = self.config.scheduler_quantum
         if quantum <= 0:
             order = np.lexsort((times, banks))
@@ -193,22 +192,23 @@ class MemoryController:
         del quanta
         key <<= row_bits
         key |= rows
-        del banks, rows
         by_time = np.argsort(times, kind="stable")
-        packed = key[by_time]
-        del key
+        # Gathered into the rows' buffer, which the key has consumed
+        # (the indices are in range; "clip" writes into ``out``
+        # directly, where the default mode fills a copy first).
+        packed = np.take(key, by_time, out=rows, mode="clip")
+        del banks, key, rows
         packed <<= rank_bits
         packed |= np.arange(len(times))
         packed.sort()
-        rank = packed & ((1 << rank_bits) - 1)
-        order = by_time[rank]
-        del by_time, rank
+        # The order is ``by_time[rank]``, gathered over the rank in
+        # place a slice at a time: no third full-length index array.
+        order = packed & ((1 << rank_bits) - 1)
+        for lo in range(0, len(order), _GATHER_SLICE):
+            rank = order[lo:lo + _GATHER_SLICE]
+            rank[:] = by_time[rank]
+        del by_time
         packed >>= rank_bits
         sorted_rows = packed & ((1 << row_bits) - 1)
         packed >>= quanta_bits + row_bits
         return order, packed, sorted_rows
-
-    def reset(self) -> None:
-        self.stats = AccessStats()
-        self._open_rows.fill(-1)
-        self._last_access.fill(-np.inf)

@@ -11,6 +11,25 @@ from repro.compression import compressed_sizes, dcc_ratio
 from repro.errors import GeometryError
 
 
+def oracle_compressed_sizes(blocks: np.ndarray) -> np.ndarray:
+    """The DCC size model in plain arithmetic: int16 deltas wrapped by
+    ``%``, the signed width from ``log2``/``floor``."""
+    n, k = blocks.shape
+    pixels = k // 3
+    bases = np.tile(blocks[:, :3], (1, pixels))
+    # Signed delta on the mod-256 ring, in [-128, 127].
+    deltas = ((blocks.astype(np.int16) - bases.astype(np.int16) + 128) % 256
+              ) - 128
+    max_abs = np.abs(deltas[:, 3:]).max(axis=1) if pixels > 1 else np.zeros(n)
+    # Signed width: 0 bits for all-zero deltas, else floor(log2 m) + 2.
+    bits = np.where(
+        max_abs == 0, 0,
+        np.floor(np.log2(np.maximum(max_abs, 1))).astype(np.int64) + 2)
+    payload = ((pixels - 1) * 3 * bits + 7) // 8
+    sizes = 1 + 3 + payload
+    return np.minimum(sizes, k).astype(np.int64)
+
+
 class TestCompressedSizes:
     def test_flat_block_compresses_hard(self):
         flat = np.tile(np.asarray([[9, 9, 9]], dtype=np.uint8), (1, 16))
@@ -43,6 +62,29 @@ class TestCompressedSizes:
         sizes = compressed_sizes(blocks)
         assert (sizes <= 48).all()
         assert (sizes >= 4).all()
+
+    @pytest.mark.parametrize("rows", [0, 1, 700])
+    def test_every_delta_and_width_matches_oracle(self, rows):
+        """Blocks 3 to 192 bytes wide, holding every wrapped byte delta
+        (one per block, cycling over the byte positions), size exactly
+        as the plain arithmetic says, with the same dtype."""
+        rng = np.random.default_rng(rows)
+        for width in range(3, 193, 3):
+            blocks = rng.integers(0, 256, (rows, width), dtype=np.uint8)
+            if rows > 256 and width > 3:
+                # Rows 0-255 are flat blocks but for one byte holding
+                # delta ``row`` from its channel's base byte; the rest
+                # stay random.
+                base = np.tile(blocks[:256, :3], (1, width // 3))
+                blocks[:256] = base
+                column = 3 + np.arange(256) % (width - 3)
+                blocks[np.arange(256), column] += np.arange(256).astype(
+                    np.uint8)
+            got = compressed_sizes(blocks)
+            want = oracle_compressed_sizes(blocks)
+            assert got.dtype == want.dtype == np.int64
+            assert got.shape == (rows,)
+            np.testing.assert_array_equal(got, want)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(GeometryError):

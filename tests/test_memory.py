@@ -158,7 +158,7 @@ class TestMemoryController:
         addresses = np.arange(n) * 64
         times = np.arange(n) * 1e-9
         acts = controller.process_window(
-            times, addresses, np.zeros(n, dtype=bool))
+            times, addresses.copy(), np.zeros(n, dtype=bool))
         # A sequential sweep activates each (bank, row) once.
         banks, rows = controller.mapper.map_lines(addresses)
         distinct = len(set(zip(banks.tolist(), rows.tolist())))
@@ -214,7 +214,7 @@ class TestMemoryController:
         times = np.sort(rng.uniform(0, 1e-4, size=n))
         controller = MemoryController(config)
         acts = controller.process_window(
-            times, addresses, np.zeros(n, dtype=bool))
+            times, addresses.copy(), np.zeros(n, dtype=bool))
         reference = RowBufferModel(config)
         mapper = AddressMapper(config)
         order = np.lexsort((times, mapper.map_lines(addresses)[0]))
@@ -289,6 +289,33 @@ class TestMemoryController:
             assert controller._open_rows[bank] == state.open_row
             assert controller._last_access[bank] == state.last_access
 
+    def test_order_gathered_over_many_slices(self, monkeypatch):
+        """The replay order is gathered a slice at a time; slices much
+        shorter than the window replay like the scalar model."""
+        from repro.memory import controller as controller_module
+
+        monkeypatch.setattr(controller_module, "_GATHER_SLICE", 7)
+        config = small_dram(scheduler_quantum=3e-7)
+        rng = np.random.default_rng(3)
+        n = 500
+        times = rng.integers(0, 40, n) * 1e-7
+        addresses = rng.integers(0, 1 << 15, n)
+        codes = rng.integers(0, 2, n, dtype=np.uint8)
+        banks, rows = AddressMapper(config).map_lines(addresses)
+        quanta = (times / config.scheduler_quantum).astype(np.int64)
+        reference = RowBufferModel(config)
+        acts = [0, 0]
+        for i in np.lexsort((times, rows, quanta, banks)):
+            if reference.access(int(banks[i]), int(rows[i]),
+                                float(times[i])):
+                acts[codes[i]] += 1
+        controller = MemoryController(config)
+        assert controller.process_window(
+            times, addresses, np.zeros(n, dtype=bool),
+            (["vd", "dc"], codes)) == reference.activations
+        assert controller.stats.acts_by_agent == {"vd": acts[0],
+                                                  "dc": acts[1]}
+
     def test_empty_window(self):
         controller = MemoryController(small_dram())
         assert controller.process_window(
@@ -340,6 +367,42 @@ class TestReplayMemory:
             tracemalloc.stop()
         assert controller.stats.bursts == count
         assert peak / count < self.PEAK_BYTES_PER_ACCESS
+
+    #: Bytes per access from the first logged access to the end of the
+    #: replay, the log itself included.  A replay that allocates beside
+    #: the drained arrays it is handed peaks at ~50; one that reuses
+    #: them, at ~36.
+    LOG_PEAK_BYTES_PER_ACCESS = 44
+
+    def test_log_drain_and_replay_peak(self):
+        # ~400k accesses logged in 1k-access chunks from four agents,
+        # drained and replayed the way ``simulate`` ends a run.
+        from repro.core.pipeline import _TrafficLog
+
+        scale = SimulationConfig().video.scale_to_native
+        dram = DramConfig()
+        dram = replace(dram, row_max_open=dram.row_max_open * scale,
+                       scheduler_quantum=dram.scheduler_quantum * scale)
+        chunk, chunks = 1000, 400
+        agents = ["vd_write", "vd_read", "dc", "other"]
+        rng = np.random.default_rng(7)
+        controller = MemoryController(dram)
+        tracemalloc.start()
+        try:
+            log = _TrafficLog()
+            for i in range(chunks):
+                start = i / chunks
+                log.add(agents[i % 4],
+                        np.sort(rng.uniform(start, start + 0.05, chunk)),
+                        rng.integers(0, 32 << 20, chunk) // 64 * 64,
+                        is_write=i % 4 == 0)
+            controller.process_window(*log.drain())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert controller.stats.bursts == chunk * chunks
+        assert controller.stats.by_agent == dict.fromkeys(agents, 100_000)
+        assert peak / (chunk * chunks) < self.LOG_PEAK_BYTES_PER_ACCESS
 
 
 class TestMemoryEnergy:

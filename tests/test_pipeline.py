@@ -21,6 +21,7 @@ from repro.config import (
     RACE_TO_SLEEP,
     RACING,
     FaultConfig,
+    NetworkConfig,
     SimulationConfig,
     ThermalConfig,
     VideoConfig,
@@ -255,6 +256,11 @@ class TestFrameListSource:
         assert simulate(trace, scheme, config=_TINY).n_frames == 4
 
 
+#: The same thermal pressure at the default video geometry.
+_PERF_THROTTLED = dataclasses.replace(_THROTTLED,
+                                      video=SimulationConfig().video)
+
+
 class TestBatchEdges:
     """Runs one frame short of, at, and past a 16-frame batch."""
 
@@ -275,3 +281,81 @@ class TestBatchEdges:
         assert sum(result.residency.values()) == pytest.approx(1.0)
         assert np.isfinite(result.energy.total)
         assert result.energy.total > 0
+
+
+class TestRunMemory:
+    """A run holds the write results the display may still scan out,
+    not the whole session's."""
+
+    @staticmethod
+    def _watch(monkeypatch):
+        """Record ``len(completed)`` after every decode and vsync step,
+        the results held that no scan-out can read (a frame the cursor
+        has passed, other than ``last_shown``), each frame's written
+        and raw bytes, and the frames decoded after their vsync."""
+        from repro.core import pipeline
+        from repro.core.writeback import WritebackEngine
+
+        seen = {"live": [], "passed": 0, "written": [], "late": 0}
+        decode = pipeline._Playback.decode
+        show_until = pipeline._Playback.show_until
+        process_frame = WritebackEngine.process_frame
+
+        def held(play):
+            seen["live"].append(len(play.completed))
+            seen["passed"] += sum(k < play.cursor and k != play.last_shown
+                                  for k in play.completed)
+
+        def decoded(self, frame):
+            seen["late"] += frame.index < self.cursor
+            decode(self, frame)
+            held(self)
+
+        def shown(self, upto):
+            show_until(self, upto)
+            held(self)
+
+        def recorded(self, *args):
+            result = process_frame(self, *args)
+            seen["written"].append(
+                (result.bytes_written, result.layout.raw_bytes))
+            return result
+
+        monkeypatch.setattr(pipeline._Playback, "decode", decoded)
+        monkeypatch.setattr(pipeline._Playback, "show_until", shown)
+        monkeypatch.setattr(WritebackEngine, "process_frame", recorded)
+        return seen
+
+    @staticmethod
+    def _check_totals(result, seen):
+        assert seen["passed"] == 0
+        assert result.write_bytes == sum(w for w, _ in seen["written"])
+        assert result.raw_write_bytes == sum(r for _, r in seen["written"])
+
+    @pytest.mark.parametrize("thermal", [False, True],
+                             ids=["cool", "throttled"])
+    @pytest.mark.parametrize("scheme", [BASELINE, RACE_TO_SLEEP, GAB,
+                                        GAB_DCC],
+                             ids=lambda scheme: scheme.name)
+    def test_live_results_stay_within_a_batch(self, monkeypatch, scheme,
+                                              thermal):
+        cfg = _PERF_THROTTLED if thermal else SimulationConfig()
+        seen = self._watch(monkeypatch)
+        result = simulate(workload("V8"), scheme, n_frames=48, config=cfg,
+                          seed=7)
+        assert len(seen["written"]) == 48
+        assert 1 <= max(seen["live"]) <= scheme.batch_size + 1
+        self._check_totals(result, seen)
+
+    @pytest.mark.parametrize("scheme", [BASELINE, GAB],
+                             ids=lambda scheme: scheme.name)
+    def test_dropped_and_late_frames_are_retired(self, monkeypatch, scheme):
+        # A 4-frame pre-roll stalls playback on the network: most frames
+        # arrive, and are decoded, after their vsync has passed.
+        cfg = SimulationConfig(network=NetworkConfig(preroll_frames=4))
+        seen = self._watch(monkeypatch)
+        result = simulate(workload("V3"), scheme, n_frames=60, config=cfg,
+                          seed=7)
+        assert result.drops > 0 and seen["late"] > 0
+        assert max(seen["live"]) <= scheme.batch_size + 1
+        self._check_totals(result, seen)
