@@ -73,11 +73,6 @@ class FrameBufferPool:
         phase = ((slot * 0x9E3779B9) >> 8) % self.PHASE_SLOTS
         return self.region_base + slot * self._stride + phase * self.phase_span
 
-    @property
-    def region_bytes(self) -> int:
-        """Total address space the pool occupies."""
-        return self.slots * self._stride
-
     # -- admission --------------------------------------------------------
 
     def can_admit(self) -> bool:

@@ -1,10 +1,11 @@
 """The supervised executor: leases, retries, speculation, checkpoints.
 
 Every long parallel workload in the repository runs here — the
-(video, scheme) experiment matrix (:func:`repro.runner.run_matrix`) and
+(video, scheme) experiment matrix (:func:`repro.runner.run_matrix`),
 the fleet's stripe phases
-(:func:`repro.fleet.supervision.run_fleet_supervised`) — under one
-protocol:
+(:func:`repro.fleet.supervision.run_fleet_supervised`) and the fleet
+surrogate's per-title calibration
+(:func:`repro.fleet.surrogate.calibrate`) — under one protocol:
 
 * **Tasks and payloads** — a task has a stable ``key`` (``(phase,
   stripe id)`` for a fleet stripe, ``(video, scheme)`` for a matrix
@@ -12,7 +13,11 @@ protocol:
   the executor seals under a sha256 checksum of the canonical JSON of
   key and payload.  A parent-side ``accept(task, payload)`` validates
   and folds it: it returns False for a duplicate and raises on a
-  payload it cannot trust.
+  payload it cannot trust.  An optional parent-side ``prepare(task)``
+  runs before each attempt's fork and its result is what the worker
+  executes: a task's heavy inputs (a calibration title's frames) are
+  built in the parent, reach the worker through fork without
+  pickling, and are dropped by the parent as soon as the worker runs.
 * **Leases with heartbeat deadlines** — every attempt runs in a forked
   worker whose heartbeats renew its lease; a worker that stops
   heartbeating (wedged, stalled, swapped out) is killed and its task
@@ -52,7 +57,7 @@ import pickle
 import threading
 import time
 from dataclasses import dataclass, field
-from multiprocessing.connection import Connection
+from multiprocessing.connection import Connection, wait
 from typing import (
     Any,
     Callable,
@@ -92,7 +97,8 @@ T = TypeVar("T", bound=Task)
 #: without pickling and start in milliseconds.
 _CTX = multiprocessing.get_context("fork")
 
-#: Seconds between two turns of the parent's event loop.
+#: Longest wait of the parent's event loop for a worker message or
+#: exit; lease expiry, backoff and speculation are checked this often.
 _POLL_SECONDS = 0.02
 #: A running attempt is a straggler once it is this many times older
 #: than the median completed task.
@@ -127,6 +133,21 @@ def _now() -> float:
 def _label(key: TaskKey) -> str:
     """``"<key[0]>:<key[1]>"`` — how reports name a task."""
     return f"{key[0]}:{key[1]}"
+
+
+def usable_workers(n_tasks: int) -> int:
+    """Workers for ``n_tasks`` tasks: one per usable CPU, at most one
+    per task.
+
+    Usable CPUs are this process's affinity mask where the platform
+    has one, so a container pinned to fewer CPUs than its host does
+    not oversubscribe them.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_tasks))
 
 
 # -- backoff ---------------------------------------------------------------------
@@ -558,7 +579,8 @@ class _TaskState(Generic[T]):
 class Supervisor(Generic[T]):
     """Runs a list of pure tasks to their outcomes under the protocol.
 
-    Single-threaded event loop in the parent: drain worker pipes,
+    Single-threaded event loop in the parent, woken by a worker's
+    message or exit (or every ``_POLL_SECONDS``): drain worker pipes,
     detect deaths and expired leases, relaunch with seeded backoff,
     speculate on stragglers, and hand unsealed payloads to ``accept``.
 
@@ -574,6 +596,10 @@ class Supervisor(Generic[T]):
         checkpoint: where completed payloads persist; its entries for
             these tasks are accepted instead of run.
         report: the report to extend (several runs may share one).
+        prepare: optional parent side, ``task -> task`` run before each
+            attempt (retries and speculation included, so it must be
+            deterministic); the worker executes its result, inherited
+            through fork.  The parent keeps no reference to it.
     """
 
     def __init__(self, tasks: Sequence[T], execute: Callable[[T], Payload],
@@ -581,9 +607,11 @@ class Supervisor(Generic[T]):
                  config: SupervisorConfig, seed: int = 0,
                  plan: Optional[ShardFaultPlan] = None,
                  checkpoint: Optional[Checkpoint] = None,
-                 report: Optional[SupervisionReport] = None) -> None:
+                 report: Optional[SupervisionReport] = None,
+                 prepare: Optional[Callable[[T], T]] = None) -> None:
         self.execute = execute
         self.accept = accept
+        self.prepare = prepare
         self.config = config
         self.seed = seed
         self.plan = plan
@@ -641,12 +669,16 @@ class Supervisor(Generic[T]):
                 speculative: bool = False) -> None:
         index = state.next_attempt
         state.next_attempt += 1
+        task = (self.prepare(state.task) if self.prepare is not None
+                else state.task)
         recv_conn, send_conn = _CTX.Pipe(duplex=False)
         process = _CTX.Process(
             target=_worker_main,
-            args=(send_conn, self.execute, state.task, state.index, index,
+            args=(send_conn, self.execute, task, state.index, index,
                   self.plan, self.config.heartbeat_seconds),
             daemon=True)
+        # start() drops the process's arguments once forked, so this
+        # frame holds the parent's last reference to the prepared task.
         process.start()
         send_conn.close()
         state.attempts[index] = _Attempt(
@@ -813,8 +845,26 @@ class Supervisor(Generic[T]):
                 self._launch(state, now, speculative=True)
                 slots -= 1
 
+    def _wait(self) -> None:
+        """Sleep until a live worker sends a message or exits, or for
+        ``_POLL_SECONDS`` at most."""
+        ready: List[Any] = []
+        for state in self.states:
+            for attempt in state.attempts.values():
+                ready += (attempt.conn, attempt.process.sentinel)
+        wait(ready, timeout=_POLL_SECONDS)
+
     def run(self) -> Dict[TaskKey, TaskOutcome]:
-        """Drive every task to its outcome, keyed in task order."""
+        """Drive every task to its outcome, keyed in task order.
+
+        Raises:
+            RunnerError: when called inside a worker of this executor,
+                which as a daemonic process cannot fork workers.
+        """
+        if multiprocessing.current_process().daemon:
+            raise RunnerError(
+                "the supervised executor cannot run inside one of its "
+                "own workers (a daemonic process cannot start workers)")
         self._resume()
         try:
             while self.open > 0:
@@ -824,7 +874,7 @@ class Supervisor(Generic[T]):
                     break
                 self._launch_pending(now)
                 self._speculate(now)
-                time.sleep(_POLL_SECONDS)
+                self._wait()
         finally:
             for state in self.states:
                 for index in list(state.attempts):

@@ -21,10 +21,19 @@ The surrogate's error budget, which `repro validate` enforces:
   that a small *overestimate* for long sessions (startup costs are
   amortized once, not per frame).
 
+Calibration runs the titles in parallel on the supervised executor
+(:mod:`repro.executor`), one task per title.  The parent synthesises a
+title's frames just before forking its worker, which inherits them
+without pickling and plays them on every device class; the parent
+drops its copy once the worker runs, so it holds one title's frames at
+a time.  The workers' coefficients come back as sealed JSON, whose
+floats round-trip exactly, so the table is bit-identical to a serial
+loop over the pairs.
+
 Calibration is expensive (it runs the real pipeline), so it caches to
 JSON keyed by the spec fingerprint and, on every load, re-runs one
-probe pair to detect drift between the cached coefficients and the
-current pipeline code.
+probe pair in-process to detect drift between the cached coefficients
+and the current pipeline code.
 """
 
 from __future__ import annotations
@@ -32,13 +41,14 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..config import SimulationConfig
 from ..errors import FleetError
+from ..executor import Payload, Supervisor, SupervisorConfig, usable_workers
 from ..video import SyntheticVideo, workload
 from ..video.synthesis import FrameList
 from .population import PopulationSpec
@@ -210,27 +220,77 @@ def _calibrate_pair(spec: PopulationSpec, device_index: int, title: str,
     )
 
 
+@dataclass(frozen=True)
+class _TitleJob:
+    """One calibration task: a title played on every device class.
+
+    ``frames`` is None in the task list and filled in by the parent just
+    before an attempt forks its worker.
+    """
+
+    title: str
+    frames: Optional[FrameList] = None
+
+    @property
+    def key(self) -> Tuple[str, str]:
+        return "calibrate", self.title
+
+
 def calibrate(spec: PopulationSpec,
               config: Optional[SimulationConfig] = None,
               progress: Optional[Callable[[str], None]] = None
               ) -> FleetCalibration:
     """Calibrate every (device class, title) pair from scratch.
 
-    Each title is synthesised once and played by every device class,
-    and its frames are dropped before the next title's.
+    One executor task per title, on as many workers as there are usable
+    CPUs: the parent synthesises the title once, and its forked worker
+    plays those frames on every device class.  ``progress`` is called in
+    the parent, once per title as its coefficients are accepted.
+
+    Raises:
+        Exception: what a pair raised, as its own type (a
+            :class:`~repro.errors.ReproError` stays typed).
+        RunnerError: when a title's worker kept failing, or when
+            called inside an executor worker.
     """
     base = config or SimulationConfig()
-    entries: Dict[str, CalibEntry] = {}
-    for title in spec.titles:
-        frames = _title_frames(spec, title, base)
-        for d_idx, device in enumerate(spec.device_classes):
-            if progress is not None:
-                progress(f"calibrating {device.name} x {title}")
-            entries[_entry_key(device.name, title)] = _calibrate_pair(
-                spec, d_idx, title, frames, base)
-        del frames
-    return FleetCalibration(fingerprint=spec.fingerprint(),
-                            entries=entries)
+    n_devices = len(spec.device_classes)
+    rows: Dict[str, List[CalibEntry]] = {}
+
+    def prepare(job: _TitleJob) -> _TitleJob:
+        return replace(job, frames=_title_frames(spec, job.title, base))
+
+    def execute(job: _TitleJob) -> Payload:
+        assert job.frames is not None
+        return {"entries": [
+            _calibrate_pair(spec, d_idx, job.title, job.frames,
+                            base).to_jsonable()
+            for d_idx in range(n_devices)]}
+
+    def accept(job: _TitleJob, payload: Payload) -> bool:
+        if job.title in rows:
+            return False
+        rows[job.title] = [CalibEntry.from_jsonable(row)
+                           for row in payload["entries"]]
+        if progress is not None:
+            progress(f"calibrating: {job.title} done on {n_devices} "
+                     f"device classes ({len(rows)}/{len(spec.titles)} "
+                     "titles)")
+        return True
+
+    jobs = [_TitleJob(title) for title in spec.titles]
+    outcomes = Supervisor(
+        jobs, execute, accept,
+        SupervisorConfig(workers=usable_workers(len(jobs))),
+        seed=spec.calib_seed, prepare=prepare).run()
+    for job in jobs:
+        error = outcomes[job.key].error
+        if error is not None:
+            raise error
+    return FleetCalibration(
+        fingerprint=spec.fingerprint(),
+        entries={_entry_key(entry.device, title): entry
+                 for title in spec.titles for entry in rows[title]})
 
 
 def _drifted(cached: CalibEntry, fresh: CalibEntry) -> bool:

@@ -137,7 +137,3 @@ class RegionMap:
 
     def __contains__(self, name: str) -> bool:
         return name in self._regions
-
-    @property
-    def total_size(self) -> int:
-        return self._cursor

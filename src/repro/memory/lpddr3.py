@@ -24,8 +24,3 @@ def burst_duration(config: DramConfig) -> float:
     """Seconds one 64-byte burst occupies a channel's data bus."""
     bytes_per_second = 2.0 * config.io_freq * 4.0
     return config.line_bytes / bytes_per_second
-
-
-def row_cycle_time(config: DramConfig) -> float:
-    """Approximate activate-to-activate latency (tRCD + tCL + tRP)."""
-    return config.t_rcd + config.t_cl + config.t_rp

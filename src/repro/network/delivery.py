@@ -113,10 +113,6 @@ class DeliveryResult:
     panic_fetches: int = 0  # attempts forced to rung 0 by panic-down
 
     @property
-    def total_stall_seconds(self) -> float:
-        return self.startup_seconds + self.stall_seconds
-
-    @property
     def failed_attempts(self) -> int:
         """Download attempts that did not deliver a segment."""
         return self.losses + self.corruptions + self.timeouts

@@ -78,10 +78,6 @@ class SegmentedVideo:
     def top_rung(self) -> int:
         return len(self.ladder) - 1
 
-    def content_start(self, index: int) -> float:
-        """Content position (s) at which segment ``index`` begins."""
-        return sum(s.duration for s in self.segments[:index])
-
 
 def segment_video(
     source: Optional[VideoProfile],

@@ -24,7 +24,6 @@ checkpoint-resumed one — is bit-identical to direct ``simulate`` calls.
 from __future__ import annotations
 
 import hashlib
-import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -33,7 +32,13 @@ from .config import FIG11_SCHEMES, SchemeConfig, SimulationConfig
 from .core.pipeline import simulate
 from .core.results import RunResult
 from .errors import ReproError, RunnerError
-from .executor import Checkpoint, Payload, Supervisor, SupervisorConfig
+from .executor import (
+    Checkpoint,
+    Payload,
+    Supervisor,
+    SupervisorConfig,
+    usable_workers,
+)
 from .video import workload, workload_keys
 
 MatrixKey = Tuple[str, str]  # (video key, scheme name)
@@ -139,8 +144,9 @@ def run_matrix(
             length — the multi-hour full reproduction).
         seed: content seed shared across the matrix.
         config: simulation configuration.
-        processes: worker processes.  ``None`` (the default) uses
-            every core (``os.cpu_count()``).
+        processes: worker processes.  ``None`` (the default) uses one
+            per usable CPU, at most one per job
+            (:func:`repro.executor.usable_workers`).
         checkpoint: JSON file to persist finished jobs to.  If it
             already exists (same matrix meta), its jobs are loaded
             instead of re-run, so a killed matrix resumes where it
@@ -181,7 +187,8 @@ def run_matrix(
         }
         store = Checkpoint(checkpoint, meta, [job.key for job in jobs])
         matrix.quarantined = store.quarantined
-    workers = processes if processes is not None else os.cpu_count() or 1
+    workers = (processes if processes is not None
+               else usable_workers(len(jobs)))
     outcomes = Supervisor(jobs, _run_job, accept,
                           SupervisorConfig(workers=workers), seed=seed,
                           checkpoint=store).run()

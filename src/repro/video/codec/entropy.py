@@ -8,8 +8,6 @@ motion vectors.
 
 from __future__ import annotations
 
-from typing import Iterable, List
-
 import numpy as np
 
 from ...errors import CodecError
@@ -93,10 +91,6 @@ class BitReader:
             return (mapped + 1) // 2
         return -(mapped // 2)
 
-    @property
-    def bit_position(self) -> int:
-        return self._pos
-
 
 def encode_coefficients(writer: BitWriter, zigzagged: np.ndarray) -> None:
     """Code one zigzag-ordered coefficient vector as run/level pairs."""
@@ -120,17 +114,3 @@ def decode_coefficients(reader: BitReader, length: int) -> np.ndarray:
             raise CodecError("coefficient index past end of block")
         vector[position] = reader.read_se()
     return vector
-
-
-def ue_bit_cost(values: Iterable[int]) -> int:
-    """Bit cost of unsigned Exp-Golomb coding the given values."""
-    total = 0
-    for value in values:
-        total += 2 * (value + 1).bit_length() - 1
-    return total
-
-
-def se_bit_cost(values: Iterable[int]) -> int:
-    """Bit cost of signed Exp-Golomb coding the given values."""
-    mapped: List[int] = [2 * v - 1 if v > 0 else -2 * v for v in values]
-    return ue_bit_cost(mapped)

@@ -15,11 +15,6 @@ class FrameType(Enum):
     P = "P"
     B = "B"
 
-    @property
-    def is_reference_free(self) -> bool:
-        """I frames are self-contained (footnote 1 of the paper)."""
-        return self is FrameType.I
-
 
 @dataclass
 class DecodedFrame:

@@ -13,7 +13,7 @@ from repro.config import SimulationConfig, VideoConfig
 from repro.core import pipeline
 from repro.core.writeback import WritebackEngine
 from repro.display import MachBuffer
-from repro.fleet import population
+from repro.fleet import population, surrogate
 from repro.fleet.engine import METRICS, CohortAggregate
 from repro.fleet.population import PopulationModel, PopulationSpec, SessionChunk
 from repro.fleet.sketches import _INV_2_53, _MASK64, _splitmix64
@@ -222,6 +222,21 @@ def rung_searchsorted(ladder: np.ndarray, fit: np.ndarray) -> np.ndarray:
     :func:`repro.fleet.engine._score_chunk`."""
     rung = np.searchsorted(ladder, fit, side="right") - 1
     return np.clip(rung, 0, ladder.size - 1)
+
+
+def calibrate_serial(spec: PopulationSpec) -> surrogate.FleetCalibration:
+    """Every (title, device class) pair played in turn in this process,
+    each from freshly synthesised frames: the reference for the
+    parallel :func:`repro.fleet.surrogate.calibrate`."""
+    base = SimulationConfig()
+    entries = {}
+    for title in spec.titles:
+        for d_idx, device in enumerate(spec.device_classes):
+            entries[f"{device.name}|{title}"] = surrogate._calibrate_pair(
+                spec, d_idx, title,
+                surrogate._title_frames(spec, title, base), base)
+    return surrogate.FleetCalibration(fingerprint=spec.fingerprint(),
+                                      entries=entries)
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ fleet is.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigError, FleetError
+from repro.errors import ConfigError, FleetError, RunnerError
 from repro.fleet import (
     DeviceClass,
     FleetCalibration,
@@ -50,16 +51,20 @@ from repro.fleet.engine import (
     cohort_keys,
     fold_chunk,
 )
+from repro.executor import Supervisor
+from repro.fleet import surrogate
 from repro.fleet.population import SessionChunk
 from repro.units import MBPS
 from repro.video import workload_keys
 
 from .conftest import (
+    calibrate_serial,
     draw_chunk_searchsorted,
     fold_chunk_masked,
     hash_u64_reference,
     rung_searchsorted,
 )
+from .test_executor import Square, fast_config
 
 finite_values = st.lists(
     st.floats(min_value=-1e4, max_value=1e4,
@@ -657,6 +662,74 @@ class TestCalibration:
         stale.save(path)
         rebuilt = load_or_calibrate(spec, path, drift_check=False)
         assert rebuilt.fingerprint == spec.fingerprint()
+
+
+def calibration_json(calibration: FleetCalibration) -> str:
+    return json.dumps(calibration.to_jsonable(), sort_keys=True)
+
+
+class TestParallelCalibration:
+    """``calibrate`` runs one executor task per title: its table must
+    be the serial oracle's, byte for byte, whatever the worker count,
+    and it must leave no worker behind."""
+
+    def assert_matches_oracle(self, spec: PopulationSpec) -> None:
+        calibration = calibrate(spec)
+        assert multiprocessing.active_children() == []
+        oracle = calibrate_serial(spec)
+        assert calibration_json(calibration) == calibration_json(oracle)
+        assert list(calibration.entries) == list(oracle.entries)
+
+    @pytest.mark.parametrize("calib_seed", [7, 11])
+    def test_default_population_matches_serial(self, calib_seed):
+        self.assert_matches_oracle(
+            replace(default_population(), calib_seed=calib_seed))
+
+    def test_one_title_matches_serial(self):
+        self.assert_matches_oracle(replace(tiny_spec(), titles=("V8",)))
+
+    def test_worker_count_is_invisible(self, monkeypatch):
+        """1 and 3 workers over 4 titles (more titles than workers)
+        give byte-identical tables, equal to the serial oracle's."""
+        spec = replace(tiny_spec(), titles=("V1", "V3", "V8", "V12"))
+        tables = []
+        for workers in (1, 3):
+            monkeypatch.setattr(surrogate, "usable_workers",
+                                lambda n_tasks, w=workers: w)
+            tables.append(calibration_json(calibrate(spec)))
+            assert multiprocessing.active_children() == []
+        assert tables[0] == tables[1]
+        assert tables[0] == calibration_json(calibrate_serial(spec))
+
+    def test_pair_error_reaches_caller_typed(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ConfigError("broken pair")
+
+        monkeypatch.setattr(surrogate, "_calibrate_pair", broken)
+        with pytest.raises(ConfigError, match="broken pair"):
+            calibrate(tiny_spec())
+        assert multiprocessing.active_children() == []
+
+    def test_refused_inside_an_executor_worker(self):
+        """A typed error, not multiprocessing's daemonic-process
+        assertion."""
+        def nested(task):
+            calibrate(tiny_spec())
+            return {}
+
+        outcomes = Supervisor([Square(0)], nested, lambda task, p: True,
+                              fast_config()).run()
+        assert isinstance(outcomes["toy", 0].error, RunnerError)
+        assert multiprocessing.active_children() == []
+
+    def test_progress_once_per_title_in_the_parent(self):
+        spec = tiny_spec()
+        calls: List[Tuple[str, int]] = []
+        calibrate(spec, progress=lambda line: calls.append(
+            (line, os.getpid())))
+        assert [pid for _, pid in calls] == [os.getpid()] * len(spec.titles)
+        for title in spec.titles:
+            assert sum(f" {title} done" in line for line, _ in calls) == 1
 
 
 class TestRunFleet:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -66,6 +67,7 @@ class TestRunMatrix:
             for video in kwargs["videos"] for scheme in kwargs["schemes"]}
         for processes in (1, 2):
             matrix = run_matrix(processes=processes, **kwargs)
+            assert multiprocessing.active_children() == []
             assert list(matrix) == list(direct)
             for key, expected in direct.items():
                 assert matrix[key].to_jsonable() == expected

@@ -7,6 +7,7 @@ after a mid-run kill plus checkpoint resume.
 """
 
 import json
+import multiprocessing
 import os
 import time
 
@@ -228,6 +229,7 @@ class TestSupervisedRuns:
         run = run_fleet_supervised(spec, 400, seed=5, shards=3,
                                    calibration=calib,
                                    supervisor=_supervisor())
+        assert multiprocessing.active_children() == []
         assert _json(run.result) == _json(serial)
         assert run.report.faults_absorbed == 0
 
@@ -262,6 +264,7 @@ class TestSupervisedRuns:
             faults=ShardFaultConfig(stall_rate=1.0,
                                     max_faulty_attempts=1, seed=0),
             supervisor=_supervisor())
+        assert multiprocessing.active_children() == []
         assert run.report.lease_revocations == 2
         assert _json(run.result) == _json(serial)
 
