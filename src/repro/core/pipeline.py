@@ -76,13 +76,45 @@ def _uniform_times(rng: np.random.Generator, start: float, end: float,
     return times
 
 
+#: Accesses per window of the end-of-run DRAM replay: windows close at
+#: scheduling-quantum boundaries, about this many accesses apart.
+_REPLAY_WINDOW = 1 << 16
+
+
+def _window_keys(times: np.ndarray, quantum: float) -> np.ndarray:
+    """What places each access in a replay window: its scheduling
+    quantum, truncated as the controller truncates it, or without a
+    quantum its time."""
+    if quantum <= 0:
+        return times
+    keys = np.empty(len(times), dtype=np.int64)
+    np.divide(times, quantum, out=keys, casting="unsafe")  # truncates
+    return keys
+
+
+def _split_chunk(times: np.ndarray, addresses: np.ndarray, quantum: float,
+                 cuts: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """A chunk's accesses window by window, each window's in log order:
+    window ``k`` holds the keys in ``(cuts[k - 1], cuts[k]]``.  A chunk
+    already in window order splits into views of itself."""
+    window = np.searchsorted(cuts, _window_keys(times, quantum))
+    if not (window[:-1] <= window[1:]).all():
+        order = np.argsort(window, kind="stable")
+        times, addresses, window = (
+            times[order], addresses[order], window[order])
+    ends = np.searchsorted(window, np.arange(1, len(cuts) + 1))
+    return list(zip(np.split(times, ends), np.split(addresses, ends)))
+
+
 class _TrafficLog:
-    """Accumulates timestamped accesses from all agents."""
+    """Accumulates timestamped accesses from all agents in chunks: each
+    chunk's times and addresses, and once per chunk its write flag and
+    agent."""
 
     def __init__(self) -> None:
         self._times: List[np.ndarray] = []
         self._addresses: List[np.ndarray] = []
-        self._writes: List[np.ndarray] = []
+        self._writes: List[bool] = []
         self._agents: List[str] = []
 
     def add(self, agent: str, times: np.ndarray, addresses: np.ndarray,
@@ -91,30 +123,98 @@ class _TrafficLog:
             return
         self._times.append(np.asarray(times, dtype=np.float64))
         self._addresses.append(np.asarray(addresses, dtype=np.int64))
-        self._writes.append(np.full(len(times), is_write, dtype=bool))
+        self._writes.append(bool(is_write))
         self._agents.append(agent)
 
-    def drain(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                             Tuple[List[str], np.ndarray]]:
-        """The window's accesses, and ``(names, codes)``: access ``i``
-        came from agent ``names[codes[i]]``, names in first-seen order."""
-        if not self._times:
-            empty = np.empty(0)
-            return (empty, empty.astype(np.int64), empty.astype(bool),
-                    ([], empty.astype(np.uint8)))
-        times = np.concatenate(self._times)
-        addresses = np.concatenate(self._addresses)
-        writes = np.concatenate(self._writes)
+    def replay(self, memory: MemoryController) -> None:
+        """Play every logged access through ``memory`` a window at a
+        time, and empty the log.
+
+        Windows cut the run at scheduling-quantum boundaries (at time
+        boundaries without a quantum).  The controller orders a window
+        by (bank, quantum, row, time, arrival) and carries each bank's
+        state into its next call, so whole quanta played in turn count
+        what one call over the run counts.  A window takes its chunks
+        in log order, which keeps arrival order, and a chunk that
+        straddles windows is split among them.  Every call names all of
+        the run's agents in first-seen order, as the stats list them.
+        Each chunk is freed once its last window has been played.
+        """
+        times, addresses = self._times, self._addresses
+        if not times:
+            return
         names = list(dict.fromkeys(self._agents))
-        chunk_codes = np.asarray([names.index(agent) for agent in self._agents],
-                                 dtype=np.uint8)
-        codes = np.repeat(chunk_codes,
-                          [len(chunk) for chunk in self._times])
-        # Release the chunks, so the replay does not hold the run's
-        # traffic twice.
-        self._times, self._addresses, self._writes = [], [], []
-        self._agents = []
-        return times, addresses, writes, (names, codes)
+        codes = np.asarray([names.index(agent) for agent in self._agents],
+                           dtype=np.uint8)
+        writes = np.asarray(self._writes, dtype=bool)
+        quantum = memory.config.scheduler_quantum
+        first, last, cuts = self._windows(quantum)
+        members: List[List[int]] = [[] for _ in range(len(cuts) + 1)]
+        for chunk, (lo, hi) in enumerate(zip(first, last)):
+            for window in range(lo, hi + 1):
+                members[window].append(chunk)
+        # Each chunk's pieces still to play, last window's first.
+        pieces: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
+        for window, chunks in enumerate(members):
+            parts = []
+            for chunk in chunks:
+                if window == first[chunk]:
+                    pieces[chunk] = (
+                        [(times[chunk], addresses[chunk])]
+                        if first[chunk] == last[chunk] else _split_chunk(
+                            times[chunk], addresses[chunk], quantum,
+                            cuts[first[chunk]:last[chunk]])[::-1])
+                    times[chunk] = addresses[chunk] = None
+                parts.append(pieces[chunk].pop())
+            lengths = [len(part_times) for part_times, _ in parts]
+            window_times, window_addresses = map(np.concatenate, zip(*parts))
+            del parts
+            memory.process_window(
+                window_times, window_addresses,
+                np.repeat(writes[chunks], lengths),
+                (names, np.repeat(codes[chunks], lengths)))
+        self._times, self._addresses, self._writes, self._agents = (
+            [], [], [], [])
+
+    def _windows(self, quantum: float
+                 ) -> Tuple[List[int], List[int], np.ndarray]:
+        """Each chunk's first and last replay window, and the cuts
+        between windows: window ``k`` holds the accesses whose keys
+        (:func:`_window_keys`) lie in ``(cuts[k - 1], cuts[k]]``."""
+        lengths = np.fromiter(map(len, self._times), dtype=np.int64,
+                              count=len(self._times))
+        total = int(lengths.sum())
+        lo, hi = self._spans(lengths)
+        lo, hi = _window_keys(lo, quantum), _window_keys(hi, quantum)
+        # Windows close at chunk ends: at the last key of the chunk that
+        # brings the accesses ending by it to the next multiple of the
+        # window size.
+        by_end = np.argsort(hi, kind="stable")
+        filled = np.cumsum(lengths[by_end])
+        closing = np.searchsorted(
+            filled, np.arange(_REPLAY_WINDOW, total, _REPLAY_WINDOW))
+        keys = set(hi[by_end[closing]].tolist())
+        keys.discard(hi[by_end[-1]].item())  # no window past the last key
+        cuts = np.asarray(sorted(keys), dtype=hi.dtype)
+        return (np.searchsorted(cuts, lo).tolist(),
+                np.searchsorted(cuts, hi).tolist(), cuts)
+
+    def _spans(self, lengths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Each chunk's least and greatest time, reduced a window's
+        worth of chunks per call."""
+        starts = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=starts[1:])
+        lo, hi = np.empty(len(lengths)), np.empty(len(lengths))
+        a = 0
+        while a < len(lengths):
+            b = max(a + 1, int(np.searchsorted(
+                starts, starts[a] + _REPLAY_WINDOW, side="right")) - 1)
+            batch = np.concatenate(self._times[a:b])
+            offsets = starts[a:b] - starts[a]
+            np.minimum.reduceat(batch, offsets, out=lo[a:b])
+            np.maximum.reduceat(batch, offsets, out=hi[a:b])
+            a = b
+        return lo, hi
 
 
 def _resolve_source(
@@ -641,9 +741,7 @@ class _Playback:
 
     def _energy(self, end_time: float) -> EnergyBreakdown:
         """Replay all DRAM traffic, then integrate the energy breakdown."""
-        # The replay owns the drained arrays: it reuses them as its
-        # working buffers, and nothing here reads them again.
-        self.memory.process_window(*self.traffic.drain())
+        self.traffic.replay(self.memory)
         mem_energy = memory_energy(self.dram_cfg, self.memory.stats,
                                    end_time).scaled(
             self.cfg.video.scale_to_native)

@@ -4,7 +4,7 @@ Consumes timestamped line-granular accesses from all agents (VD writes
 and reads, DC reads, background masters), merges them in time, and
 plays them against the per-bank open-row-with-timeout model to count
 activations and bursts.  Bank state persists across calls, so the
-pipeline can feed one window (e.g. one frame interval) at a time.
+pipeline feeds a run one window of whole scheduling quanta at a time.
 
 The whole computation is numpy: accesses are sorted by bank (with
 FR-FCFS batching, then by quantum and row) and time; within each bank's

@@ -17,6 +17,7 @@ from repro.fleet import population, surrogate
 from repro.fleet.engine import METRICS, CohortAggregate
 from repro.fleet.population import PopulationModel, PopulationSpec, SessionChunk
 from repro.fleet.sketches import _INV_2_53, _MASK64, _splitmix64
+from repro.memory import MemoryController
 from repro.video import SyntheticVideo, workload
 
 
@@ -237,6 +238,32 @@ def calibrate_serial(spec: PopulationSpec) -> surrogate.FleetCalibration:
                 surrogate._title_frames(spec, title, base), base)
     return surrogate.FleetCalibration(fingerprint=spec.fingerprint(),
                                       entries=entries)
+
+
+def replay_whole_run(log: pipeline._TrafficLog,
+                     memory: MemoryController) -> None:
+    """Every logged access concatenated in log order and played through
+    ``memory`` in one call: the reference for the windowed
+    :meth:`repro.core.pipeline._TrafficLog.replay`."""
+    if not log._times:
+        return
+    lengths = [len(chunk) for chunk in log._times]
+    names = list(dict.fromkeys(log._agents))
+    codes = [names.index(agent) for agent in log._agents]
+    memory.process_window(
+        np.concatenate(log._times), np.concatenate(log._addresses),
+        np.repeat(np.asarray(log._writes, dtype=bool), lengths),
+        (names, np.repeat(np.asarray(codes, dtype=np.uint8), lengths)))
+    log._times, log._addresses, log._writes, log._agents = [], [], [], []
+
+
+@pytest.fixture(scope="session")
+def whole_run_replay():
+    """The whole-run replay oracle, as a context-manager factory:
+    ``with whole_run_replay(): simulate(...)`` replays each run's DRAM
+    traffic in one call instead of window by window."""
+    return functools.partial(mock.patch.object, pipeline._TrafficLog,
+                             "replay", replay_whole_run)
 
 
 @pytest.fixture

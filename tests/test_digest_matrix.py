@@ -47,6 +47,14 @@ def test_matrix(digest_matrix):
     machs = [c["mach"] for c in options if "mach" in c]
     assert {"co_mach": True} in machs
     assert {"digest_scheme": "weak-sum"} in machs
+    # The DRAM replay without an FR-FCFS quantum (cut at time
+    # boundaries), and over raw_dram's 600-frame run of ~20 windows.
+    no_quantum = {(c["video"], c["scheme"]) for c in options
+                  if c.get("dram") == {"scheduler_quantum": 0.0}}
+    assert no_quantum == {("V8", "BASELINE"), ("V8", "GAB")}
+    assert any(c.get("frames") == 600 and c["video"] == "V8"
+               and c["scheme"] == "BASELINE" and not c["thermal"]
+               for c in options)
     # run_fleet over the default population: sessions x contention x
     # shards, nothing else.
     fleets = [c for c in cases if "population" in c]

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import DramConfig, SimulationConfig
@@ -21,6 +22,8 @@ from repro.memory import (
     peak_bandwidth,
 )
 from repro.memory.rowbuffer import BankState, RowBufferModel
+
+from .conftest import replay_whole_run
 
 
 def small_dram(**overrides) -> DramConfig:
@@ -338,6 +341,32 @@ class TestMemoryController:
         assert row >= 0
 
 
+def _scaled_dram() -> DramConfig:
+    """The controller as ``simulate`` builds it: timing scaled with the
+    simulated frame."""
+    scale = SimulationConfig().video.scale_to_native
+    dram = DramConfig()
+    return replace(dram, row_max_open=dram.row_max_open * scale,
+                   scheduler_quantum=dram.scheduler_quantum * scale)
+
+
+def _log_run(log, chunks: int) -> None:
+    """A run's traffic as ``simulate`` logs it: ``chunks`` sorted
+    1k-access chunks from three agents, each over 50 ms and a new one
+    every 2.5 ms, then the CPU/GPU masters' sorted run-long chunk of
+    60 accesses per chunk."""
+    rng = np.random.default_rng(7)
+    agents = ["vd_write", "vd_read", "dc"]
+    for i in range(chunks):
+        start = i / 400
+        log.add(agents[i % 3], np.sort(rng.uniform(start, start + 0.05, 1000)),
+                rng.integers(0, 32 << 20, 1000) // 64 * 64,
+                is_write=i % 3 == 0)
+    count = 60 * chunks
+    log.add("other", np.sort(rng.uniform(0.0, chunks / 400, count)),
+            rng.integers(0, 32 << 20, count) // 64 * 64, is_write=False)
+
+
 class TestReplayMemory:
     #: Bytes per access the replay may allocate beyond its inputs.  A
     #: replay that keeps each full-length intermediate to the end needs
@@ -373,10 +402,14 @@ class TestReplayMemory:
     #: the drained arrays it is handed peaks at ~50; one that reuses
     #: them, at ~36.
     LOG_PEAK_BYTES_PER_ACCESS = 44
+    #: The same, for the windowed replay: the log's ~16.3 B/access plus
+    #: one window's working set measures ~24.2 on this log, where the
+    #: whole-run replay of the concatenated log measures 36.0.
+    WINDOWED_PEAK_BYTES_PER_ACCESS = 27
 
     def test_log_drain_and_replay_peak(self):
         # ~400k accesses logged in 1k-access chunks from four agents,
-        # drained and replayed the way ``simulate`` ends a run.
+        # replayed the way ``simulate`` ends a run.
         from repro.core.pipeline import _TrafficLog
 
         scale = SimulationConfig().video.scale_to_native
@@ -396,13 +429,159 @@ class TestReplayMemory:
                         np.sort(rng.uniform(start, start + 0.05, chunk)),
                         rng.integers(0, 32 << 20, chunk) // 64 * 64,
                         is_write=i % 4 == 0)
-            controller.process_window(*log.drain())
+            log.replay(controller)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert controller.stats.bursts == chunk * chunks
         assert controller.stats.by_agent == dict.fromkeys(agents, 100_000)
         assert peak / (chunk * chunks) < self.LOG_PEAK_BYTES_PER_ACCESS
+
+    def test_windowed_replay_peak(self):
+        # The log above, replayed a window at a time.
+        from repro.core.pipeline import _TrafficLog
+
+        chunk, chunks = 1000, 400
+        agents = ["vd_write", "vd_read", "dc", "other"]
+        rng = np.random.default_rng(7)
+        controller = MemoryController(_scaled_dram())
+        tracemalloc.start()
+        try:
+            log = _TrafficLog()
+            for i in range(chunks):
+                start = i / chunks
+                log.add(agents[i % 4],
+                        np.sort(rng.uniform(start, start + 0.05, chunk)),
+                        rng.integers(0, 32 << 20, chunk) // 64 * 64,
+                        is_write=i % 4 == 0)
+            log.replay(controller)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert controller.stats.bursts == chunk * chunks
+        assert peak / (chunk * chunks) < self.WINDOWED_PEAK_BYTES_PER_ACCESS
+
+    def test_replay_beyond_log_holds_as_run_doubles(self):
+        """What the replay allocates beyond the log itself is one
+        window's working set, whatever the run's length: doubling the
+        run leaves it within 20%, where a whole-run replay doubles."""
+        from repro.core.pipeline import _TrafficLog
+
+        beyond = []
+        for chunks in (300, 600):
+            controller = MemoryController(_scaled_dram())
+            tracemalloc.start()
+            try:
+                log = _TrafficLog()
+                _log_run(log, chunks)
+                held = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                log.replay(controller)
+                beyond.append(tracemalloc.get_traced_memory()[1] - held)
+            finally:
+                tracemalloc.stop()
+            assert controller.stats.bursts == 1060 * chunks
+        assert beyond[1] < 1.2 * beyond[0]
+
+
+_AGENTS = ("vd_write", "vd_read", "dc", "other")
+
+
+@st.composite
+def traffic_logs(draw):
+    """A run's log as chunks of ``(agent, times, addresses, is_write)``.
+
+    Times are ticks of 0.1 us, so ties within and across chunks are
+    common; chunks come sorted or shuffled, may start before time 0,
+    and may be followed by one run-long chunk like the CPU/GPU masters'.
+    Far times and addresses push the packed sort key past 62 bits, onto
+    the replay's lexsort.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    origin = draw(st.sampled_from([0.0, -3e-6, 1e9]))
+    address_span = draw(st.sampled_from([1 << 15, 1 << 50]))
+    chunks = []
+
+    def chunk(count, first_tick, ticks, ordered):
+        times = origin + (first_tick + rng.integers(0, ticks, count)) * 1e-7
+        if ordered:
+            times.sort()
+        return (_AGENTS[rng.integers(0, 3)], times,
+                rng.integers(0, address_span, count) // 64 * 64,
+                bool(rng.integers(0, 2)))
+
+    for _ in range(draw(st.integers(0, 12))):
+        chunks.append(chunk(draw(st.integers(1, 40)),
+                            draw(st.integers(0, 80)),
+                            draw(st.integers(1, 30)), draw(st.booleans())))
+    if draw(st.booleans()):
+        _, times, addresses, _ = chunk(draw(st.integers(1, 200)), 0,
+                                       110, draw(st.booleans()))
+        chunks.append(("other", times, addresses, False))
+    return chunks
+
+
+class TestWindowedReplay:
+    @given(chunks=traffic_logs(), quantum=st.sampled_from([0.0, 3e-7]),
+           windows=st.integers(1, 50))
+    @example(chunks=[], quantum=3e-7, windows=1)
+    @example(chunks=[("dc", np.asarray([-1e-7]), np.asarray([64]), False)],
+             quantum=3e-7, windows=1)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_whole_run_replay(self, chunks, quantum, windows):
+        """Replayed window by window, the log counts what the whole-run
+        replay counts, agents in the same order, and leaves every bank
+        in the same state."""
+        from repro.core import pipeline
+
+        def logged():
+            log = pipeline._TrafficLog()
+            for agent, times, addresses, is_write in chunks:
+                log.add(agent, times.copy(), addresses.copy(), is_write)
+            return log
+
+        config = small_dram(scheduler_quantum=quantum)
+        windowed, whole = MemoryController(config), MemoryController(config)
+        total = sum(len(times) for _, times, _, _ in chunks)
+        with mock.patch.object(pipeline, "_REPLAY_WINDOW",
+                               max(1, total // windows)):
+            logged().replay(windowed)
+        replay_whole_run(logged(), whole)
+        for field in ("activations", "read_bursts", "write_bursts"):
+            assert getattr(windowed.stats, field) == getattr(whole.stats,
+                                                             field)
+        assert list(windowed.stats.by_agent.items()) == list(
+            whole.stats.by_agent.items())
+        assert list(windowed.stats.acts_by_agent.items()) == list(
+            whole.stats.acts_by_agent.items())
+        assert np.array_equal(windowed._open_rows, whole._open_rows)
+        assert np.array_equal(windowed._last_access, whole._last_access)
+
+    def test_long_log_replays_in_windows(self):
+        """A log many windows long is played in quantum-aligned windows
+        of about the window size."""
+        from repro.core import pipeline
+
+        log = pipeline._TrafficLog()
+        _log_run(log, 300)
+        config = _scaled_dram()
+        controller = MemoryController(config)
+        quanta = []
+        play = controller.process_window
+
+        def spy(times, *args):
+            quanta.append(np.divide(times, config.scheduler_quantum)
+                          .astype(np.int64))
+            return play(times, *args)
+
+        controller.process_window = spy
+        log.replay(controller)
+        sizes = [len(window) for window in quanta]
+        assert sum(sizes) == 1060 * 300
+        assert len(sizes) >= sum(sizes) // pipeline._REPLAY_WINDOW
+        assert max(sizes) < 2 * pipeline._REPLAY_WINDOW
+        for before, after in zip(quanta, quanta[1:]):
+            assert before.max() < after.min()
 
 
 class TestMemoryEnergy:

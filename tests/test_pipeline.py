@@ -10,6 +10,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import simulate, workload
 from repro.config import (
@@ -26,9 +28,9 @@ from repro.config import (
     ThermalConfig,
     VideoConfig,
 )
-from repro.core.results import FrameTimeline
+from repro.core.results import FrameTimeline, RunResult
 from repro.decoder.power import PowerState
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ReproError
 from repro.video import SyntheticVideo
 from repro.video.trace import FrameTrace
 
@@ -281,6 +283,65 @@ class TestBatchEdges:
         assert sum(result.residency.values()) == pytest.approx(1.0)
         assert np.isfinite(result.energy.total)
         assert result.energy.total > 0
+
+
+class TestEdgeSweep:
+    """``simulate`` at the edges of its inputs gives a valid result or a
+    typed error, and the same one when each run's DRAM traffic is
+    replayed in one call instead of window by window."""
+
+    @given(n_frames=st.sampled_from([1, 2, 7]),
+           batch_size=st.sampled_from([1, 16, 64]),
+           geometry=st.sampled_from([(64, 32), (4, 64), (8, 8)]),
+           no_quantum=st.booleans(), revoked=st.booleans(),
+           scheme=st.sampled_from([BASELINE, GAB, GAB_DCC]),
+           window=st.sampled_from([16, 256]))
+    @settings(max_examples=40, deadline=None)
+    def test_valid_result_or_typed_error(self, whole_run_replay, n_frames,
+                                         batch_size, geometry, no_quantum,
+                                         revoked, scheme, window):
+        from unittest import mock
+
+        from repro.core import pipeline
+
+        width, height = geometry
+        config = SimulationConfig(video=VideoConfig(width=width,
+                                                    height=height))
+        if no_quantum:
+            config = dataclasses.replace(config, dram=dataclasses.replace(
+                config.dram, scheduler_quantum=0.0))
+        if revoked:
+            # Boost revoked for the whole of every event slot.
+            config = dataclasses.replace(config, thermal=ThermalConfig(
+                enabled=True, seed=7, event_interval=1.0,
+                cap_drop_rate=1.0, cap_drop_duty=1.0))
+        scheme = dataclasses.replace(scheme, batch_size=batch_size)
+
+        def run():
+            try:
+                return simulate(workload("V8"), scheme, n_frames=n_frames,
+                                config=config, seed=7)
+            except ReproError as error:
+                return error
+
+        with mock.patch.object(pipeline, "_REPLAY_WINDOW", window):
+            windowed = run()
+        with whole_run_replay():
+            whole = run()
+        if isinstance(windowed, ReproError):
+            assert type(whole) is type(windowed)
+            assert str(whole) == str(windowed)
+            return
+        assert isinstance(windowed, RunResult)
+        assert windowed.n_frames == n_frames
+        assert 0 <= windowed.drops <= n_frames
+        assert sum(windowed.residency.values()) == pytest.approx(1.0)
+        assert np.isfinite(windowed.energy.total)
+        assert windowed.energy.total > 0
+        assert windowed.mem_stats.bursts > 0
+        if revoked:
+            assert windowed.throttle_seconds > 0
+        assert windowed.to_jsonable() == whole.to_jsonable()
 
 
 class TestRunMemory:

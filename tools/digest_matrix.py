@@ -8,8 +8,9 @@ matrix of ``simulate`` runs, 96 frames at seed 7, in a fresh process on
 each side: videos V1/V3/V8/V14 x the schemes Baseline, MAB, GAB and
 GAB+DCC x thermal throttling off/on, plus the eager MACH-buffer policy,
 the display cache and the MACH buffer switched off, digest-collision
-faults with and without verification, CO-MACH, the ``weak-sum`` digest
-and the unbounded MACH.  It adds ``run_fleet`` over the default
+faults with and without verification, CO-MACH, the ``weak-sum`` digest,
+the unbounded MACH, and the DRAM scheduler with no FR-FCFS quantum, and
+one 600-frame run, whose DRAM replay spans about 20 windows.  It adds ``run_fleet`` over the default
 population at seed 7: 1, 8,193 and 50,001 sessions x contention on/off
 x 1 and 3 shards, on one ``calibrate`` per side, and that
 ``calibrate`` itself (the ``FleetCalibration`` of the default
@@ -56,8 +57,9 @@ def _calibration_case(calib_seed: int) -> Dict[str, Any]:
 
 def matrix() -> List[Dict[str, Any]]:
     """Every run of the matrix.  A ``simulate`` case has video, scheme
-    and thermal keys; beyond them ``mach`` and ``faults`` are config
-    overrides, the rest are ``simulate`` keywords.  A ``run_fleet``
+    and thermal keys; beyond them ``mach``, ``faults`` and ``dram`` are
+    config overrides, ``frames`` overrides the frame count, and the rest
+    are ``simulate`` keywords.  A ``run_fleet``
     case has population, sessions, contention and shards keys, and a
     ``calibrate`` case calibration and calib_seed keys."""
     cases = [_case(video, scheme, thermal=thermal)
@@ -86,6 +88,9 @@ def matrix() -> List[Dict[str, Any]]:
         _case("V8", "GAB", mach={"co_mach": True}, buffer_policy="eager"),
         _case("V8", "GAB", mach={"digest_scheme": "weak-sum"}),
         _case("V3", "GAB_DCC", mach={"digest_scheme": "weak-sum"}),
+        _case("V8", "BASELINE", dram={"scheduler_quantum": 0.0}),
+        _case("V8", "GAB", dram={"scheduler_quantum": 0.0}),
+        _case("V8", "BASELINE", frames=600),
     ]
     cases += [_fleet_case(sessions, contention, shards)
               for sessions in (1, 8_193, 50_001)
@@ -165,9 +170,11 @@ for case in cases:
             enabled=True, seed=seed, event_interval=1.0, cap_drop_rate=1.0,
             cap_drop_duty=0.5, delayed_transition_rate=0.5))
     config = replace(config, mach=replace(config.mach, **case.pop("mach", {})),
-                     faults=replace(config.faults, **case.pop("faults", {})))
+                     faults=replace(config.faults, **case.pop("faults", {})),
+                     dram=replace(config.dram, **case.pop("dram", {})))
     walked[0] = 0
-    result = pipeline.simulate(workload(video), scheme, n_frames=frames,
+    result = pipeline.simulate(workload(video), scheme,
+                               n_frames=case.pop("frames", frames),
                                config=config, seed=seed, **case)
     out.append([digest(result), walked[0]])
 print(json.dumps(out))
@@ -225,7 +232,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"{'identical' if same else 'DIFFERS  '} walked "
               f"{got[1]:>3} {got[0][:16]} {case_name(case)}", flush=True)
     print(f"{len(cases) - differ}/{len(cases)} runs identical to "
-          f"{args.parent} ({FRAMES} frames, seed {SEED})")
+          f"{args.parent} ({FRAMES} frames unless a case sets its own, "
+          f"seed {SEED})")
     return 1 if differ else 0
 
 
