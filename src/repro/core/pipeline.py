@@ -106,25 +106,94 @@ def _split_chunk(times: np.ndarray, addresses: np.ndarray, quantum: float,
     return list(zip(np.split(times, ends), np.split(addresses, ends)))
 
 
+class _Draw:
+    """A :func:`_uniform_times` draw logged as its recipe: the drawing
+    generator's PCG64 state word just before it, and its window and
+    count.  Its length is the count."""
+
+    __slots__ = ("state", "start", "end", "count")
+
+    def __init__(self, state: int, start: float, end: float,
+                 count: int) -> None:
+        self.state, self.start, self.end, self.count = (
+            state, start, end, count)
+
+    def __len__(self) -> int:
+        return self.count
+
+
 class _TrafficLog:
     """Accumulates timestamped accesses from all agents in chunks: each
-    chunk's times and addresses, and once per chunk its write flag and
-    agent."""
+    chunk's addresses and times, and once per chunk its write flag and
+    agent.  A chunk logged by :meth:`add_uniform` keeps the recipe of
+    its times (a :class:`_Draw`), not the times themselves."""
 
     def __init__(self) -> None:
-        self._times: List[np.ndarray] = []
+        self._times: List[Union[np.ndarray, _Draw]] = []
         self._addresses: List[np.ndarray] = []
         self._writes: List[bool] = []
         self._agents: List[str] = []
+        #: The PCG64 increment of the generator every draw comes from.
+        self._increment: Optional[int] = None
 
     def add(self, agent: str, times: np.ndarray, addresses: np.ndarray,
             is_write: bool) -> None:
         if len(times) == 0:
             return
         self._times.append(np.asarray(times, dtype=np.float64))
+        self._log(agent, addresses, is_write)
+
+    def add_uniform(self, agent: str, rng: np.random.Generator,
+                    start: float, end: float, addresses: np.ndarray,
+                    is_write: bool) -> None:
+        """Log ``addresses`` at the times ``_uniform_times(rng, start,
+        end, len(addresses))`` would draw, without drawing them.
+
+        ``rng`` is left where that draw would leave it: ``uniform``
+        takes one 64-bit output per double, so the generator advances
+        by the count.  :meth:`replay` regenerates the times from the
+        saved state word.  Every draw of one log comes from one PCG64
+        generator.
+        """
+        count = len(addresses)
+        if count == 0:
+            return
+        bit_generator = rng.bit_generator
+        state = bit_generator.state
+        word = state["state"]
+        if self._increment is None:
+            self._increment = word["inc"]
+        elif word["inc"] != self._increment:
+            raise ValueError("a traffic log defers draws of one generator")
+        bit_generator.advance(count)
+        if state["has_uint32"]:
+            # ``advance`` drops a buffered 32-bit half (bounded 32-bit
+            # ``integers`` leave one), which the draw itself keeps.
+            advanced = bit_generator.state
+            advanced["has_uint32"] = 1
+            advanced["uinteger"] = state["uinteger"]
+            bit_generator.state = advanced
+        self._times.append(_Draw(word["state"], float(start), float(end),
+                                 count))
+        self._log(agent, addresses, is_write)
+
+    def _log(self, agent: str, addresses: np.ndarray,
+             is_write: bool) -> None:
         self._addresses.append(np.asarray(addresses, dtype=np.int64))
         self._writes.append(bool(is_write))
         self._agents.append(agent)
+
+    def _drawn(self, times: Union[np.ndarray, _Draw],
+               scratch: np.random.Generator) -> np.ndarray:
+        """A chunk's times: logged, or a draw regenerated on
+        ``scratch`` from its saved state."""
+        if not isinstance(times, _Draw):
+            return times
+        scratch.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": times.state, "inc": self._increment},
+            "has_uint32": 0, "uinteger": 0}
+        return _uniform_times(scratch, times.start, times.end, times.count)
 
     def replay(self, memory: MemoryController) -> None:
         """Play every logged access through ``memory`` a window at a
@@ -138,7 +207,8 @@ class _TrafficLog:
         in log order, which keeps arrival order, and a chunk that
         straddles windows is split among them.  Every call names all of
         the run's agents in first-seen order, as the stats list them.
-        Each chunk is freed once its last window has been played.
+        A deferred draw is regenerated when its first window plays, and
+        each chunk is freed once its last window has been played.
         """
         times, addresses = self._times, self._addresses
         if not times:
@@ -153,16 +223,19 @@ class _TrafficLog:
         for chunk, (lo, hi) in enumerate(zip(first, last)):
             for window in range(lo, hi + 1):
                 members[window].append(chunk)
+        # One seeded generator, re-stated for every deferred draw.
+        scratch = np.random.Generator(np.random.PCG64(0))
         # Each chunk's pieces still to play, last window's first.
         pieces: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
         for window, chunks in enumerate(members):
             parts = []
             for chunk in chunks:
                 if window == first[chunk]:
+                    chunk_times = self._drawn(times[chunk], scratch)
                     pieces[chunk] = (
-                        [(times[chunk], addresses[chunk])]
+                        [(chunk_times, addresses[chunk])]
                         if first[chunk] == last[chunk] else _split_chunk(
-                            times[chunk], addresses[chunk], quantum,
+                            chunk_times, addresses[chunk], quantum,
                             cuts[first[chunk]:last[chunk]])[::-1])
                     times[chunk] = addresses[chunk] = None
                 parts.append(pieces[chunk].pop())
@@ -200,19 +273,26 @@ class _TrafficLog:
                 np.searchsorted(cuts, hi).tolist(), cuts)
 
     def _spans(self, lengths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Each chunk's least and greatest time, reduced a window's
-        worth of chunks per call."""
-        starts = np.zeros(len(lengths) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=starts[1:])
+        """Bounds on each chunk's times: a deferred draw's window, which
+        holds every time it draws, or the least and greatest logged
+        time, reduced a window's worth of chunks per call."""
         lo, hi = np.empty(len(lengths)), np.empty(len(lengths))
+        logged = []
+        for chunk, times in enumerate(self._times):
+            if isinstance(times, _Draw):
+                lo[chunk], hi[chunk] = times.start, times.end
+            else:
+                logged.append(chunk)
+        starts = np.zeros(len(logged) + 1, dtype=np.int64)
+        np.cumsum(lengths[logged], out=starts[1:])
         a = 0
-        while a < len(lengths):
+        while a < len(logged):
             b = max(a + 1, int(np.searchsorted(
                 starts, starts[a] + _REPLAY_WINDOW, side="right")) - 1)
-            batch = np.concatenate(self._times[a:b])
+            batch = np.concatenate([self._times[c] for c in logged[a:b]])
             offsets = starts[a:b] - starts[a]
-            np.minimum.reduceat(batch, offsets, out=lo[a:b])
-            np.maximum.reduceat(batch, offsets, out=hi[a:b])
+            lo[logged[a:b]] = np.minimum.reduceat(batch, offsets)
+            hi[logged[a:b]] = np.maximum.reduceat(batch, offsets)
             a = b
         return lo, hi
 
@@ -486,9 +566,8 @@ class _Playback:
         scan = self.reader.scan(frame)
         density = min(1.0, scan.count / self.raw_frame_lines)
         end = vsync + full * max(density, 0.05)
-        self.traffic.add("dc", _uniform_times(self.rng, vsync, end,
-                                              scan.count),
-                         scan.addresses, is_write=False)
+        self.traffic.add_uniform("dc", self.rng, vsync, end, scan.addresses,
+                                 is_write=False)
 
     # -- the governor and slack steps ----------------------------------------
 
@@ -639,9 +718,8 @@ class _Playback:
         slot = self.pool.admit(index)
         frame = self._read_inputs(frame, start, finish)
         result = self.writeback.process_frame(frame, slot.base)
-        self.traffic.add("vd_write", _uniform_times(
-            self.rng, start, finish, len(result.write_lines)),
-            result.write_lines, is_write=True)
+        self.traffic.add_uniform("vd_write", self.rng, start, finish,
+                                 result.write_lines, is_write=True)
         self.pool.set_footprint(index, result.bytes_written)
         self.write_bytes += result.bytes_written
         self.raw_write_bytes += result.layout.raw_bytes
@@ -693,9 +771,8 @@ class _Playback:
                 line = self.cfg.dram.line_bytes
                 addresses = (previous
                              + (corrupt * frame.block_bytes) // line * line)
-                self.traffic.add("vd_read", _uniform_times(
-                    self.rng, start, finish, len(addresses)),
-                    addresses, is_write=False)
+                self.traffic.add_uniform("vd_read", self.rng, start, finish,
+                                         addresses, is_write=False)
         self.prev_blocks = frame.blocks
         return frame
 

@@ -240,10 +240,44 @@ def calibrate_serial(spec: PopulationSpec) -> surrogate.FleetCalibration:
                                       entries=entries)
 
 
+def add_uniform_eager(log: pipeline._TrafficLog, agent: str,
+                      rng: np.random.Generator, start: float, end: float,
+                      addresses: np.ndarray, is_write: bool) -> None:
+    """The chunk's times drawn from ``rng`` as it is logged: the
+    reference for the deferred
+    :meth:`repro.core.pipeline._TrafficLog.add_uniform`."""
+    log.add(agent, pipeline._uniform_times(rng, start, end, len(addresses)),
+            addresses, is_write)
+
+
+@pytest.fixture(scope="session")
+def eager_traffic_times():
+    """The eager-draw oracle, as a context-manager factory: ``with
+    eager_traffic_times(): simulate(...)`` logs every chunk's arrival
+    times when the chunk is logged instead of deferring the draw."""
+    return functools.partial(mock.patch.object, pipeline._TrafficLog,
+                             "add_uniform", add_uniform_eager)
+
+
+def logged_times(log: pipeline._TrafficLog, times: Any) -> np.ndarray:
+    """A chunk's times: logged, or its deferred draw regenerated on a
+    fresh generator from the saved PCG64 state word."""
+    if isinstance(times, np.ndarray):
+        return times
+    bit_generator = np.random.PCG64(0)
+    bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": times.state, "inc": log._increment},
+        "has_uint32": 0, "uinteger": 0}
+    return pipeline._uniform_times(np.random.Generator(bit_generator),
+                                   times.start, times.end, times.count)
+
+
 def replay_whole_run(log: pipeline._TrafficLog,
                      memory: MemoryController) -> None:
-    """Every logged access concatenated in log order and played through
-    ``memory`` in one call: the reference for the windowed
+    """Every logged access concatenated in log order, deferred draws
+    materialised, and played through ``memory`` in one call: the
+    reference for the windowed
     :meth:`repro.core.pipeline._TrafficLog.replay`."""
     if not log._times:
         return
@@ -251,7 +285,8 @@ def replay_whole_run(log: pipeline._TrafficLog,
     names = list(dict.fromkeys(log._agents))
     codes = [names.index(agent) for agent in log._agents]
     memory.process_window(
-        np.concatenate(log._times), np.concatenate(log._addresses),
+        np.concatenate([logged_times(log, times) for times in log._times]),
+        np.concatenate(log._addresses),
         np.repeat(np.asarray(log._writes, dtype=bool), lengths),
         (names, np.repeat(np.asarray(codes, dtype=np.uint8), lengths)))
     log._times, log._addresses, log._writes, log._agents = [], [], [], []

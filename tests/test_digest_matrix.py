@@ -4,6 +4,7 @@ simulation is run)."""
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -48,13 +49,21 @@ def test_matrix(digest_matrix):
     assert {"co_mach": True} in machs
     assert {"digest_scheme": "weak-sum"} in machs
     # The DRAM replay without an FR-FCFS quantum (cut at time
-    # boundaries), and over raw_dram's 600-frame run of ~20 windows.
-    no_quantum = {(c["video"], c["scheme"]) for c in options
+    # boundaries), and over raw_dram's 600-frame run of ~20 windows:
+    # with the quantum, without it (time cuts on deferred draws'
+    # bounds), and GAB with bit errors (concealment reads deferred
+    # across windows).
+    no_quantum = {(c["video"], c["scheme"], c.get("frames")) for c in options
                   if c.get("dram") == {"scheduler_quantum": 0.0}}
-    assert no_quantum == {("V8", "BASELINE"), ("V8", "GAB")}
-    assert any(c.get("frames") == 600 and c["video"] == "V8"
-               and c["scheme"] == "BASELINE" and not c["thermal"]
-               for c in options)
+    assert no_quantum == {("V8", "BASELINE", None), ("V8", "GAB", None),
+                          ("V8", "BASELINE", 600)}
+    long_runs = [c for c in options if c.get("frames") == 600]
+    assert all(c["video"] == "V8" and not c["thermal"] for c in long_runs)
+    assert {(c["scheme"], json.dumps(c.get("dram")),
+             json.dumps(c.get("faults"))) for c in long_runs} == {
+        ("BASELINE", "null", "null"),
+        ("BASELINE", '{"scheduler_quantum": 0.0}', "null"),
+        ("GAB", "null", '{"block_bit_error": 2e-05}')}
     # run_fleet over the default population: sessions x contention x
     # shards, nothing else.
     fleets = [c for c in cases if "population" in c]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -582,6 +583,168 @@ class TestWindowedReplay:
         assert max(sizes) < 2 * pipeline._REPLAY_WINDOW
         for before, after in zip(quanta, quanta[1:]):
             assert before.max() < after.min()
+
+
+@st.composite
+def draw_programs(draw):
+    """A run's generator calls in order: bounded 32-bit ``integers``
+    (an odd size leaves a 32-bit half buffered), scalar draws, and
+    arrival-time draws of zero or more accesses."""
+    ops = st.one_of(
+        st.tuples(st.just("integers"), st.integers(1, 9),
+                  st.sampled_from([2, 1000, 1 << 31])),
+        st.tuples(st.just("scalar"), st.sampled_from(["int", "float"])),
+        st.tuples(st.just("uniform"), st.integers(0, 300),
+                  st.floats(0.0, 1e3), st.floats(0.0, 10.0)))
+    return draw(st.lists(ops, max_size=25))
+
+
+def _play(program, rng, uniform):
+    """Run ``program`` on ``rng``; ``uniform(start, end, count)`` makes
+    each arrival-time draw.  Returns every other draw's values."""
+    values = []
+    for op in program:
+        if op[0] == "integers":
+            values.append(rng.integers(0, op[2], size=op[1]).tolist())
+        elif op[0] == "scalar":
+            values.append(rng.integers(0, 1000) if op[1] == "int"
+                          else rng.random())
+        else:
+            _, count, start, width = op
+            uniform(start, start + width, count)
+    return values
+
+
+def _live_state(rng):
+    """What of a PCG64 generator's state later draws read: the 128-bit
+    state and increment, and a buffered 32-bit half if there is one.
+    (A used half's stale ``uinteger`` is never read again.)"""
+    state = rng.bit_generator.state
+    return (state["state"], state["has_uint32"],
+            state["uinteger"] if state["has_uint32"] else None)
+
+
+class TestDeferredDraw:
+    @given(program=draw_programs(), seed=st.integers(0, 2**32 - 1))
+    @example(program=[("integers", 3, 1000), ("uniform", 5, 1.0, 0.5),
+                      ("scalar", "int")], seed=0)
+    @example(program=[("scalar", "int"), ("uniform", 0, 0.0, 1.0),
+                      ("uniform", 2, 0.0, 0.0), ("scalar", "int")], seed=1)
+    @settings(max_examples=200, deadline=None)
+    def test_regenerates_the_eager_draw(self, program, seed):
+        """Times regenerated from a deferred draw's saved state equal
+        the draw made on the spot, bit for bit, and the generator is
+        left where the draw would leave it, a buffered 32-bit half
+        included: every later draw and the final state agree."""
+        from repro.core import pipeline
+
+        eager_rng = np.random.default_rng(seed)
+        eager = []
+
+        def draw_now(start, end, count):
+            if count:
+                eager.append(pipeline._uniform_times(eager_rng, start, end,
+                                                     count))
+
+        deferred_rng = np.random.default_rng(seed)
+        log = pipeline._TrafficLog()
+
+        def defer(start, end, count):
+            before = deferred_rng.bit_generator.state
+            log.add_uniform("dc", deferred_rng, start, end,
+                            np.zeros(count, dtype=np.int64), False)
+            if not count:  # an empty draw logs and draws nothing
+                assert deferred_rng.bit_generator.state == before
+
+        assert _play(program, eager_rng, draw_now) == _play(
+            program, deferred_rng, defer)
+        scratch = np.random.Generator(np.random.PCG64(0))
+        regenerated = [log._drawn(times, scratch) for times in log._times]
+        assert [times.tobytes() for times in regenerated] == [
+            times.tobytes() for times in eager]
+        assert _live_state(deferred_rng) == _live_state(eager_rng)
+        assert [deferred_rng.integers(0, 1000, size=3).tolist(),
+                deferred_rng.random(2).tolist()] == [
+            eager_rng.integers(0, 1000, size=3).tolist(),
+            eager_rng.random(2).tolist()]
+
+    def test_one_generator_per_log(self):
+        from repro.core import pipeline
+
+        log = pipeline._TrafficLog()
+        log.add_uniform("dc", np.random.default_rng(1), 0.0, 1.0,
+                        np.zeros(4, dtype=np.int64), False)
+        with pytest.raises(ValueError):
+            log.add_uniform("dc", np.random.default_rng(2), 0.0, 1.0,
+                            np.zeros(4, dtype=np.int64), False)
+
+
+def _time_bytes(times) -> int:
+    """Bytes a logged chunk spends on its arrival times: an array's
+    data, or a deferred draw's object and the values it holds."""
+    if isinstance(times, np.ndarray):
+        return times.nbytes
+    return sys.getsizeof(times) + sum(
+        sys.getsizeof(getattr(times, name)) for name in times.__slots__)
+
+
+class TestDeferredTimesMemory:
+    """A Baseline run's log keeps each deferred draw as its recipe, so
+    the VD's writes and the DC's reads (~90 % of its accesses) cost
+    the log their addresses, which are shared, and no times."""
+
+    #: Bytes of time data per access of the agents whose draws are
+    #: deferred: a logged array of times holds 8; a recipe of ~190 B
+    #: per ~1k-access chunk, ~0.19.
+    TIME_BYTES_PER_DEFERRED_ACCESS = 1.0
+    #: Traced peak growth per DRAM access that doubling a V8 Baseline
+    #: run (150 → 300 frames) adds: 9.1 B when the log holds every
+    #: draw's times, 1.8 B when it defers them.  Half the former.
+    GROWTH_BYTES_PER_ACCESS = 4.5
+
+    @staticmethod
+    def _frames(n_frames):
+        from repro.video import SyntheticVideo, workload
+
+        return list(SyntheticVideo(SimulationConfig().video, workload("V8"),
+                                   seed=7, n_frames=n_frames))
+
+    def test_log_holds_no_times_for_deferred_draws(self):
+        from repro.config import BASELINE
+        from repro.core import pipeline
+
+        held = {"bytes": 0, "accesses": 0}
+        replay = pipeline._TrafficLog.replay
+
+        def measure(log, memory):
+            for agent, times in zip(log._agents, log._times):
+                if agent in ("vd_write", "dc"):
+                    held["bytes"] += _time_bytes(times)
+                    held["accesses"] += len(times)
+            return replay(log, memory)
+
+        with mock.patch.object(pipeline._TrafficLog, "replay", measure):
+            result = pipeline.simulate(self._frames(96), BASELINE, seed=7)
+        assert held["accesses"] > 0.8 * result.mem_stats.bursts
+        assert (held["bytes"] / held["accesses"]
+                <= self.TIME_BYTES_PER_DEFERRED_ACCESS)
+
+    def test_doubled_run_grows_by_its_undeferred_traffic(self):
+        from repro.config import BASELINE
+        from repro.core import pipeline
+
+        peaks, bursts = [], []
+        for n_frames in (150, 300):
+            frames = self._frames(n_frames)
+            tracemalloc.start()
+            try:
+                result = pipeline.simulate(frames, BASELINE, seed=7)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            bursts.append(result.mem_stats.bursts)
+        growth = (peaks[1] - peaks[0]) / (bursts[1] - bursts[0])
+        assert growth < self.GROWTH_BYTES_PER_ACCESS
 
 
 class TestMemoryEnergy:

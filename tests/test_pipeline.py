@@ -288,7 +288,8 @@ class TestBatchEdges:
 class TestEdgeSweep:
     """``simulate`` at the edges of its inputs gives a valid result or a
     typed error, and the same one when each run's DRAM traffic is
-    replayed in one call instead of window by window."""
+    replayed in one call instead of window by window, or when every
+    chunk's arrival times are drawn as it is logged."""
 
     @given(n_frames=st.sampled_from([1, 2, 7]),
            batch_size=st.sampled_from([1, 16, 64]),
@@ -297,7 +298,8 @@ class TestEdgeSweep:
            scheme=st.sampled_from([BASELINE, GAB, GAB_DCC]),
            window=st.sampled_from([16, 256]))
     @settings(max_examples=40, deadline=None)
-    def test_valid_result_or_typed_error(self, whole_run_replay, n_frames,
+    def test_valid_result_or_typed_error(self, whole_run_replay,
+                                         eager_traffic_times, n_frames,
                                          batch_size, geometry, no_quantum,
                                          revoked, scheme, window):
         from unittest import mock
@@ -328,9 +330,12 @@ class TestEdgeSweep:
             windowed = run()
         with whole_run_replay():
             whole = run()
+        with eager_traffic_times():
+            eager = run()
         if isinstance(windowed, ReproError):
-            assert type(whole) is type(windowed)
-            assert str(whole) == str(windowed)
+            for oracle in (whole, eager):
+                assert type(oracle) is type(windowed)
+                assert str(oracle) == str(windowed)
             return
         assert isinstance(windowed, RunResult)
         assert windowed.n_frames == n_frames
@@ -342,6 +347,7 @@ class TestEdgeSweep:
         if revoked:
             assert windowed.throttle_seconds > 0
         assert windowed.to_jsonable() == whole.to_jsonable()
+        assert windowed.to_jsonable() == eager.to_jsonable()
 
 
 class TestRunMemory:

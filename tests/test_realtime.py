@@ -18,16 +18,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import (
+    BASELINE,
     GAB,
     FaultConfig,
     RealtimeConfig,
     SimulationConfig,
+    ThermalConfig,
 )
 from repro.core.pipeline import simulate
+from repro.core.results import RunResult
 from repro.core.race_to_sleep import REALTIME_LADDER_STEPS, DeadlineLadder
-from repro.errors import ConfigError, RealtimeError
+from repro.errors import ConfigError, RealtimeError, ReproError
 from repro.faults import FaultPlan
 from repro.realtime import (
     CHAOS_REGIMES,
@@ -341,6 +346,67 @@ class TestSimulateRealtime:
         times = result.availability_times()
         assert (np.diff(times) >= 0).all()
         assert np.isfinite(times).all()
+
+
+class TestEdgeSweep:
+    """``simulate_realtime``, and the playback it feeds, at the edges of
+    their inputs give a valid result or a typed error.  The playback
+    conceals every unrecovered block with re-reads logged as deferred
+    draws, so it must also equal the eager-draw oracle's."""
+
+    @given(dead_link=st.booleans(), n_frames=st.sampled_from([1, 2, 30]),
+           revoked=st.booleans(),
+           recovery=st.sampled_from(["fec", "retx", "adaptive"]),
+           ladder=st.booleans(), scheme=st.sampled_from([BASELINE, GAB]))
+    @settings(max_examples=30, deadline=None)
+    def test_valid_result_or_typed_error(self, eager_traffic_times,
+                                         dead_link, n_frames, revoked,
+                                         recovery, ladder, scheme):
+        # A dead link is a zero-bandwidth trace: the rate is scaled by
+        # 0 from the start.
+        rt = _rt(recovery=recovery, ladder=ladder,
+                 rate_schedule=((0.0, 0.0),) if dead_link else ())
+        config = _sim(rt)
+        if revoked:
+            # Boost revoked for the whole of every event slot.
+            config = replace(config, thermal=ThermalConfig(
+                enabled=True, seed=7, event_interval=1.0,
+                cap_drop_rate=1.0, cap_drop_duty=1.0))
+        try:
+            realtime = simulate_realtime(config, n_frames=n_frames)
+        except ReproError:
+            return
+        assert realtime.n_frames == n_frames
+        assert len(realtime.completion) == len(realtime.step) == n_frames
+        assert 0.0 <= realtime.deadline_miss_fraction <= 1.0
+        assert np.isfinite(realtime.total_energy)
+        assert realtime.total_energy >= 0
+        assert RealtimeResult.from_jsonable(
+            realtime.to_jsonable()).to_jsonable() == realtime.to_jsonable()
+        if dead_link:
+            assert realtime.block_overlay()
+
+        def play():
+            try:
+                return realtime_playback(scheme, config, n_frames=n_frames)
+            except ReproError as error:
+                return error
+
+        deferred = play()
+        with eager_traffic_times():
+            eager = play()
+        if isinstance(deferred, ReproError):
+            assert type(eager) is type(deferred)
+            assert str(eager) == str(deferred)
+            return
+        assert isinstance(deferred, RunResult)
+        assert deferred.n_frames == n_frames
+        assert 0 <= deferred.drops <= n_frames
+        assert np.isfinite(deferred.energy.total)
+        assert deferred.energy.total > 0
+        if dead_link:
+            assert deferred.concealed_blocks > 0
+        assert deferred.to_jsonable() == eager.to_jsonable()
 
 
 class TestDisabledRealtimeIsInert:

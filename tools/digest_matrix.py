@@ -10,7 +10,10 @@ GAB+DCC x thermal throttling off/on, plus the eager MACH-buffer policy,
 the display cache and the MACH buffer switched off, digest-collision
 faults with and without verification, CO-MACH, the ``weak-sum`` digest,
 the unbounded MACH, and the DRAM scheduler with no FR-FCFS quantum, and
-one 600-frame run, whose DRAM replay spans about 20 windows.  It adds ``run_fleet`` over the default
+three 600-frame runs, whose DRAM replay spans about 20 windows: V8
+Baseline with and without the quantum, and V8 GAB with bit errors,
+whose concealment reads are deferred draws too.  It adds ``run_fleet``
+over the default
 population at seed 7: 1, 8,193 and 50,001 sessions x contention on/off
 x 1 and 3 shards, on one ``calibrate`` per side, and that
 ``calibrate`` itself (the ``FleetCalibration`` of the default
@@ -91,6 +94,8 @@ def matrix() -> List[Dict[str, Any]]:
         _case("V8", "BASELINE", dram={"scheduler_quantum": 0.0}),
         _case("V8", "GAB", dram={"scheduler_quantum": 0.0}),
         _case("V8", "BASELINE", frames=600),
+        _case("V8", "BASELINE", frames=600, dram={"scheduler_quantum": 0.0}),
+        _case("V8", "GAB", frames=600, faults={"block_bit_error": 2e-5}),
     ]
     cases += [_fleet_case(sessions, contention, shards)
               for sessions in (1, 8_193, 50_001)
