@@ -527,6 +527,11 @@ def realtime_playback(scheme: SchemeConfig, config: SimulationConfig,
     recovery failures are healed by the same ``conceal_blocks`` path —
     and charged the same extra reference reads — as injected bit
     errors.  Returns the pipeline's ``RunResult``.
+
+    The pipeline calls the VD for frame ``i`` at ``i / fps`` and shows
+    it one refresh later.  Its clock starts ``latency_budget`` after
+    the first capture, so frame ``i``'s delivery deadline is its VD
+    call: a frame delivered on time has a whole refresh to decode.
     """
     from ..core.pipeline import simulate
     from ..video import workload
@@ -534,7 +539,8 @@ def realtime_playback(scheme: SchemeConfig, config: SimulationConfig,
     realtime = simulate_realtime(config, n_frames=n_frames,
                                  profile=profile)
     source = profile if profile is not None else workload("V1")
-    network_model = RealtimeFrameSource(realtime.availability_times())
+    network_model = RealtimeFrameSource(
+        realtime.availability_times() - realtime.latency_budget)
     return simulate(source, scheme, n_frames=n_frames, config=config,
                     network_model=network_model,
                     block_loss_overlay=realtime.block_overlay())
