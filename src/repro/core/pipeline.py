@@ -40,6 +40,7 @@ from ..thermal import ThermalModel
 from ..memory.address import RegionMap
 from ..memory.controller import MemoryController
 from ..memory.energy import memory_energy
+from ..pcg64 import skip_outputs
 from ..video.frame import DecodedFrame, FrameType
 from ..video.synthesis import SyntheticVideo, VideoProfile
 from ..video.trace import FrameTrace
@@ -158,21 +159,13 @@ class _TrafficLog:
         count = len(addresses)
         if count == 0:
             return
-        bit_generator = rng.bit_generator
-        state = bit_generator.state
+        state = rng.bit_generator.state
         word = state["state"]
         if self._increment is None:
             self._increment = word["inc"]
         elif word["inc"] != self._increment:
             raise ValueError("a traffic log defers draws of one generator")
-        bit_generator.advance(count)
-        if state["has_uint32"]:
-            # ``advance`` drops a buffered 32-bit half (bounded 32-bit
-            # ``integers`` leave one), which the draw itself keeps.
-            advanced = bit_generator.state
-            advanced["has_uint32"] = 1
-            advanced["uinteger"] = state["uinteger"]
-            bit_generator.state = advanced
+        skip_outputs(rng, state, count)
         self._times.append(_Draw(word["state"], float(start), float(end),
                                  count))
         self._log(agent, addresses, is_write)
@@ -297,17 +290,28 @@ class _TrafficLog:
         return lo, hi
 
 
+def _reads_pixels(scheme: SchemeConfig) -> bool:
+    """Whether a run under ``scheme`` reads its frames' content.
+
+    Only the content-caching write path (MACH digests) and DCC look at
+    decoded bytes; every other step uses a frame's type, complexity,
+    encoded size and block geometry.
+    """
+    return scheme.uses_mach or scheme.dcc
+
+
 def _resolve_source(
     source: VideoSource, cfg: SimulationConfig, n_frames: Optional[int],
-    seed: int,
+    seed: int, pixels: bool,
 ) -> Tuple[Iterable[DecodedFrame], int, str, SimulationConfig]:
     """Turn the ``source`` argument into (stream, count, key, config).
 
     Accepts a :class:`VideoProfile` (the synthetic generator path), a
     :class:`~repro.video.trace.FrameTrace` (recorded/real content — its
     geometry overrides the configured one), or any sized iterable of
-    :class:`DecodedFrame`.  Raises :class:`ConfigError` when that
-    leaves fewer than one frame to play.
+    :class:`DecodedFrame`.  Without ``pixels`` a profile's frames are
+    synthesised from the same draws but left unrendered.  Raises
+    :class:`ConfigError` when that leaves fewer than one frame to play.
     """
     if isinstance(source, VideoProfile):
         count = n_frames if n_frames is not None else source.n_frames
@@ -319,7 +323,8 @@ def _resolve_source(
         stream = SyntheticVideo(
             cfg.video, source, seed=seed, n_frames=count,
             complexity_sigma=cfg.calibration.complexity_sigma)
-        return stream, count, source.key, cfg
+        return (stream if pixels else stream._without_pixels(), count,
+                source.key, cfg)
     if isinstance(source, FrameTrace):
         return source, count, "trace", replace(
             cfg, video=source.video_config)
@@ -381,7 +386,7 @@ def simulate(
     """
     cfg = config or SimulationConfig()
     stream, count, profile_key, cfg = _resolve_source(
-        source, cfg, n_frames, seed)
+        source, cfg, n_frames, seed, _reads_pixels(scheme))
     play = _Playback(
         cfg, scheme, count, seed, unbounded_mach=unbounded_mach,
         use_display_cache=use_display_cache, use_mach_buffer=use_mach_buffer,

@@ -33,14 +33,16 @@ Scenes last ``scene_len`` frames; a scene cut regenerates all pools
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from ..config import VideoConfig
 from ..errors import ConfigError
+from ..pcg64 import skip_outputs
 from .frame import DecodedFrame, FrameType
 from .gop import gop_pattern
 
@@ -132,6 +134,7 @@ class SyntheticVideo:
         self._sigma = math.hypot(complexity_sigma, profile.complexity_sigma)
         self._pattern = gop_pattern(config.gop_length,
                                     config.b_frames_per_gop)
+        self._blank = False
 
     def __iter__(self) -> Iterator[DecodedFrame]:
         return self.frames()
@@ -143,6 +146,17 @@ class SyntheticVideo:
         """Every frame, generated once and held for any number of runs."""
         return FrameList(self.frames(), self.profile.key)
 
+    def _without_pixels(self) -> "SyntheticVideo":
+        """This stream with no pixel rendered, for a run that reads none.
+
+        Every frame's index, type, complexity and encoded size are the
+        stream's own, drawn from the same generator states; its blocks
+        are one shared, read-only, all-zero view of the frame's shape.
+        """
+        blank = copy.copy(self)
+        blank._blank = True
+        return blank
+
     # -- generation -----------------------------------------------------
 
     def frames(self) -> Iterator[DecodedFrame]:
@@ -151,7 +165,8 @@ class SyntheticVideo:
         rng = np.random.default_rng(self._seed)
         n = cfg.blocks_per_frame
         k = cfg.block_bytes
-        state = _SceneState(rng, prof, n, k)
+        scene = _BlankSceneState if self._blank else _SceneState
+        state = scene(rng, prof, n, k)
         for index in range(self.n_frames):
             if index % prof.scene_len == 0:
                 state.new_scene()
@@ -244,7 +259,8 @@ class _SceneState:
         self._flat_colors = np.zeros((1, 3), dtype=np.uint8)
         self._common_rows = self._unique_rows = self._noise_rows = (
             np.zeros(0, dtype=np.int64))
-        self._frame = np.zeros((n_blocks, block_bytes), dtype=np.uint8)
+        self._frame: np.ndarray = np.zeros((n_blocks, block_bytes),
+                                           dtype=np.uint8)
 
     # -- scene lifecycle -------------------------------------------------
 
@@ -257,10 +273,8 @@ class _SceneState:
         # compression (DCC) sees realistic compressibility.
         self._common_textures = _smooth_textures(rng, pool, k, step=5)
         self._common_textures[0] = 0  # texture 0 is the flat block
-        self._canonical_bases = rng.integers(
-            0, 256, size=(pool, 3), dtype=np.uint8)
-        self._flat_colors = rng.integers(
-            0, 256, size=(prof.flat_palette, 3), dtype=np.uint8)
+        self._canonical_bases = self._bytes((pool, 3))
+        self._flat_colors = self._bytes((prof.flat_palette, 3))
         # The unique rows' smooth textures: drawn, but never shown, since
         # the re-roll below gives every unique row fresh uniform bytes.
         rng.integers(-11, 12, size=(n, k), dtype=np.int16)
@@ -290,8 +304,7 @@ class _SceneState:
                                                     side="right")
             bases = self._canonical_bases[choice]
             offset = rng.random(n_common) < prof.p_offset
-            bases[offset] = rng.integers(
-                0, 256, size=(int(offset.sum()), 3), dtype=np.uint8)
+            bases[offset] = self._bytes((int(offset.sum()), 3))
             flat = choice == 0
             n_flat = int(flat.sum())
             if n_flat:
@@ -302,8 +315,11 @@ class _SceneState:
             self._frame[common] = textures.reshape(n_common, k)
         if len(unique):
             # A re-rolled unique block gets brand-new persistent content.
-            self._frame[unique] = rng.integers(
-                0, 256, size=(len(unique), k), dtype=np.uint8)
+            self._frame[unique] = self._bytes((len(unique), k))
+
+    def _bytes(self, shape: Tuple[int, int]) -> np.ndarray:
+        """Uniform random bytes: a full-range ``uint8`` draw."""
+        return self._rng.integers(0, 256, size=shape, dtype=np.uint8)
 
     # -- rendering ---------------------------------------------------------
 
@@ -311,6 +327,54 @@ class _SceneState:
         """Draw the noise rows and return the frame as a new array."""
         noise = self._noise_rows
         if len(noise):
-            self._frame[noise] = self._rng.integers(
-                0, 256, size=(len(noise), self._k), dtype=np.uint8)
+            self._frame[noise] = self._bytes((len(noise), self._k))
         return self._frame.copy()  # the caller may mutate it
+
+
+class _BlankSceneState(_SceneState):
+    """The scene state of a run that reads no pixel: every draw of
+    :class:`_SceneState`, in order, with no byte drawn or painted.
+
+    A draw whose consumption of the generator depends on its values —
+    a bounded ``integers`` (rejection sampling) or ``choice`` — or whose
+    values pick what comes next (the doubles) is made as it is.  A
+    full-range ``uint8`` draw takes a fixed ``ceil(bytes / 4)`` 32-bit
+    outputs whatever its values, so it is skipped instead.  Every frame
+    is one shared, read-only, all-zero view.
+    """
+
+    def __init__(self, rng: np.random.Generator, profile: VideoProfile,
+                 n_blocks: int, block_bytes: int) -> None:
+        super().__init__(rng, profile, n_blocks, block_bytes)
+        self._frame = np.broadcast_to(np.uint8(0), (n_blocks, block_bytes))
+
+    def _reroll(self, common: np.ndarray, unique: np.ndarray) -> None:
+        """:meth:`_SceneState._reroll`'s draws, without the content."""
+        rng, prof = self._rng, self._profile
+        n_common = len(common)
+        if n_common:
+            choice = self._texture_cdf.searchsorted(rng.random(n_common),
+                                                    side="right")
+            offset = rng.random(n_common) < prof.p_offset
+            self._skip_bytes(3 * int(offset.sum()))
+            n_flat = int((choice == 0).sum())
+            if n_flat:
+                rng.integers(0, prof.flat_palette, size=n_flat)
+        self._skip_bytes(len(unique) * self._k)
+
+    def _bytes(self, shape: Tuple[int, int]) -> np.ndarray:
+        """Skip a full-range ``uint8`` draw of ``shape``; zeros stand
+        for its bytes, which no blank frame shows."""
+        self._skip_bytes(shape[0] * shape[1])
+        return np.zeros(shape, dtype=np.uint8)
+
+    def _skip_bytes(self, count: int) -> None:
+        """Skip a full-range ``uint8`` draw of ``count`` bytes."""
+        if count:
+            rng = self._rng
+            skip_outputs(rng, rng.bit_generator.state, 0, -(-count // 4))
+
+    def render(self) -> np.ndarray:
+        """Skip the noise rows' draw; return the shared blank frame."""
+        self._skip_bytes(len(self._noise_rows) * self._k)
+        return self._frame

@@ -301,6 +301,16 @@ def whole_run_replay():
                              "replay", replay_whole_run)
 
 
+@pytest.fixture(scope="session")
+def pixel_frames():
+    """The pixel oracle, as a context-manager factory: ``with
+    pixel_frames(): simulate(...)`` renders every synthesised frame's
+    pixels, even for a scheme that reads none (Baseline, Batching,
+    Racing, Race-to-Sleep), instead of playing the blank stream."""
+    return functools.partial(mock.patch.object, pipeline, "_reads_pixels",
+                             lambda scheme: True)
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(0xC0FFEE)

@@ -34,11 +34,21 @@ def test_matrix(digest_matrix):
     cases = digest_matrix.matrix()
     names = [digest_matrix.case_name(case) for case in cases]
     assert len(set(names)) == len(cases)
-    # Every video x scheme x thermal combination of the base matrix.
+    # Every video x scheme x thermal combination of the base matrix:
+    # the four schemes that play a blank stream, the MACH schemes, and
+    # DCC alone (pixels without MACH).
     base = {(c["video"], c["scheme"], c["thermal"]) for c in cases
             if set(c) == {"video", "scheme", "thermal"}}
-    assert len(base) == 4 * 4 * 2
+    assert base == {(video, scheme, thermal)
+                    for video in ("V1", "V3", "V8", "V14")
+                    for scheme in ("BASELINE", "BATCHING", "RACING",
+                                   "RACE_TO_SLEEP", "MAB", "GAB", "GAB_DCC",
+                                   "DCC_ONLY")
+                    for thermal in (False, True)}
     options = [c for c in cases if set(c) != {"video", "scheme", "thermal"}]
+    # A blank stream concealing bit errors.
+    assert {"video": "V8", "scheme": "BASELINE", "thermal": False,
+            "faults": {"block_bit_error": 2e-5}} in options
     assert any(c.get("buffer_policy") == "eager" for c in options)
     assert any(c.get("use_display_cache") is False for c in options)
     assert any(c.get("use_mach_buffer") is False for c in options)

@@ -288,8 +288,9 @@ class TestBatchEdges:
 class TestEdgeSweep:
     """``simulate`` at the edges of its inputs gives a valid result or a
     typed error, and the same one when each run's DRAM traffic is
-    replayed in one call instead of window by window, or when every
-    chunk's arrival times are drawn as it is logged."""
+    replayed in one call instead of window by window, when every
+    chunk's arrival times are drawn as it is logged, or when every
+    frame's pixels are rendered."""
 
     @given(n_frames=st.sampled_from([1, 2, 7]),
            batch_size=st.sampled_from([1, 16, 64]),
@@ -299,9 +300,10 @@ class TestEdgeSweep:
            window=st.sampled_from([16, 256]))
     @settings(max_examples=40, deadline=None)
     def test_valid_result_or_typed_error(self, whole_run_replay,
-                                         eager_traffic_times, n_frames,
-                                         batch_size, geometry, no_quantum,
-                                         revoked, scheme, window):
+                                         eager_traffic_times, pixel_frames,
+                                         n_frames, batch_size, geometry,
+                                         no_quantum, revoked, scheme,
+                                         window):
         from unittest import mock
 
         from repro.core import pipeline
@@ -332,8 +334,10 @@ class TestEdgeSweep:
             whole = run()
         with eager_traffic_times():
             eager = run()
+        with pixel_frames():
+            pixels = run()
         if isinstance(windowed, ReproError):
-            for oracle in (whole, eager):
+            for oracle in (whole, eager, pixels):
                 assert type(oracle) is type(windowed)
                 assert str(oracle) == str(windowed)
             return
@@ -348,6 +352,7 @@ class TestEdgeSweep:
             assert windowed.throttle_seconds > 0
         assert windowed.to_jsonable() == whole.to_jsonable()
         assert windowed.to_jsonable() == eager.to_jsonable()
+        assert windowed.to_jsonable() == pixels.to_jsonable()
 
 
 class TestRunMemory:

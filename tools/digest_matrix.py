@@ -5,8 +5,10 @@ Run:  python tools/digest_matrix.py PARENT_REV
 Exports ``PARENT_REV`` with ``git archive`` into a temporary directory
 (the repository's ``.git`` is left untouched), then plays the same
 matrix of ``simulate`` runs, 96 frames at seed 7, in a fresh process on
-each side: videos V1/V3/V8/V14 x the schemes Baseline, MAB, GAB and
-GAB+DCC x thermal throttling off/on, plus the eager MACH-buffer policy,
+each side: videos V1/V3/V8/V14 x every scheme (Baseline, Batching,
+Racing, Race-to-Sleep, MAB, GAB, GAB+DCC and DCC alone) x thermal
+throttling off/on, plus Baseline with bit errors, the eager MACH-buffer
+policy,
 the display cache and the MACH buffer switched off, digest-collision
 faults with and without verification, CO-MACH, the ``weak-sum`` digest,
 the unbounded MACH, and the DRAM scheduler with no FR-FCFS quantum, and
@@ -42,6 +44,12 @@ ROOT = Path(__file__).resolve().parents[1]
 FRAMES = 96
 SEED = 7
 
+#: Every scheme of the base matrix: the four that read no pixel (they
+#: play a blank stream), the MACH schemes, and DCC alone, which reads
+#: pixels without MACH.
+SCHEMES = ("BASELINE", "BATCHING", "RACING", "RACE_TO_SLEEP", "MAB", "GAB",
+           "GAB_DCC", "DCC_ONLY")
+
 
 def _case(video: str, scheme: str, *, thermal: bool = False,
           **options: Any) -> Dict[str, Any]:
@@ -67,7 +75,7 @@ def matrix() -> List[Dict[str, Any]]:
     ``calibrate`` case calibration and calib_seed keys."""
     cases = [_case(video, scheme, thermal=thermal)
              for video in ("V1", "V3", "V8", "V14")
-             for scheme in ("BASELINE", "MAB", "GAB", "GAB_DCC")
+             for scheme in SCHEMES
              for thermal in (False, True)]
     cases += [_case(video, scheme, buffer_policy="eager",
                     unbounded_mach=unbounded)
@@ -80,6 +88,7 @@ def matrix() -> List[Dict[str, Any]]:
         _case("V8", "GAB", use_mach_buffer=False),
         _case("V8", "GAB", unbounded_mach=True),
         _case("V8", "GAB", faults={"block_bit_error": 2e-5, **collision}),
+        _case("V8", "BASELINE", faults={"block_bit_error": 2e-5}),
         _case("V3", "GAB", faults={"digest_collision": 0.02,
                                    "verify_digests": False}),
         _case("V1", "MAB", faults=collision),
