@@ -1,7 +1,7 @@
 # Common developer targets.
 
 .PHONY: install test bench validate experiments examples perf-pairs \
-	digest-matrix
+	digest-matrix loc
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -35,3 +35,8 @@ perf-pairs:
 #   make digest-matrix PARENT=HEAD~1
 digest-matrix:
 	python tools/digest_matrix.py $(PARENT)
+
+# Python line counts of src/ and tests/, as reported in CHANGES.md.
+loc:
+	@echo "src   $$(git ls-files 'src/*.py' | xargs cat | wc -l)"
+	@echo "tests $$(git ls-files 'tests/*.py' | xargs cat | wc -l)"

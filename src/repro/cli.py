@@ -734,8 +734,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint", help="whole-program invariant checks: determinism, "
-                     "units/dimensions, taint, round-trip, error "
-                     "policy, API contract")
+                     "units, taint, round-trip, error policy, API "
+                     "contract")
     lint.add_argument("paths", nargs="*",
                       help="files/directories (default: the installed "
                            "repro package)")

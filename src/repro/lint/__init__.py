@@ -19,12 +19,9 @@ Four rule families (see ``docs/LINTING.md`` for the full catalogue):
 * **API contract** (``A``) — public functions are fully annotated and
   ``to_jsonable``/``from_jsonable`` checkpoint pairs stay complete.
 
-Three *whole-program* families run over the linked project (shared
+Two *whole-program* families run over the linked project (shared
 symbol table + call graph, see :mod:`repro.lint.callgraph`):
 
-* **dimension** (``UD``) — unit-dimension inference: no mixed-scale
-  arithmetic, no unconverted stores/returns, no unit-ambiguous public
-  parameters;
 * **taint** (``DT``) — determinism taint tracking: no nondeterministic
   value reaches a serialized result, no float accumulation over set
   iteration, mergeable aggregates accumulate exactly;
@@ -55,7 +52,6 @@ from .registry import Rule, all_rules, get_rule
 # Importing the rule modules registers every built-in rule; the
 # project-scope passes register on import of their defining modules.
 from . import rules as _rules  # noqa: F401
-from . import dimensions as _dimensions  # noqa: F401
 from . import roundtrip as _roundtrip  # noqa: F401
 from . import taint as _taint  # noqa: F401
 

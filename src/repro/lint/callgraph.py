@@ -8,9 +8,6 @@ Phase 2 of the analysis.  Takes every module summary produced by
   (``repro.core.mach.classify``, ``repro.fleet.engine.CohortAggregate
   .merge``), with a unique-method fallback for ``~name`` references
   whose receiver type phase 1 could not see;
-* transitive return-dimension resolution (with a cycle guard), so a
-  deferred ``x + other_module.per_frame_mj(...)`` check can finally
-  decide whether the scales match;
 * the determinism taint closure: a function is taint-producing if its
   body holds a source or it (transitively) calls one;
 * the sink table — serialized result/aggregate classes — against
@@ -24,7 +21,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set
 
-from . import dimensions
 from .registry import RawProjectViolation
 
 
@@ -42,7 +38,6 @@ class ProjectContext:
         self._class_name_index: Dict[str, List[str]] = {}
         self.sinks: Set[str] = set()
         self.tainted: Dict[str, str] = {}
-        self._dim_memo: Dict[str, Optional[str]] = {}
         self._link_findings: Dict[str, List[Dict[str, Any]]] = {}
         self._link()
 
@@ -68,7 +63,6 @@ class ProjectContext:
                         or record.get("has_merge")):
                     self.sinks.add(qualref)
         self._close_taint()
-        self._evaluate_pending_dims()
         self._evaluate_sink_writes()
 
     # -- reference resolution ----------------------------------------------
@@ -94,29 +88,6 @@ class ProjectContext:
         short = ref.rsplit(".", 1)[1]
         candidates = self._class_name_index.get(short, [])
         return candidates[0] if len(candidates) == 1 else None
-
-    # -- return-dimension resolution ---------------------------------------
-
-    def return_dim(self, ref: str) -> Optional[str]:
-        """The concrete dimension a call to ``ref`` returns, if known."""
-        canonical = self.resolve_ref(ref)
-        if canonical is None:
-            return None
-        if canonical in self._dim_memo:
-            return self._dim_memo[canonical]
-        self._dim_memo[canonical] = None  # cycle guard: in-progress = unknown
-        declared = self.functions[canonical].get("return_dim")
-        result: Optional[str] = None
-        if declared is not None:
-            result = (self.return_dim(declared[4:])
-                      if declared.startswith("ret:") else declared)
-        self._dim_memo[canonical] = result
-        return result
-
-    def _resolve_symbolic(self, expr: str) -> Optional[str]:
-        if expr.startswith("ret:"):
-            return self.return_dim(expr[4:])
-        return expr
 
     # -- taint closure ------------------------------------------------------
 
@@ -148,17 +119,6 @@ class ProjectContext:
         self._link_findings.setdefault(path, []).append({
             "rule": rule_id, "line": line, "col": col,
             "message": message, "text": text})
-
-    def _evaluate_pending_dims(self) -> None:
-        for path, summary in self.summaries.items():
-            for record in summary.get("pending_dims", []):
-                fired = dimensions.evaluate_pending_dim(
-                    record, self._resolve_symbolic)
-                if fired is not None:
-                    rule_id, message = fired
-                    self._add_finding(path, rule_id, record["line"],
-                                      record["col"], message,
-                                      record.get("text", ""))
 
     def _evaluate_sink_writes(self) -> None:
         for path, summary in self.summaries.items():

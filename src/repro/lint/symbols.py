@@ -1,9 +1,9 @@
 """Per-file symbol extraction: phase 1 of the whole-program analysis.
 
 Each file is summarized *once* into a plain-JSON dict — functions with
-their call edges, inferred return dimensions, and taint sources;
-classes with their serialization/merge surface; locally decidable
-findings; and the checks that must wait for the cross-module link.
+their call edges and taint sources; classes with their
+serialization/merge surface; locally decidable findings; and the
+checks that must wait for the cross-module link.
 Summarizing a file never looks at any other file;
 :mod:`repro.lint.callgraph` links the summaries.
 """
@@ -11,9 +11,8 @@ Summarizing a file never looks at any other file;
 from __future__ import annotations
 
 import ast
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from . import dimensions
 from .asthelpers import dotted_name, imported_names
 from .roundtrip import analyze_class_roundtrip
 from .taint import ModuleTaintAnalysis
@@ -49,53 +48,30 @@ class CallResolver:
             return name
         return origin + ("." + rest if rest else "")
 
-    def classify_call(self, call: ast.Call) -> Optional[Tuple[str, str]]:
-        """("helper", units-fn) | ("ref", qualref) | None."""
+    def call_ref(self, call: ast.Call) -> Optional[str]:
+        """The qualified reference a call site targets, if any."""
         name = dotted_name(call.func)
         if name is None:
             return None
         if name.startswith("self.") and self.current_class is not None:
             parts = name.split(".")
             if len(parts) == 2:
-                return ("ref",
-                        f"{self.module}.{self.current_class}.{parts[1]}")
+                return f"{self.module}.{self.current_class}.{parts[1]}"
             return None
         qualified = self.qualify(name)
         if qualified.startswith("repro.units."):
-            short = qualified[len("repro.units."):]
-            if short in dimensions.UNIT_HELPERS:
-                return ("helper", short)
-            return None
+            return None  # pure conversions: no edge worth linking
         if qualified.startswith("repro."):
-            return ("ref", qualified)
+            return qualified
         if "." not in name:
             if name in self.local_functions or name in self.local_classes:
-                return ("ref", f"{self.module}.{name}")
+                return f"{self.module}.{name}"
             return None
         # Unresolvable receiver: fall back to unique-method lookup.
         short = name.rsplit(".", 1)[1]
         if short.startswith("__") or short in _BORING_METHODS:
             return None
-        return ("ref", f"~{short}")
-
-    def call_ref(self, call: ast.Call) -> Optional[str]:
-        resolved = self.classify_call(call)
-        if resolved is not None and resolved[0] == "ref":
-            return resolved[1]
-        return None
-
-    def const_lookup(self, node: ast.AST) -> Optional[str]:
-        """The repro.units constant name an operand refers to, if any."""
-        name = dotted_name(node)
-        if name is None:
-            return None
-        qualified = self.qualify(name)
-        if qualified.startswith("repro.units."):
-            short = qualified[len("repro.units."):]
-            if short in dimensions.UNIT_CONSTANTS \
-                    or short in dimensions.IDENTITY_CONSTANTS:
-                return short
-        return None
+        return f"~{short}"
 
     def resolve_class_ref(self, name: str) -> Optional[str]:
         qualified = self.qualify(name)
@@ -104,23 +80,6 @@ class CallResolver:
         if name in self.local_classes:
             return f"{self.module}.{name}"
         return None
-
-
-def _params(func: ast.AST) -> List[Dict[str, Any]]:
-    args = func.args
-    records: List[Dict[str, Any]] = []
-    for arg in args.posonlyargs + args.args + args.kwonlyargs:
-        if arg.arg in ("self", "cls"):
-            continue
-        records.append({
-            "name": arg.arg,
-            "annotation": (ast.unparse(arg.annotation)
-                           if arg.annotation is not None else None)})
-    return records
-
-
-def _is_public(name: str) -> bool:
-    return not name.startswith("_")
 
 
 def _field_types(classdef: ast.ClassDef) -> Dict[str, str]:
@@ -141,10 +100,6 @@ class _ModuleExtractor:
         self.module = module
         self.lines = lines
         self.resolver = CallResolver(module, tree)
-        self.exempt = module in dimensions.EXEMPT_MODULES
-        self.dims = dimensions.ModuleDimAnalysis(
-            module, lines, self.resolver.classify_call,
-            self.resolver.const_lookup)
         self.taint = ModuleTaintAnalysis(
             module, lines, self.resolver.qualify,
             self.resolver.resolve_class_ref)
@@ -158,7 +113,6 @@ class _ModuleExtractor:
                 self._function(node, None)
             elif isinstance(node, ast.ClassDef):
                 self._class(node)
-        self.findings.extend(self.dims.local)
         self.findings.extend(self.taint.local)
         self.findings.sort(key=lambda f: (f["line"], f["col"], f["rule"]))
         return {
@@ -166,7 +120,6 @@ class _ModuleExtractor:
             "functions": self.functions,
             "classes": self.classes,
             "findings": self.findings,
-            "pending_dims": self.dims.pending,
             "sink_writes": self.taint.sink_writes,
         }
 
@@ -196,18 +149,7 @@ class _ModuleExtractor:
     def _function(self, func: ast.AST, classname: Optional[str]) -> None:
         qualref = (f"{self.module}.{classname}.{func.name}" if classname
                    else f"{self.module}.{func.name}")
-        record: Dict[str, Any] = {
-            "name": func.name,
-            "class": classname,
-            "params": _params(func),
-            "module_exempt": self.exempt,
-            "return_dim": None,
-            "calls": [],
-            "sources": [],
-        }
-        if not self.exempt:
-            self.dims.analyze_function(func, record)
-        record["sources"] = self.taint.find_sources(func)
+        sources = self.taint.find_sources(func)
         self.taint.check_set_iteration(func)
         refs = set()
         for node in ast.walk(func):
@@ -215,10 +157,13 @@ class _ModuleExtractor:
                 ref = self.resolver.call_ref(node)
                 if ref is not None:
                     refs.add(ref)
-        record["calls"] = sorted(refs)
         self._sink_writes(func, classname)
-        self._ambiguous_params(func, classname)
-        self.functions[qualref] = record
+        self.functions[qualref] = {
+            "name": func.name,
+            "class": classname,
+            "calls": sorted(refs),
+            "sources": sources,
+        }
 
     def _sink_writes(self, func: ast.AST,
                      classname: Optional[str]) -> None:
@@ -253,33 +198,6 @@ class _ModuleExtractor:
                     self.taint.record_sink_write(
                         node, class_ref, keyword.arg, keyword.value,
                         self.resolver.call_ref)
-
-    def _ambiguous_params(self, func: ast.AST,
-                          classname: Optional[str]) -> None:
-        if self.exempt or not _is_public(func.name):
-            return
-        if classname is not None and not _is_public(classname):
-            return
-        if func.name.startswith("__"):
-            return
-        docstring = ast.get_docstring(func)
-        for param in _params(func):
-            if not dimensions.is_ambiguous_quantity_name(param["name"]):
-                continue
-            annotation = param["annotation"]
-            if annotation is not None and "float" not in annotation:
-                continue
-            if dimensions.doc_mentions_unit(docstring, param["name"]):
-                continue
-            self.findings.append({
-                "rule": "UD103", "line": func.lineno,
-                "col": func.col_offset,
-                "message": f"public parameter {param['name']!r} of "
-                           f"{func.name}() is a quantity but states no "
-                           "unit — name the scale (e.g. _seconds, _mj) "
-                           "or document the unit in the docstring",
-                "text": (self.lines[func.lineno - 1].strip()
-                         if 1 <= func.lineno <= len(self.lines) else "")})
 
 
 def extract_summary(tree: ast.Module, module: str,

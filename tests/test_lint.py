@@ -256,10 +256,16 @@ class TestEngine:
         assert {v.rule_id for v in only_d} == {"D001"}
 
     def test_rule_catalogue_is_complete(self):
-        ids = {rule.id for rule in all_rules()}
-        assert {"D001", "D002", "D003", "U001", "U002",
-                "E001", "E002", "E003", "A001", "A002",
-                "S001", "S002"} <= ids
+        # Exact, so a leftover id or an accidentally dropped rule fails.
+        by_scope = {"file": set(), "project": set()}
+        for lint_rule in all_rules():
+            by_scope[lint_rule.scope].add(lint_rule.id)
+        assert by_scope == {
+            "file": {"D001", "D002", "D003", "U001", "U002",
+                     "E001", "E002", "E003", "A001", "A002",
+                     "F001", "S001", "S002"},
+            "project": {"DT201", "DT202", "DT203",
+                        "RT301", "RT302", "RT303"}}
 
 
 class TestCli:
