@@ -526,8 +526,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     from .validation import summarize, validate_against_paper
 
     checks = validate_against_paper(
-        frames=args.frames, seed=args.seed,
-        progress=lambda name: print(f"  checking {name} ...",
+        frames=args.frames,
+        progress=lambda name: print(f"  {name} ...",
                                     file=sys.stderr))
     print(summarize(checks))
     return 0 if all(check.passed for check in checks) else 1
@@ -748,7 +748,6 @@ def build_parser() -> argparse.ArgumentParser:
     validate = sub.add_parser(
         "validate", help="check this build against the paper's claims")
     validate.add_argument("--frames", type=int, default=96)
-    validate.add_argument("--seed", type=int, default=7)
     validate.set_defaults(func=_cmd_validate)
     return parser
 

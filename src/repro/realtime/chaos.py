@@ -284,6 +284,10 @@ class ChaosResult:
 #: (TV, timelapse, movie trailer, game capture).
 DEFAULT_MATRIX_VIDEOS = ("V1", "V2", "V5", "V12")
 
+#: The fewest frames a fleet session plays: shorter drawn durations are
+#: raised to it, and ``fleet_frame_cap`` may not undercut it.
+_MIN_FLEET_FRAMES = 60
+
 
 def _build_jobs(config: SimulationConfig,
                 regimes: Sequence[ChaosRegime],
@@ -319,7 +323,7 @@ def _build_jobs(config: SimulationConfig,
             link_rate = float(np.clip(chunk.bandwidth[s],
                                       _MIN_LINK_RATE, _MAX_LINK_RATE))
             frames = int(chunk.duration_seconds[s] * config.video.fps)
-            frames = max(60, min(fleet_frame_cap, frames))
+            frames = max(_MIN_FLEET_FRAMES, min(fleet_frame_cap, frames))
             profile_key = videos[int(chunk.title[s]) % len(videos)] \
                 if n_titles else videos[0]
             jobs.append(_ChaosJob(
@@ -355,13 +359,18 @@ def run_chaos(config: Optional[SimulationConfig] = None,
     the base link/recovery parameters (it is force-enabled for the
     campaign); each regime layers its impairment timelines on top.
     Fleet sessions play titles from ``videos``, so ``sessions > 0``
-    needs at least one video.
+    needs at least one video.  Each fleet session plays its drawn
+    duration, clamped to between 60 frames and ``fleet_frame_cap``, so
+    with fleet sessions a cap below 60 is a :class:`ConfigError`.
     """
     if sessions < 0:
         raise ConfigError(f"sessions must be >= 0, got {sessions}")
     if sessions > 0 and not videos:
         raise ConfigError("fleet sessions play titles from videos; "
                           "pass at least one video")
+    if sessions > 0 and fleet_frame_cap < _MIN_FLEET_FRAMES:
+        raise ConfigError(f"fleet_frame_cap must be >= {_MIN_FLEET_FRAMES} "
+                          f"(the fleet session floor), got {fleet_frame_cap}")
     cfg = config or SimulationConfig()
     if not cfg.realtime.enabled:
         cfg = replace(cfg, realtime=replace(cfg.realtime, enabled=True))

@@ -1,30 +1,35 @@
-"""Paper fidelity: the figure ledger and the ``repro validate`` claims.
+"""Paper fidelity: one run plan, the figure ledger and one claim table.
 
-:func:`paper_ledger` plays one run set -- every Table 1 video under the
-Fig. 11 schemes, plus the variant runs the single-figure studies need
--- and computes every paper figure from it: per-video rows, mix means,
-cuts and ratios.  It also plays the paper's extension studies (Sec.
-3.3, 4.4, 6.4 and 7) and the BurstLink delivery studies.  :func:`render` turns that data into
+:func:`paper_ledger` first plans every ``simulate`` run it reads as a
+:class:`RunKey` -- every Table 1 video under the Fig. 11 schemes, plus
+the variant runs the single-figure and extension studies need -- then
+plays each distinct key once and computes every paper figure from the
+finished results: per-video rows, mix means, cuts and ratios.  It also
+plays the paper's extension studies (Sec. 3.3, 4.4, 6.4 and 7) and the
+BurstLink delivery studies.  :func:`render` turns that data into
 ``EXPERIMENTS.md``.  ``tools/make_experiments.py`` writes the ledger to
-``EXPERIMENTS.json`` and renders the markdown from that file, and
-``tests/test_paper_ledger.py`` asserts each figure's shape over it.
+``EXPERIMENTS.json`` and renders the markdown from that file.
 
-:func:`validate_against_paper` encodes the paper's claims as runnable
-checks, each returning a :class:`ClaimCheck` with the measured value,
-the paper's value, and a tolerance band.  ``repro validate`` runs them
-from the command line: the compact, user-facing summary ("does my
-checkout still reproduce the paper?").  Its paper-figure checks share
-the ledger's matrix arithmetic over a small deterministic video set, so
-the whole suite finishes in about 12 s at the default frame count
-(2-vCPU host).
+:data:`CLAIMS` is the one home of the paper's numbers: each row names a
+ledger key path, the paper's value, where the paper states it, a bound,
+and the run sets (:data:`RUN_SETS`) the bound holds on.
+``tests/test_paper_ledger.py`` checks every row on the committed
+``EXPERIMENTS.json`` and on a tiny ledger; ``repro validate``
+(:func:`validate_against_paper`) computes the ledger of its own five
+videos and checks the same rows, in about 11 s at the default 96 frames
+(2-vCPU host); :func:`render` prints each row's paper value and verdict.
+The simulator's system claims (faults, thermal, checkpoints, the fleet,
+realtime) are tier-1 tests, listed in :data:`SYSTEM_CLAIMS`.
 """
 
 from __future__ import annotations
 
 import io
+import operator
 from dataclasses import asdict, dataclass, replace
 from typing import (
-    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+    Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional,
+    Sequence, Tuple, Union,
 )
 
 import numpy as np
@@ -34,16 +39,13 @@ from .analysis import (
 )
 from .config import (
     BASELINE,
-    BATCHING,
     DCC_ONLY,
     FIG11_SCHEMES,
     GAB,
     GAB_DCC,
     MAB,
     RACE_TO_SLEEP,
-    RACING,
     MachConfig,
-    NetworkConfig,
     RadioConfig,
     SchemeConfig,
     SimulationConfig,
@@ -63,7 +65,6 @@ from .hashing.digest import CollisionTracker, get_scheme
 from .network import (
     AbrPolicy,
     DeliveryResult,
-    deliver_for_config,
     lte_trace,
     make_abr,
     segment_video,
@@ -80,8 +81,17 @@ from .video import (
 )
 from .video.frame import DecodedFrame
 
-#: Videos used by the validation suite (spanning the content classes).
-_VIDEOS = ("V1", "V3", "V8", "V9", "V14")
+#: The seed of every ledger run; every claim bound was set at it.
+_SEED = 7
+
+#: The run sets claim rows are defined on: (frames, videos) of the
+#: ledger, ``None`` meaning all of Table 1.  ``committed`` is
+#: ``EXPERIMENTS.json``; ``validate`` is what ``repro validate`` plays.
+RUN_SETS: Dict[str, Tuple[int, Optional[Tuple[str, ...]]]] = {
+    "committed": (120, None),
+    "tiny": (8, ("V1", "V8")),
+    "validate": (96, ("V1", "V3", "V8", "V9", "V14")),
+}
 
 #: The baseline mix of Fig. 1a's breakdown.
 _FIG1A_MIX = ("V1", "V4", "V8", "V12")
@@ -91,53 +101,147 @@ _VARIANT_MIX = ("V1", "V8", "V12", "V14")
 
 _CDF_PARTS = ("execution", "short_slack", "transition", "s1", "s3")
 
+#: The Fig. 7a cache capacities EXPERIMENTS.md shows (of the five run).
+_FIG7A_RENDERED = (2048, 8192, 32768)
+
+#: The swept values of the single-video studies.
+_FIG6_BATCHES = (1, 2, 4, 8, 16)
+_FIG10C_CACHE_BYTES = (2048, 4096, 8192, 16384, 65536)
+_FIG12A_MACHS = (2, 4, 8, 16)
+_FIG12B_ENTRIES = (64, 256, 1024, 2048, 8192)
+_SEC33_PREROLLS = (4, 16, 120)
+
 #: One minute of 60 fps V8 per delivery: long enough for the radio's
 #: tail energy to dominate.
 _DELIVERY_FRAMES = 3600
 
+#: The trace seeds of the burst-vs-steady delivery rows.
+_BURST_TRACE_SEEDS = (0, _SEED, 11)
+
 JsonDict = Dict[str, Any]
 
 
-@dataclass
-class ClaimCheck:
-    """One paper claim, measured."""
-
-    claim: str
-    paper: str
-    measured: float
-    passed: bool
-
-    def __str__(self) -> str:
-        mark = "PASS" if self.passed else "FAIL"
-        return (f"[{mark}] {self.claim}: measured {self.measured:.3f} "
-                f"(paper: {self.paper})")
+# --- the run plan -----------------------------------------------------------
 
 
-class _Runs:
-    """Simulation runs at one frame count and seed; :meth:`get`
-    memoizes a run because several figures share it."""
+@dataclass(frozen=True)
+class RunKey:
+    """Every input of one ``simulate`` run at the ledger's seed: equal
+    keys give equal results, so a plan plays each distinct key once."""
 
-    def __init__(self, frames: int, seed: int,
-                 config: Optional[SimulationConfig]) -> None:
-        self.frames = frames
-        self.seed = seed
-        self.config = config or SimulationConfig()
-        self._cache: Dict[Tuple[Any, ...], RunResult] = {}
+    video: str
+    scheme: SchemeConfig
+    frames: int
+    config: SimulationConfig = SimulationConfig()
+    unbounded_mach: bool = False
+    use_display_cache: bool = True
+    use_mach_buffer: bool = True
 
-    def play(self, video: str, scheme: SchemeConfig,
-             config: Optional[SimulationConfig] = None,
-             **switches: bool) -> RunResult:
-        """One unmemoized run (a variant of the matrix)."""
-        return simulate(workload(video), scheme, n_frames=self.frames,
-                        seed=self.seed, config=config or self.config,
-                        **switches)
+    def play(self) -> RunResult:
+        return simulate(workload(self.video), self.scheme,
+                        n_frames=self.frames, seed=_SEED, config=self.config,
+                        unbounded_mach=self.unbounded_mach,
+                        use_display_cache=self.use_display_cache,
+                        use_mach_buffer=self.use_mach_buffer)
 
-    def get(self, video: str, scheme: SchemeConfig,
-            **switches: bool) -> RunResult:
-        key = (video, scheme.name, *sorted(switches.items()))
-        if key not in self._cache:
-            self._cache[key] = self.play(video, scheme, **switches)
-        return self._cache[key]
+
+def _with(config: SimulationConfig, part: str,
+          **changes: Any) -> SimulationConfig:
+    """``config`` with fields of its ``part`` sub-config changed."""
+    return replace(config, **{part: replace(getattr(config, part),
+                                            **changes)})
+
+
+def _batch_scheme(batch: int, racing: bool) -> SchemeConfig:
+    """A Fig. 6 sweep point; where a Fig. 11 scheme differs from it
+    only in name, that scheme, so the two share one run."""
+    scheme = SchemeConfig(name=f"b{batch}", batch_size=batch, racing=racing)
+    return next((named for named in FIG11_SCHEMES
+                 if replace(named, name=scheme.name) == scheme), scheme)
+
+
+def _union(*groups: Iterable[str]) -> List[str]:
+    return list(dict.fromkeys(video for group in groups for video in group))
+
+
+def _run_plan(frames: int, videos: Sequence[str]) -> JsonDict:
+    """Every ``simulate`` run the ledger reads, as run keys by figure."""
+    cfg = SimulationConfig()
+    short = min(frames, 96)  # the Sec. 3.3/4.4/7 extension studies
+
+    def run(video: str, scheme: SchemeConfig, n: int = frames,
+            config: SimulationConfig = cfg, **switches: bool) -> RunKey:
+        return RunKey(video, scheme, n, config, **switches)
+
+    return {
+        "matrix": {video: {scheme.name: run(video, scheme)
+                           for scheme in FIG11_SCHEMES}
+                   for video in _union(videos, ["V8"])},
+        "fig01a": [run(video, BASELINE) for video in _FIG1A_MIX],
+        "fig06": {label: [run("V8", _batch_scheme(batch, racing))
+                          for batch in _FIG6_BATCHES]
+                  for label, racing in (("low_freq", False),
+                                        ("high_freq", True))},
+        "fig09_gab": {video: run(video, GAB) for video in _VARIANT_MIX},
+        "fig09_optimal": {video: run(video, GAB, unbounded_mach=True)
+                          for video in _union(_VARIANT_MIX, videos)},
+        "fig10_naive": {video: run(video, GAB, use_display_cache=False,
+                                   use_mach_buffer=False)
+                        for video in _union(["V8"], videos)},
+        "fig10c": [run("V8", GAB, config=_with(cfg, "display",
+                                               display_cache_bytes=size))
+                   for size in _FIG10C_CACHE_BYTES],
+        "sec62": {video: {scheme.name: run(video, scheme)
+                          for scheme in (BASELINE, DCC_ONLY, GAB_DCC)}
+                  for video in _union(_VARIANT_MIX, videos)},
+        "fig12a": [run("V8", GAB, config=_with(cfg, "mach", num_machs=count))
+                   for count in _FIG12A_MACHS],
+        "fig12b": [run("V8", GAB, config=_with(cfg, "mach",
+                                               buffer_entries=count))
+                   for count in _FIG12B_ENTRIES],
+        # A thin streaming buffer underruns every scheme; Race-to-Sleep
+        # adapts its batches to whatever is buffered.
+        "sec33": [{scheme.name: run("V8", scheme, short, _with(
+                       cfg, "network", preroll_frames=depth,
+                       chunk_interval=0.45))
+                   for scheme in (BASELINE, RACE_TO_SLEEP)}
+                  for depth in _SEC33_PREROLLS],
+        "sec44": {"coalesced": run("V8", GAB, short),
+                  "uncoalesced": run("V8", GAB, short, _with(
+                      cfg, "mach", coalescing=False))},
+        "sec7": {video: {scheme.name: run(video, scheme, short)
+                         for scheme in (BASELINE, RACE_TO_SLEEP)}
+                 for video in ("V1", "V6", "V8")},
+    }
+
+
+def _leaves(tree: Any) -> Iterator[RunKey]:
+    if isinstance(tree, RunKey):
+        yield tree
+        return
+    for item in tree.values() if isinstance(tree, dict) else tree:
+        yield from _leaves(item)
+
+
+def _replace_leaves(tree: Any, value: Callable[[RunKey], Any]) -> Any:
+    if isinstance(tree, RunKey):
+        return value(tree)
+    if isinstance(tree, dict):
+        return {key: _replace_leaves(item, value)
+                for key, item in tree.items()}
+    return [_replace_leaves(item, value) for item in tree]
+
+
+def _play(plan: JsonDict, report: Callable[[str], None]) -> JsonDict:
+    """The plan with each key replaced by its result; every distinct key
+    plays once."""
+    keys = list(dict.fromkeys(_leaves(plan)))
+    report(f"playing {len(keys)} planned runs")
+    played = {key: key.play() for key in keys}
+    return _replace_leaves(plan, played.__getitem__)
+
+
+# --- figures from finished runs ---------------------------------------------
 
 
 def _reads(run: RunResult) -> ReadStats:
@@ -158,17 +262,17 @@ def _mean_rows(rows: Sequence[Any]) -> Any:
     return _mean(rows)
 
 
-def _video_row(runs: _Runs, video: str, census_frames: int) -> JsonDict:
-    """One video's Fig. 2b/4/5/7b/9a/10/11 quantities."""
-    cfg = runs.config
-    base, batch = runs.get(video, BASELINE), runs.get(video, BATCHING)
-    racing, rts = runs.get(video, RACING), runs.get(video, RACE_TO_SLEEP)
-    mab, gab = runs.get(video, MAB), runs.get(video, GAB)
+def _video_row(cfg: SimulationConfig, video: str, runs: Dict[str, RunResult],
+               census_frames: int) -> JsonDict:
+    """One video's Fig. 2b/4/5/7b/9a/10/11 quantities from its Fig. 11
+    runs."""
+    base, batch = runs["Baseline"], runs["Batching"]
+    racing, rts = runs["Racing"], runs["Race-to-Sleep"]
+    mab, gab = runs["MAB"], runs["GAB"]
     mix = region_mix(base.timeline.decode_time, cfg.video.frame_interval,
                      cfg.decoder.power_states)
     census = content_census(SyntheticVideo(
-        cfg.video, workload(video), seed=runs.seed,
-        n_frames=census_frames))
+        cfg.video, workload(video), seed=_SEED, n_frames=census_frames))
     return {
         "drop_rate": base.drop_rate,
         "regions": {region.value: mix[region] for region in Region},
@@ -192,13 +296,14 @@ def _video_row(runs: _Runs, video: str, census_frames: int) -> JsonDict:
         "digest_fraction": _reads(gab).digest_fraction,
         "fragmentation_rate": _reads(gab).fragmentation_rate,
         "normalized_energy": {
-            scheme.name: runs.get(video, scheme).energy.total
-            / base.energy.total for scheme in FIG11_SCHEMES},
+            name: run.energy.total / base.energy.total
+            for name, run in runs.items()},
     }
 
 
-def _matrix_figures(runs: _Runs, videos: Sequence[str],
-                   census_frames: int) -> JsonDict:
+def _matrix_figures(cfg: SimulationConfig,
+                    matrix: Dict[str, Dict[str, RunResult]],
+                    videos: Sequence[str], census_frames: int) -> JsonDict:
     """The figures of the videos x Fig. 11-schemes matrix.
 
     Per-video rows (``per_video``), their element-wise means
@@ -208,20 +313,20 @@ def _matrix_figures(runs: _Runs, videos: Sequence[str],
     when V9 is not among ``videos``).  The census plays
     ``census_frames`` frames per video.
     """
-    rows = {video: _video_row(runs, video, census_frames)
+    rows = {video: _video_row(cfg, video, matrix[video], census_frames)
             for video in videos}
     gab_best = all(
-        runs.get(v, GAB).energy.total  # repro-lint: disable=F001 exactness is the claim: GAB must literally be the min of the memoized totals
-        == min(runs.get(v, s).energy.total for s in FIG11_SCHEMES)
+        matrix[v]["GAB"].energy.total  # repro-lint: disable=F001 exactness is the claim: GAB must literally be the min of the played totals
+        == min(run.energy.total for run in matrix[v].values())
         for v in videos)
     v9 = ("V9" in videos
-          and runs.get("V9", MAB).energy.total
-          > runs.get("V9", RACE_TO_SLEEP).energy.total)
+          and matrix["V9"]["MAB"].energy.total
+          > matrix["V9"]["Race-to-Sleep"].energy.total)
     return {
         "videos": list(videos),
         "per_video": rows,
         "mean": _mean_rows(list(rows.values())),
-        "rts_drops": sum(int(runs.get(v, RACE_TO_SLEEP).drops)
+        "rts_drops": sum(int(matrix[v]["Race-to-Sleep"].drops)
                          for v in videos),
         "gab_best_everywhere": gab_best,
         "v9_mab_regression": v9,
@@ -229,11 +334,10 @@ def _matrix_figures(runs: _Runs, videos: Sequence[str],
 
 
 def _engine_stats(video_cfg: VideoConfig, mach_cfg: MachConfig,
-                  scheme: SchemeConfig, video: str, seed: int,
-                  frames: int) -> MachStats:
+                  scheme: SchemeConfig, video: str, frames: int) -> MachStats:
     """MACH statistics of the write path alone over one stream."""
     engine = WritebackEngine(video_cfg, mach_cfg, scheme)
-    for frame in SyntheticVideo(video_cfg, workload(video), seed=seed,
+    for frame in SyntheticVideo(video_cfg, workload(video), seed=_SEED,
                                 n_frames=frames):
         engine.process_frame(frame, frame.index << 20)
     stats = engine.stats
@@ -241,14 +345,13 @@ def _engine_stats(video_cfg: VideoConfig, mach_cfg: MachConfig,
     return stats
 
 
-def _mab_size_sweep(mach: MachConfig, seed: int,
-                    frames: int) -> List[JsonDict]:
+def _mab_size_sweep(mach: MachConfig, frames: int) -> List[JsonDict]:
     """Fig. 12c: the MACH block size swept against the *same* pixel
     stream of V14, since content similarity lives at a fixed spatial
     scale: tiny blocks drown in per-block metadata, huge blocks rarely
     match exactly."""
     base_video = VideoConfig(width=192, height=120, block_size=4)
-    stream = list(SyntheticVideo(base_video, workload("V14"), seed=seed,
+    stream = list(SyntheticVideo(base_video, workload("V14"), seed=_SEED,
                                  n_frames=frames))
     rows: List[JsonDict] = []
     for block in (2, 4, 8):
@@ -271,10 +374,9 @@ def _mab_size_sweep(mach: MachConfig, seed: int,
     return rows
 
 
-def _hash_comparison(video_cfg: VideoConfig, seed: int,
-                     frames: int) -> JsonDict:
+def _hash_comparison(video_cfg: VideoConfig, frames: int) -> JsonDict:
     """Fig. 12d: digest collisions over V14's gradient blocks."""
-    stream = list(SyntheticVideo(video_cfg, workload("V14"), seed=seed,
+    stream = list(SyntheticVideo(video_cfg, workload("V14"), seed=_SEED,
                                  n_frames=frames))
     table: JsonDict = {}
     for name in ("crc32", "md5", "sha1", "weak-sum"):
@@ -289,31 +391,24 @@ def _hash_comparison(video_cfg: VideoConfig, seed: int,
     return table
 
 
-def _extension_studies(frames: int, seed: int) -> JsonDict:
+def _extension_studies(cfg: SimulationConfig, runs: JsonDict,
+                       frames: int) -> JsonDict:
     """Sec. 3.3, 4.4, 6.4 and 7 over ``frames`` frames per run; Sec.
     6.4's pipelines play at most 48 frames per video."""
-    runs = _Runs(frames, seed, None)
-    cfg = runs.config
     preroll: List[JsonDict] = []
-    for depth in (4, 16, 120):
-        # A thin streaming buffer underruns every scheme; Race-to-Sleep
-        # adapts its batches to whatever is buffered.
-        thin = SimulationConfig(network=NetworkConfig(
-            preroll_frames=depth, chunk_interval=0.45))
-        base = runs.play("V8", BASELINE, config=thin)
-        rts = runs.play("V8", RACE_TO_SLEEP, config=thin)
+    for depth, pair in zip(_SEC33_PREROLLS, runs["sec33"]):
+        base, rts = pair["Baseline"], pair["Race-to-Sleep"]
         preroll.append({
             "preroll_frames": depth,
             "rts_normalized_energy": rts.energy.total / base.energy.total,
             "baseline_drops": base.drops,
             "rts_drops": rts.drops})
-    coalesced = runs.get("V8", GAB)
-    uncoalesced = runs.play("V8", GAB, config=replace(
-        cfg, mach=replace(cfg.mach, coalescing=False)))
+    coalesced = runs["sec44"]["coalesced"]
+    uncoalesced = runs["sec44"]["uncoalesced"]
     pipeline_frames = min(frames, 48)
     pipelines: JsonDict = {}
     for video in ("V1", "V8", "V12"):
-        clip = list(SyntheticVideo(cfg.video, workload(video), seed=seed,
+        clip = list(SyntheticVideo(cfg.video, workload(video), seed=_SEED,
                                    n_frames=pipeline_frames))
         pipelines[video] = {
             "recording_savings":
@@ -321,10 +416,10 @@ def _extension_studies(frames: int, seed: int) -> JsonDict:
             "render_savings":
                 RenderPipeline(cfg).run(iter(clip)).total_savings}
     dvfs: JsonDict = {}
-    for video in ("V1", "V6", "V8"):
-        slack = simulate_slack_dvfs(workload(video), frames, seed=seed)
-        base_vd = runs.get(video, BASELINE).energy.vd_total
-        rts = runs.get(video, RACE_TO_SLEEP)
+    for video, pair in runs["sec7"].items():
+        slack = simulate_slack_dvfs(workload(video), frames, seed=_SEED)
+        base_vd = pair["Baseline"].energy.vd_total
+        rts = pair["Race-to-Sleep"]
         dvfs[video] = {"dvfs_vd_energy": slack.vd_energy / base_vd,
                        "dvfs_drops": slack.drops,
                        "rts_vd_energy": rts.energy.vd_total / base_vd,
@@ -365,18 +460,19 @@ def _burst_vs_steady(trace_seed: int) -> JsonDict:
             "burst_radio": burst.radio.total}
 
 
-def _delivery_studies(seed: int) -> JsonDict:
+def _delivery_studies() -> JsonDict:
     """BurstLink's delivery claims (PAPERS.md): V8 over an LTE-like
     24 Mbit/s trace, bursting the buffer full and parking the modem
     versus dripping one segment per segment duration."""
     video_cfg = VideoConfig()
-    burst_rows = [_burst_vs_steady(trace_seed) for trace_seed in (0, seed, 11)]
+    burst_rows = [_burst_vs_steady(trace_seed)
+                  for trace_seed in _BURST_TRACE_SEEDS]
     policies: JsonDict = {}
     for name, abr in (("fixed-0", make_abr("fixed", rung=0)),
                       ("fixed-top", make_abr("fixed", rung=99)),
                       ("rate", make_abr("rate")),
                       ("bba", make_abr("bba"))):
-        result = _deliver_v8("burst", abr, seed)
+        result = _deliver_v8("burst", abr, _SEED)
         delivered = sum(chunk.size_bytes for chunk in result.chunks)
         policies[name] = {
             "delivered_mbps":
@@ -388,8 +484,8 @@ def _delivery_studies(seed: int) -> JsonDict:
     abr = make_abr("fixed", rung=2)
     for tail in (0.5, 2.5, 5.0):
         radio = RadioConfig(tail_seconds=tail)
-        steady = _deliver_v8("steady", abr, seed, radio=radio)
-        burst = _deliver_v8("burst", abr, seed, radio=radio)
+        steady = _deliver_v8("steady", abr, _SEED, radio=radio)
+        burst = _deliver_v8("burst", abr, _SEED, radio=radio)
         tail_rows.append({
             "tail_seconds": tail,
             "steady_radio": steady.radio.total,
@@ -405,7 +501,7 @@ def paper_ledger(
     videos: Optional[Sequence[str]] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> JsonDict:
-    """Every paper figure, computed once from one run set at seed 7.
+    """Every paper figure, computed once from one run plan at seed 7.
 
     ``videos`` (default: all of Table 1) are played under the Fig. 11
     schemes, the Fig. 9a capacity oracle, the Fig. 10e naive display
@@ -415,21 +511,21 @@ def paper_ledger(
     ``EXPERIMENTS.json`` is this function's output at the defaults,
     plus the host fingerprint the writing tool adds.
     """
-    runs = _Runs(frames, 7, None)
-    cfg, video_cfg, seed = runs.config, runs.config.video, runs.seed
+    cfg = SimulationConfig()
+    video_cfg = cfg.video
     videos = list(videos or workload_keys())
 
     def report(name: str) -> None:
         if progress is not None:
             progress(name)
 
-    report("Fig. 11 matrix")
-    ledger: JsonDict = {"frames": frames, "seed": seed}
-    ledger.update(_matrix_figures(runs, videos,
-                                 census_frames=min(frames, 96)))
+    runs = _play(_run_plan(frames, videos), report)
+    report("computing the figures")
+    ledger: JsonDict = {"frames": frames, "seed": _SEED}
+    ledger.update(_matrix_figures(cfg, runs["matrix"], videos,
+                                  census_frames=min(frames, 96)))
 
-    report("single-video studies")
-    fig1 = [runs.get(video, BASELINE) for video in _FIG1A_MIX]
+    fig1 = runs["fig01a"]
     ledger["fig01a"] = {
         "videos": list(_FIG1A_MIX),
         "vd_energy_share": _mean(r.energy.vd_total / r.energy.total
@@ -441,7 +537,7 @@ def paper_ledger(
         "vd_time_share": _mean(r.timeline.decode_time.mean()
                                / video_cfg.frame_interval for r in fig1),
     }
-    v8 = {scheme.name: runs.get("V8", scheme) for scheme in FIG11_SCHEMES}
+    v8 = runs["matrix"]["V8"]
     base8, racing8, rts8 = v8["Baseline"], v8["Racing"], v8["Race-to-Sleep"]
     stacked = {name: stacked_time_cdf(v8[name].timeline)
                for name in ("Baseline", "Batching")}
@@ -477,18 +573,11 @@ def paper_ledger(
             (base8.energy.mem_act_pre - racing8.energy.mem_act_pre)
             / frames),
     }
+    ledger["fig06"] = {"batch_sizes": list(_FIG6_BATCHES)}
+    for label, sweep in runs["fig06"].items():
+        ledger["fig06"][label] = [run.energy.total / base8.energy.total
+                                  for run in sweep]
 
-    report("Fig. 6 batch sweep")
-    batches = (1, 2, 4, 8, 16)
-    ledger["fig06"] = {"batch_sizes": list(batches)}
-    for label, racing in (("low_freq", False), ("high_freq", True)):
-        ledger["fig06"][label] = [
-            runs.play("V8", SchemeConfig(name=f"b{batch}",
-                                         batch_size=batch,
-                                         racing=racing)).energy.total
-            / base8.energy.total for batch in batches]
-
-    report("Fig. 7a cache study")
     ledger["fig07a"] = [asdict(result) for result in vd_cache_study(
         video_cfg, [2048, 4096, 8192, 16384, 32768], frames=3)]
     ledger["table1"] = {
@@ -497,35 +586,31 @@ def paper_ledger(
                       "n_frames": profile.n_frames}
         for profile in PAPER_WORKLOADS}
 
-    report("Fig. 9 MACH studies")
-
-    def optimal(video: str) -> float:
-        return runs.get(video, GAB, unbounded_mach=True).write_savings
-
+    optimal = {video: run.write_savings
+               for video, run in runs["fig09_optimal"].items()}
     ledger["fig09"] = {
         "videos": list(_VARIANT_MIX),
-        "gab_write_savings": _mean(runs.get(video, GAB).write_savings
-                                   for video in _VARIANT_MIX),
-        "optimal_write_savings": _mean(map(optimal, _VARIANT_MIX)),
+        "gab_write_savings": _mean(run.write_savings
+                                   for run in runs["fig09_gab"].values()),
+        "optimal_write_savings": _mean(optimal[video]
+                                       for video in _VARIANT_MIX),
         "per_video_optimal_write_savings": {
-            video: optimal(video) for video in videos},
-        "mean_optimal_write_savings": _mean(map(optimal, videos)),
+            video: optimal[video] for video in videos},
+        "mean_optimal_write_savings": _mean(optimal[video]
+                                            for video in videos),
         "v8_top_digest_share": {},
     }
     for scheme in (MAB, GAB):
         stats = _engine_stats(
             video_cfg, cfg.with_scheme_mach(scheme).scaled_for(video_cfg),
-            scheme, "V8", seed, min(frames, 64))
+            scheme, "V8", min(frames, 64))
         ledger["fig09"]["v8_top_digest_share"][scheme.name] = {
             "top1": stats.top_match_share(1),
             "top8": stats.top_match_share(8)}
 
-    report("Fig. 10 display studies")
-
     def naive_extra_reads(video: str) -> float:
         """Extra reads of the pointer layout without display caching."""
-        reads = _reads(runs.get(video, GAB, use_display_cache=False,
-                                use_mach_buffer=False))
+        reads = _reads(runs["fig10_naive"][video])
         return reads.mem_reads / reads.raw_equivalent_lines - 1
 
     ledger["fig10"] = {
@@ -533,27 +618,22 @@ def paper_ledger(
         "per_video_naive_extra_reads": {
             video: naive_extra_reads(video) for video in videos},
         "mean_naive_extra_reads": _mean(map(naive_extra_reads, videos)),
-        "v8_cache_size_sweep": [],
+        "v8_cache_size_sweep": [
+            {"display_cache_bytes": size,
+             "read_savings": sized.read_savings,
+             "dc_hits": int(_reads(sized).dc_hits)}
+            for size, sized in zip(_FIG10C_CACHE_BYTES, runs["fig10c"])],
     }
-    for size in (2048, 4096, 8192, 16384, 65536):
-        sized = runs.play("V8", GAB, config=replace(cfg, display=replace(
-            cfg.display, display_cache_bytes=size)))
-        ledger["fig10"]["v8_cache_size_sweep"].append({
-            "display_cache_bytes": size,
-            "read_savings": sized.read_savings,
-            "dc_hits": int(_reads(sized).dc_hits)})
 
     ledger["fig11"] = {"v8_stacks": {
         name: run.energy.normalized_to(base8.energy)
         for name, run in v8.items()}}
 
-    report("Sec. 6.2 DCC")
-
     def dcc_extra(video: str) -> float:
         """GAB+DCC's write savings over plain DCC's."""
-        base_bytes = runs.get(video, BASELINE).write_bytes
-        dcc = runs.get(video, DCC_ONLY).write_bytes
-        combo = runs.get(video, GAB_DCC).write_bytes
+        trio = runs["sec62"][video]
+        base_bytes = trio["Baseline"].write_bytes
+        dcc, combo = trio["DCC"].write_bytes, trio["GAB+DCC"].write_bytes
         return (1 - combo / base_bytes) - (1 - dcc / base_bytes)
 
     ledger["sec62"] = {
@@ -564,31 +644,25 @@ def paper_ledger(
         "mean_extra_write_savings": _mean(map(dcc_extra, videos)),
     }
 
-    report("Fig. 12 sensitivity")
-    ledger["fig12a"] = []
-    for count in (2, 4, 8, 16):
-        run = runs.play("V8", GAB, config=replace(
-            cfg, mach=replace(cfg.mach, num_machs=count)))
-        ledger["fig12a"].append({
-            "num_machs": count,
-            "peak_footprint_mb": run.peak_footprint_native_mb,
-            "write_savings": run.write_savings})
+    ledger["fig12a"] = [
+        {"num_machs": count,
+         "peak_footprint_mb": run.peak_footprint_native_mb,
+         "write_savings": run.write_savings}
+        for count, run in zip(_FIG12A_MACHS, runs["fig12a"])]
     ledger["fig12b"] = []
-    for count in (64, 256, 1024, 2048, 8192):
-        run = runs.play("V8", GAB, config=replace(
-            cfg, mach=replace(cfg.mach, buffer_entries=count)))
+    for count, run in zip(_FIG12B_ENTRIES, runs["fig12b"]):
         reads = _reads(run)
         ledger["fig12b"].append({
             "buffer_entries": count,
             "hit_rate": reads.mb_hits / max(reads.mb_hits + reads.mb_misses, 1),
             "read_savings": run.read_savings})
-    ledger["fig12c"] = _mab_size_sweep(cfg.mach, seed, min(frames, 32))
-    ledger["fig12d"] = _hash_comparison(video_cfg, seed, min(frames, 24))
+    ledger["fig12c"] = _mab_size_sweep(cfg.mach, min(frames, 32))
+    ledger["fig12d"] = _hash_comparison(video_cfg, min(frames, 24))
     ledger["sec63"] = {}
     for label, co_mach in (("crc32", False), ("co_mach_crc48", True)):
         stats = _engine_stats(
             video_cfg, replace(cfg.mach, co_mach=co_mach).scaled_for(
-                video_cfg), GAB, "V8", seed, min(frames, 24))
+                video_cfg), GAB, "V8", min(frames, 24))
         ledger["sec63"][label] = {"silent": stats.silent_collisions,
                                   "detected": stats.detected_collisions}
 
@@ -606,21 +680,216 @@ def paper_ledger(
         "display_power": display.power,
     }
 
-    report("extension studies")
-    ledger.update(_extension_studies(min(frames, 96), seed))
-    report("delivery studies")
-    ledger.update(_delivery_studies(seed))
+    report("computing the extension studies")
+    ledger.update(_extension_studies(cfg, runs, min(frames, 96)))
+    report("playing the delivery studies")
+    ledger.update(_delivery_studies())
     return ledger
 
 
-#: The paper's Fig. 11 averages, in the ledger's scheme order.
-_PAPER_FIG11 = [1.0, 0.93, 1.12, 0.887, 0.875, 0.79]
+# --- the claim table --------------------------------------------------------
 
-#: The paper's Fig. 2b region mix.
-_PAPER_REGIONS = {"I": 0.04, "II": 0.12, "III": 0.37, "IV": 0.40}
+#: Comparison operators of claim bounds.
+_OPS: Dict[str, Callable[[Any, Any], bool]] = {
+    "<": operator.lt, "<=": operator.le, ">": operator.gt,
+    ">=": operator.ge, "==": operator.eq,
+}
 
-#: The Fig. 7a cache capacities EXPERIMENTS.md shows (of the five run).
-_FIG7A_RENDERED = (2048, 8192, 32768)
+#: Binary operators a claim path may join two key paths with.
+_PATH_OPS = ((" + ", operator.add), (" - ", operator.sub),
+             (" / ", operator.truediv))
+
+_ALL = frozenset(RUN_SETS)
+_NOT_TINY = frozenset({"committed", "validate"})
+
+Bound = Tuple[Tuple[str, float], ...]
+
+
+def measure(ledger: JsonDict, path: str) -> Any:
+    """The value at a dotted ledger key path (list items by index), or
+    two such values joined by `` + ``, `` - `` or `` / ``."""
+    for text, op in _PATH_OPS:
+        if text in path:
+            left, right = path.split(text)
+            return op(measure(ledger, left), measure(ledger, right))
+    value: Any = ledger
+    for part in path.split("."):
+        value = value[int(part)] if isinstance(value, list) else value[part]
+    return value
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One paper number: where the paper states it (``cite``), its
+    ledger key path, the paper's value, the bound the measured value
+    must meet (empty: reported, not checked) and the run sets
+    (:data:`RUN_SETS`) the bound is defined on."""
+
+    cite: str
+    label: str
+    path: str
+    paper: Union[float, str]
+    bound: Bound = ()
+    on: FrozenSet[str] = _ALL
+
+    def holds(self, ledger: JsonDict) -> bool:
+        value = measure(ledger, self.path)
+        return all(_OPS[op](value, limit) for op, limit in self.bound)
+
+    def verdict(self, ledger: JsonDict) -> str:
+        if not self.bound:
+            return "-"
+        return "PASS" if self.holds(ledger) else "FAIL"
+
+    @property
+    def bound_text(self) -> str:
+        return ", ".join(f"{op} {limit:g}" for op, limit in self.bound)
+
+
+def _between(low: float, high: float) -> Bound:
+    return ((">", low), ("<", high))
+
+
+def _burst_claims() -> Iterator[Claim]:
+    """BurstLink's claim on every delivery_burst row: burst downloads
+    cost less radio energy than steady ones at equal stalls."""
+    for index, trace_seed in enumerate(_BURST_TRACE_SEEDS):
+        row = f"delivery_burst.{index}"
+        yield Claim("BurstLink (PAPERS.md)",
+                    f"burst/steady radio energy, trace seed {trace_seed}",
+                    f"{row}.burst_radio / {row}.steady_radio", "<1.0",
+                    (("<", 1.0),))
+        yield Claim("BurstLink (PAPERS.md)",
+                    f"burst minus steady stalls, trace seed {trace_seed}",
+                    f"{row}.burst_stalls - {row}.steady_stalls", 0,
+                    (("==", 0),))
+
+
+#: Every paper number the ledger measures, in ``EXPERIMENTS.md`` order.
+CLAIMS: Tuple[Claim, ...] = (
+    Claim("Fig. 1a", "VD pipeline share of baseline energy",
+          "fig01a.vd_energy_share", 0.297),
+    Claim("Fig. 1a", "memory share of baseline energy",
+          "fig01a.memory_energy_share", 0.458),
+    Claim("Fig. 1a", "display share of baseline energy",
+          "fig01a.display_energy_share", "n/a"),
+    Claim("Fig. 1a", "VD pipeline share of frame time",
+          "fig01a.vd_time_share", 0.499),
+    Claim("Fig. 2b", "region I share", "mean.regions.I", 0.04,
+          _between(0.01, 0.10), _NOT_TINY),
+    Claim("Fig. 2b", "region II share", "mean.regions.II", 0.12),
+    Claim("Fig. 2b", "region III share", "mean.regions.III", 0.37),
+    Claim("Fig. 2b", "region IV share", "mean.regions.IV", 0.40),
+    Claim("Fig. 2b", "sleep-capable (III+IV) share",
+          "mean.regions.III + mean.regions.IV", 0.77, ((">=", 0.65),)),
+    Claim("Fig. 2b", "baseline frame-drop rate", "mean.drop_rate", 0.04,
+          _between(0.005, 0.10), _NOT_TINY),
+    Claim("Fig. 4", "batching transition-energy cut",
+          "mean.transition_energy_cut", 0.86, ((">", 0.75),)),
+    Claim("Sec. 3.3", "baseline S3 residency", "mean.baseline_s3", 0.05),
+    Claim("Sec. 3.3", "Race-to-Sleep S3 residency", "mean.rts_s3", 0.60,
+          _between(0.5, 0.75)),
+    Claim("Sec. 3.3", "Race-to-Sleep frame drops (all videos)", "rts_drops",
+          0, (("==", 0),)),
+    Claim("Sec. 3.3", "memory capacity ratio (RtS/baseline)",
+          "mean.capacity_ratio", 5.3, ((">", 3.0),)),
+    Claim("Sec. 3.3", "memory share of RtS energy (V8)",
+          "fig04.v8_rts_memory_share", 0.642),
+    Claim("Sec. 3.3", "Act/Pre share of RtS energy (V8)",
+          "fig04.v8_rts_act_pre_share", 0.46),
+    Claim("Sec. 3.3", "burst share of RtS energy (V8)",
+          "fig04.v8_rts_burst_share", 0.127),
+    Claim("Fig. 5", "racing Act/Pre count cut", "mean.act_pre_cut", "~0.20",
+          _between(0.05, 0.45)),
+    # Within 10x of the paper's mJ/frame, so that a dropped or doubled
+    # unit conversion (1000x) cannot pass.
+    Claim("Fig. 5", "extra VD energy (V8, mJ/frame)",
+          "fig05.v8_extra_vd_mj_per_frame", 0.5, _between(0.05, 5.0)),
+    Claim("Fig. 5", "memory Act/Pre saved (V8, mJ/frame)",
+          "fig05.v8_act_pre_saved_mj_per_frame", 1.0, _between(0.1, 10.0)),
+    Claim("Fig. 7b", "census: intra matches", "mean.census.intra", 0.42,
+          _between(0.30, 0.55)),
+    Claim("Fig. 7b", "census: inter matches", "mean.census.inter", 0.15,
+          _between(0.08, 0.30)),
+    Claim("Fig. 7b", "census: no match", "mean.census.none", 0.43,
+          _between(0.30, 0.55)),
+    Claim("Fig. 7b", "census: blocks matching (intra+inter)",
+          "mean.census.match", 0.57, _between(0.45, 0.70)),
+    Claim("Fig. 9a", "MAB write savings", "mean.write_savings.MAB", 0.13,
+          ((">", -0.05),)),
+    Claim("Fig. 9a", "GAB write savings", "mean.write_savings.GAB", 0.34,
+          _between(0.2, 0.5)),
+    Claim("Fig. 9a", "GAB write savings over MAB's",
+          "mean.write_savings.GAB - mean.write_savings.MAB", 0.21,
+          ((">", 0.1),), _NOT_TINY),
+    Claim("Fig. 9a", "optimal-GAB write savings (4-video avg)",
+          "fig09.optimal_write_savings", "~0.41"),
+    Claim("Fig. 10", "DC read savings", "mean.read_savings", 0.335,
+          _between(0.2, 0.5)),
+    Claim("Fig. 10", "digest-indexed record share", "mean.digest_fraction",
+          0.38, _between(0.25, 0.55)),
+    Claim("Fig. 10", "fragmenting pointer fetches",
+          "mean.fragmentation_rate", ">0.45", ((">", 0.45),)),
+    Claim("Fig. 10", "extra reads, naive layout (V8)",
+          "fig10.v8_naive_extra_reads", ">0.60", ((">", 0.3),)),
+    Claim("Fig. 11", "Baseline energy (normalized)",
+          "mean.normalized_energy.Baseline", 1.0),
+    Claim("Fig. 11", "Batching energy (normalized)",
+          "mean.normalized_energy.Batching", 0.93, (("<", 1.0),)),
+    Claim("Fig. 11", "Racing-alone energy (normalized)",
+          "mean.normalized_energy.Racing", 1.12, ((">", 1.0),)),
+    Claim("Fig. 11", "Race-to-Sleep energy (normalized)",
+          "mean.normalized_energy.Race-to-Sleep", 0.887,
+          _between(0.85, 0.97)),
+    Claim("Fig. 11", "MAB energy (normalized)", "mean.normalized_energy.MAB",
+          0.875, _between(0.80, 0.95)),
+    Claim("Fig. 11", "GAB energy (normalized)", "mean.normalized_energy.GAB",
+          0.79, _between(0.75, 0.88)),
+    Claim("Fig. 11", "GAB best on every video", "gab_best_everywhere", "yes",
+          (("==", True),)),
+    Claim("Fig. 11", "V9 MAB regression (MAB worse than RtS)",
+          "v9_mab_regression", "yes", (("==", True),), _NOT_TINY),
+    Claim("Sec. 6.2", "extra write savings of GAB+DCC over DCC (4-video avg)",
+          "sec62.extra_write_savings", 0.18, ((">", 0.08),)),
+    *_burst_claims(),
+)
+
+_CLAIM_AT = {claim.path: claim for claim in CLAIMS}
+
+#: The simulator's system claims and the tier-1 tests that assert them.
+SYSTEM_CLAIMS: Tuple[Tuple[str, str], ...] = (
+    ("faulted run: bounded concealment, zero wrong MACH blocks",
+     "tests/test_faults.py::TestPipelineFaults::"
+     "test_fault_drill_conceals_a_bounded_fraction"),
+    ("lossy delivery pays for its retries (radio active energy)",
+     "tests/test_faults.py::TestDeliveryResilience::"
+     "test_retries_cost_radio_energy"),
+    ("throttled run: adaptive ladder drops below fixed RtS",
+     "tests/test_thermal.py::TestPipelineUnderPressure::"
+     "test_adaptive_drops_below_fixed_under_throttle"),
+    ("thermal severity: energy monotone in revoked-boost duty",
+     "tests/test_thermal.py::TestPipelineUnderPressure::"
+     "test_severity_prices_monotonically"),
+    ("checkpoint-resumed matrix bit-identical to uninterrupted",
+     "tests/test_runner.py::TestCheckpointing::test_resume_is_bit_identical"),
+    ("fleet online aggregates match exact run_matrix energies",
+     "tests/test_fleet.py::TestExactAgreement::"
+     "test_title_energies_match_run_matrix"),
+    ("cell-contention fleet dominates private-trace fleet",
+     "tests/test_fleet.py::TestExactAgreement::"
+     "test_contention_dominates_private_links"),
+    ("supervised fleet under injected crashes matches serial run",
+     "tests/test_shard.py::TestSupervisionBudgets::"
+     "test_chaos_absorbed_bit_exactly"),
+    ("speculation cuts p99 stripe time without changing the result",
+     "tests/test_shard.py::TestSupervisionBudgets::test_speculation_cuts_p99"),
+    ("FEC beats retx on deadline misses at high RTT (equal overhead)",
+     "tests/test_realtime.py::TestSimulateRealtime::"
+     "test_fec_beats_retx_at_high_rtt"),
+    ("deadline ladder strictly cuts p99 lateness under cliffs",
+     "tests/test_realtime.py::TestSimulateRealtime::"
+     "test_ladder_cuts_p99_lateness_under_cliffs"),
+)
 
 
 def render(ledger: Dict[str, Any]) -> str:
@@ -629,6 +898,21 @@ def render(ledger: Dict[str, Any]) -> str:
 
     def w(text: str = "") -> None:
         out.write(text + "\n")
+
+    def paper(path: str) -> Union[float, str]:
+        return _CLAIM_AT[path].paper
+
+    def claimed(label: str, path: str) -> List[Any]:
+        """A table row: the measured value, the paper's, the verdict."""
+        claim = _CLAIM_AT[path]
+        return [label, measure(ledger, path), claim.paper,
+                claim.verdict(ledger)]
+
+    def claim_table(header: str, *rows: Tuple[str, str],
+                    title: str = "") -> str:
+        return format_table([header, "measured", "paper", "check"],
+                            [claimed(label, path) for label, path in rows],
+                            title=title)
 
     frames, mean = ledger["frames"], ledger["mean"]
     w("# EXPERIMENTS — paper vs measured")
@@ -647,13 +931,12 @@ def render(ledger: Dict[str, Any]) -> str:
     fig1 = ledger["fig01a"]
     w("## Fig. 1a — baseline time/energy breakdown")
     w()
-    w(format_table(
-        ["component", "measured", "paper"],
-        [["VD pipeline (energy)", fig1["vd_energy_share"], 0.297],
-         ["memory (energy)", fig1["memory_energy_share"], 0.458],
-         ["display (energy)", fig1["display_energy_share"], "n/a"],
-         ["VD pipeline (time share)", fig1["vd_time_share"], 0.499]],
-        title=""))
+    w(claim_table(
+        "component",
+        ("VD pipeline (energy)", "fig01a.vd_energy_share"),
+        ("memory (energy)", "fig01a.memory_energy_share"),
+        ("display (energy)", "fig01a.display_energy_share"),
+        ("VD pipeline (time share)", "fig01a.vd_time_share")))
     w()
     w("The decoder + memory dominate (paper: ~75 % of energy); our "
       "calibration puts more weight on Act/Pre so that the Sec. 3.3 "
@@ -662,11 +945,10 @@ def render(ledger: Dict[str, Any]) -> str:
 
     w("## Fig. 2b-2e — frame regions and stacked CDFs")
     w()
-    w(format_table(
-        ["region", "measured", "paper"],
-        [[region, share, _PAPER_REGIONS[region]]
-         for region, share in mean["regions"].items()]
-        + [["drop rate", mean["drop_rate"], 0.04]], title=""))
+    w(claim_table(
+        "region",
+        *[(region, f"mean.regions.{region}") for region in mean["regions"]],
+        ("drop rate", "mean.drop_rate")))
     stacked = ledger["fig02"]["v8_stacked_time"]
     w()
     w(format_table(
@@ -679,41 +961,30 @@ def render(ledger: Dict[str, Any]) -> str:
               "per-frame transition overhead ~16x)"))
     w()
 
-    fig4 = ledger["fig04"]
     w("## Fig. 4 / Sec. 3.3 — batching, racing, Race-to-Sleep")
     w()
-    w(format_table(
-        ["metric", "measured", "paper"],
-        [["batching transition-energy cut",
-          mean["transition_energy_cut"], 0.86],
-         ["baseline S3 residency", mean["baseline_s3"], 0.05],
-         ["Race-to-Sleep S3 residency", mean["rts_s3"], 0.60],
-         ["Race-to-Sleep frame drops (all videos)", ledger["rts_drops"], 0],
-         ["memory capacity ratio (RtS/baseline)", mean["capacity_ratio"],
-          5.3],
-         ["memory share of RtS energy (V8)", fig4["v8_rts_memory_share"],
-          0.642],
-         ["Act/Pre share of RtS energy (V8)", fig4["v8_rts_act_pre_share"],
-          0.46],
-         ["burst share of RtS energy (V8)", fig4["v8_rts_burst_share"],
-          0.127]],
-        title=""))
+    w(claim_table(
+        "metric",
+        ("batching transition-energy cut", "mean.transition_energy_cut"),
+        ("baseline S3 residency", "mean.baseline_s3"),
+        ("Race-to-Sleep S3 residency", "mean.rts_s3"),
+        ("Race-to-Sleep frame drops (all videos)", "rts_drops"),
+        ("memory capacity ratio (RtS/baseline)", "mean.capacity_ratio"),
+        ("memory share of RtS energy (V8)", "fig04.v8_rts_memory_share"),
+        ("Act/Pre share of RtS energy (V8)", "fig04.v8_rts_act_pre_share"),
+        ("burst share of RtS energy (V8)", "fig04.v8_rts_burst_share")))
     w()
 
     fig5 = ledger["fig05"]
     w("## Fig. 5 — VD frequency vs DRAM Act/Pre")
     w()
-    w(format_table(
-        ["metric", "measured", "paper"],
-        [["Act/Pre count cut from racing (avg)", mean["act_pre_cut"],
-          "~0.20"],
-         ["extra VD energy (V8, mJ/frame)",
-          fig5["v8_extra_vd_mj_per_frame"], 0.5],
-         ["memory Act/Pre saved (V8, mJ/frame)",
-          fig5["v8_act_pre_saved_mj_per_frame"], 1.0]],
-        title=""))
+    w(claim_table(
+        "metric",
+        ("Act/Pre count cut from racing (avg)", "mean.act_pre_cut"),
+        ("extra VD energy (V8, mJ/frame)", "fig05.v8_extra_vd_mj_per_frame"),
+        ("memory Act/Pre saved (V8, mJ/frame)",
+         "fig05.v8_act_pre_saved_mj_per_frame")))
     w()
-
     fig6 = ledger["fig06"]
     w("## Fig. 6 — batch-size sweep")
     w()
@@ -735,37 +1006,32 @@ def render(ledger: Dict[str, Any]) -> str:
         title="Fig. 7a (capacities scaled with sim resolution): larger "
               "caches fix compute misses, never writeback"))
     w()
-    census = mean["census"]
-    w(format_table(
-        ["class", "measured", "paper"],
-        [["intra match", census["intra"], 0.42],
-         ["inter match", census["inter"], 0.15],
-         ["no match", census["none"], 0.43]],
+    w(claim_table(
+        "class",
+        ("intra match", "mean.census.intra"),
+        ("inter match", "mean.census.inter"),
+        ("no match", "mean.census.none"),
         title="Fig. 7b census (16-frame window, 16-video average)"))
     w()
 
     w("## Fig. 9 — MACH savings")
     w()
-    w(format_table(
-        ["metric", "measured", "paper"],
-        [["mab write savings (avg)", mean["write_savings"]["MAB"], 0.13],
-         ["gab write savings (avg)", mean["write_savings"]["GAB"], 0.34],
-         ["optimal-gab write savings (4-video avg)",
-          ledger["fig09"]["optimal_write_savings"], "~0.41"]],
-        title=""))
+    w(claim_table(
+        "metric",
+        ("mab write savings (avg)", "mean.write_savings.MAB"),
+        ("gab write savings (avg)", "mean.write_savings.GAB"),
+        ("optimal-gab write savings (4-video avg)",
+         "fig09.optimal_write_savings")))
     w()
 
     w("## Fig. 10 — display caching")
     w()
-    w(format_table(
-        ["metric", "measured", "paper"],
-        [["DC read savings (avg)", mean["read_savings"], 0.335],
-         ["digest-indexed records (avg)", mean["digest_fraction"], 0.38],
-         ["fragmenting pointer fetches (avg)", mean["fragmentation_rate"],
-          ">0.45"],
-         ["extra reads, naive layout (V8)",
-          ledger["fig10"]["v8_naive_extra_reads"], ">0.60"]],
-        title=""))
+    w(claim_table(
+        "metric",
+        ("DC read savings (avg)", "mean.read_savings"),
+        ("digest-indexed records (avg)", "mean.digest_fraction"),
+        ("fragmenting pointer fetches (avg)", "mean.fragmentation_rate"),
+        ("extra reads, naive layout (V8)", "fig10.v8_naive_extra_reads")))
     w()
 
     w("## Fig. 11 — normalized energy (the headline)")
@@ -774,8 +1040,14 @@ def render(ledger: Dict[str, Any]) -> str:
     rows11 = [[video] + list(row["normalized_energy"].values())
               for video, row in ledger["per_video"].items()]
     rows11.append(["**Avg**"] + list(mean["normalized_energy"].values()))
-    rows11.append(["paper avg"] + _PAPER_FIG11)
+    averages = [_CLAIM_AT[f"mean.normalized_energy.{scheme}"]
+                for scheme in schemes]
+    rows11.append(["paper avg"] + [claim.paper for claim in averages])
     w(format_table(["video"] + schemes, rows11, title=""))
+    w()
+    w("Claim-table check of the averages: " + ", ".join(
+        f"{scheme} {claim.verdict(ledger)}"
+        for scheme, claim in zip(schemes, averages)) + ".")
     w()
     w("Shape checks that hold: GAB is the best scheme on **every** "
       "video; Racing alone *costs* energy; V9 shows the paper's MAB "
@@ -786,10 +1058,10 @@ def render(ledger: Dict[str, Any]) -> str:
     sec62 = ledger["sec62"]
     w("## Sec. 6.2 — GAB + DCC")
     w()
-    w(format_table(
-        ["metric", "measured", "paper"],
-        [["extra write savings of GAB+DCC over DCC (4-video avg)",
-          sec62["extra_write_savings"], 0.18]], title=""))
+    w(claim_table(
+        "metric",
+        ("extra write savings of GAB+DCC over DCC (4-video avg)",
+         "sec62.extra_write_savings")))
     w()
 
     w("## Fig. 12 — sensitivity")
@@ -888,13 +1160,18 @@ def render(ledger: Dict[str, Any]) -> str:
 
     w("## Delivery — burst vs steady downloads (BurstLink, PAPERS.md)")
     w()
+    def burst_check(index: int) -> str:
+        prefix = f"delivery_burst.{index}."
+        return "PASS" if all(claim.holds(ledger) for claim in CLAIMS
+                             if claim.path.startswith(prefix)) else "FAIL"
+
     w(format_table(
         ["trace seed", "steady stalls", "burst stalls", "steady radio (J)",
-         "burst radio (J)", "burst/steady"],
+         "burst radio (J)", "burst/steady", "check"],
         [[row["trace_seed"], row["steady_stalls"], row["burst_stalls"],
           row["steady_radio"], row["burst_radio"],
-          row["burst_radio"] / row["steady_radio"]]
-         for row in ledger["delivery_burst"]],
+          row["burst_radio"] / row["steady_radio"], burst_check(index)]
+         for index, row in enumerate(ledger["delivery_burst"])],
         title=f"V8, {_DELIVERY_FRAMES} frames over an LTE-like 24 Mbit/s "
               "trace at rung 2: burst downloads deep-sleep the modem "
               "between fills"))
@@ -944,455 +1221,84 @@ def render(ledger: Dict[str, Any]) -> str:
       "savings percentages are therefore conservative.")
     savings = mean["write_savings"]
     w(f"* **MAB** write savings are {savings['MAB']:.3f} vs the paper's "
-      f"0.13, while GAB is on target ({savings['GAB']:.3f} vs 0.34): the "
+      f"{paper('mean.write_savings.MAB')}, while GAB is on target "
+      f"({savings['GAB']:.3f} vs {paper('mean.write_savings.GAB')}): the "
       "synthesiser makes too many exact duplicates relative to "
       "gradient-only matches. Refitting its exact-vs-gradient "
       "similarity knobs is part of the ROADMAP joint-fit item.")
     w("* The **memory capacity ratio** (RtS/baseline) is "
-      f"{mean['capacity_ratio']:.3f} vs 5.3: at its peak our "
+      f"{mean['capacity_ratio']:.3f} vs {paper('mean.capacity_ratio')}: "
+      "at its peak our "
       "Race-to-Sleep pool holds about two 16-frame batches (the next "
       "batch decodes while the previous one is still on screen) against "
       "a 4-buffer baseline peak, while the paper's 5.3x is one batch "
       "over triple buffering.")
     w(f"* **Fig. 1a** puts {fig1['memory_energy_share']:.3f} of baseline "
-      f"energy in memory vs 0.458, and the VD pipeline's time share is "
-      f"{fig1['vd_time_share']:.3f} vs 0.499. The energy gap is the "
+      f"energy in memory vs {paper('fig01a.memory_energy_share')}, and "
+      "the VD pipeline's time share is "
+      f"{fig1['vd_time_share']:.3f} vs {paper('fig01a.vd_time_share')}. "
+      "The energy gap is the "
       "Act/Pre weight noted under Fig. 1a; the time-share gap has no "
       "known cause. Both belong to the ROADMAP joint-fit item.")
     w("* **Fig. 5**: racing saves "
       f"{fig5['v8_act_pre_saved_mj_per_frame']:.3f} mJ/frame of Act/Pre "
-      "energy on V8 vs the paper's 1.0, although its Act/Pre count cut "
-      f"({mean['act_pre_cut']:.3f}) is below the paper's ~0.20. The excess "
+      "energy on V8 vs the paper's "
+      f"{paper('fig05.v8_act_pre_saved_mj_per_frame')}, although its "
+      f"Act/Pre count cut ({mean['act_pre_cut']:.3f}) is below the "
+      f"paper's {paper('mean.act_pre_cut')}. The excess "
       "is energy per Act/Pre pair, most likely the same Act/Pre weight; "
       "the ROADMAP joint-fit item will confirm or refute it.")
     w("* **GAB+DCC** adds "
       f"{sec62['extra_write_savings']:.3f} write savings over DCC vs the "
-      "paper's 0.18. No cause is known yet; see the ROADMAP joint-fit "
+      f"paper's {paper('sec62.extra_write_savings')}. No cause is known "
+      "yet; see the ROADMAP joint-fit "
       "item.")
     return out.getvalue()
 
 
+@dataclass
+class ClaimCheck:
+    """One paper claim, measured."""
+
+    claim: str
+    paper: str
+    measured: float
+    passed: bool
+
+    def __str__(self) -> str:
+        mark = "PASS" if self.passed else "FAIL"
+        return (f"[{mark}] {self.claim}: measured {self.measured:.3f} "
+                f"(paper: {self.paper})")
+
+
+def check_claims(ledger: JsonDict, run_set: str) -> List[ClaimCheck]:
+    """Every bounded claim row defined on ``run_set``, checked on
+    ``ledger``."""
+    return [ClaimCheck(f"{claim.cite} {claim.label}",
+                       f"{claim.paper}; bound {claim.bound_text}",
+                       float(measure(ledger, claim.path)),
+                       claim.holds(ledger))
+            for claim in CLAIMS if claim.bound and run_set in claim.on]
+
+
 def validate_against_paper(
-    frames: int = 96,
-    seed: int = 7,
-    config: Optional[SimulationConfig] = None,
+    frames: int = RUN_SETS["validate"][0],
     progress: Optional[Callable[[str], None]] = None,
 ) -> List[ClaimCheck]:
-    """Run every claim check; returns the list of results."""
-    runs = _Runs(frames, seed, config)
-    cfg = runs.config
-    checks: List[ClaimCheck] = []
-
-    def report(name: str) -> None:
-        if progress is not None:
-            progress(name)
-
-    def add(claim: str, paper: str, measured: float, ok: bool) -> None:
-        checks.append(ClaimCheck(claim, paper, float(measured), bool(ok)))
-
-    # --- paper figures over the validation videos ------------------------
-    report("paper figures")
-    figures = _matrix_figures(runs, _VIDEOS, census_frames=min(frames, 64))
-    mean = figures["mean"]
-
-    # Fig. 2b: baseline regions and drops.
-    drop = mean["drop_rate"]
-    add("baseline frame-drop rate", "~0.04", drop, 0.005 < drop < 0.10)
-    sleep_capable = mean["regions"]["III"] + mean["regions"]["IV"]
-    add("region III+IV share (sleep-capable frames)", ">=0.7",
-        sleep_capable, sleep_capable >= 0.65)
-
-    # Fig. 7b: content census.
-    match, none = mean["census"]["match"], mean["census"]["none"]
-    add("census: blocks matching (intra+inter)", "~0.57", match,
-        0.45 < match < 0.70)
-    add("census: no-match share", "~0.43", none, 0.30 < none < 0.55)
-
-    # Race-to-Sleep behaviours.
-    rts_drops = figures["rts_drops"]
-    add("Race-to-Sleep frame drops", "0", rts_drops, rts_drops == 0)
-    s3 = mean["rts_s3"]
-    add("Race-to-Sleep deep-sleep residency", "~0.60", s3, 0.45 < s3 < 0.75)
-    trans_cut = mean["transition_energy_cut"]
-    add("batching transition-energy cut", "~0.86", trans_cut,
-        trans_cut > 0.7)
-    act_cut = mean["act_pre_cut"]
-    add("racing Act/Pre cut", "~0.20", act_cut, 0.05 < act_cut < 0.45)
-
-    # MACH savings.
-    gab_wr = mean["write_savings"]["GAB"]
-    mab_wr = mean["write_savings"]["MAB"]
-    add("gab write-traffic savings", "~0.34", gab_wr, 0.2 < gab_wr < 0.5)
-    add("mab write-traffic savings", "~0.13", mab_wr,
-        -0.05 < mab_wr < gab_wr)
-    gab_rd = mean["read_savings"]
-    add("gab display read savings", "~0.335", gab_rd, 0.15 < gab_rd < 0.5)
-    dig = mean["digest_fraction"]
-    add("digest-indexed record share", "~0.38", dig, 0.2 < dig < 0.55)
-
-    # Fig. 11 ordering.
-    normalized = mean["normalized_energy"]
-    add("Racing-alone energy (normalized)", ">1.0 (~1.12)",
-        normalized["Racing"], normalized["Racing"] > 1.0)
-    add("Race-to-Sleep energy (normalized)", "~0.887",
-        normalized["Race-to-Sleep"],
-        0.85 < normalized["Race-to-Sleep"] < 0.97)
-    add("MAB energy (normalized)", "~0.875", normalized["MAB"],
-        0.80 < normalized["MAB"] < 0.95)
-    add("GAB energy (normalized)", "~0.79", normalized["GAB"],
-        0.72 < normalized["GAB"] < 0.90)
-    gab_best = figures["gab_best_everywhere"]
-    add("GAB best on every video", "yes", float(gab_best), gab_best)
-    v9 = figures["v9_mab_regression"]
-    add("V9 MAB regression (MAB worse than RtS)", "yes", float(v9), v9)
-
-    # --- delivery side: burst downloads race the radio to sleep -----------
-    # (BurstLink's recipe, PAPERS.md — the delivery-side mirror of the
-    # paper's Race-to-Sleep.)  Pure arithmetic, no pipeline run.
-    report("network")
-    # The ledger's seed row (``delivery_burst``), computed the same way.
-    burst_row = _burst_vs_steady(seed)
-    same_stalls = burst_row["burst_stalls"] == burst_row["steady_stalls"]
-    ratio = burst_row["burst_radio"] / burst_row["steady_radio"]
-    add("burst-vs-steady radio energy at equal stalls (BurstLink)",
-        "<1.0", ratio, same_stalls and ratio < 1.0)
-
-    # --- fault injection and resilience ------------------------------------
-    report("faults")
-    from .config import FaultConfig
-
-    # 1. A faulted playback completes, conceals a bounded fraction of
-    #    blocks, and never lets an injected digest collision reach the
-    #    screen: every one is verified and falls back to a full store.
-    fault_sim = replace(cfg, faults=FaultConfig(
-        block_bit_error=2e-5, digest_collision=1e-3))
-    faulted = simulate(workload("V8"), GAB, n_frames=frames,
-                       seed=seed, config=fault_sim)
-    clean = runs.get("V8", GAB)
-    total_blocks = faulted.n_frames * cfg.video.blocks_per_frame
-    conceal_frac = faulted.concealed_blocks / total_blocks
-    resilient = (faulted.concealed_blocks > 0
-                 and conceal_frac < 0.05
-                 and faulted.injected_collisions > 0
-                 and faulted.fallback_writes == faulted.injected_collisions
-                 and faulted.silent_collisions == clean.silent_collisions)
-    add("faulted run: bounded concealment, zero wrong MACH blocks",
-        "<0.05 concealed, 0 silent", conceal_frac, resilient)
-
-    # 2. Retries are not free: on a constant link with a pinned rung
-    #    (so ABR cannot mask the extra transfers), a lossy run's radio
-    #    active energy must be at least the lossless run's.
-    lossy_net = replace(cfg.network, mode="trace", trace_kind="constant",
-                        abr="fixed", abr_fixed_rung=2, trace_seed=seed,
-                        download_mode="burst")
-    lossless_d = deliver_for_config(lossy_net, cfg.video,
-                                    source=workload("V8"),
-                                    n_frames=1800, seed=seed)
-    lossy_d = deliver_for_config(lossy_net, cfg.video,
-                                 source=workload("V8"),
-                                 n_frames=1800, seed=seed,
-                                 faults=FaultConfig(segment_loss=0.25,
-                                                    seed=3))
-    retry_ratio = (lossy_d.radio.active_energy
-                   / max(lossless_d.radio.active_energy, 1e-12))
-    add("lossy delivery pays for its retries (radio active energy)",
-        ">=1.0", retry_ratio,
-        lossy_d.retries > 0 and retry_ratio >= 1.0)
-
-    # --- thermal pressure and the degradation ladder ----------------------
-    report("thermal")
-    from .config import ThermalConfig
-
-    def thermal_sim(duty: float, adaptive: bool) -> RunResult:
-        # Short pre-roll (just above the 27-frame chunk) keeps batch
-        # formation deadline-bound, so a revoked boost actually bites.
-        thermal = ThermalConfig(
-            enabled=True, adaptive=adaptive, seed=seed,
-            event_interval=1.0, cap_drop_rate=1.0, cap_drop_duty=duty,
-            delayed_transition_rate=0.5)
-        pressed = replace(
-            cfg, thermal=thermal,
-            network=replace(cfg.network, preroll_frames=30))
-        return simulate(workload("V5"), RACE_TO_SLEEP, n_frames=frames,
-                        seed=seed, config=pressed)
-
-    # 1. Under a cap that revokes boost for most of the session, the
-    #    adaptive governor must walk its ladder and keep drops strictly
-    #    below the fixed-batch governor's (zero, for this workload),
-    #    within 5% of the fixed governor's energy.
-    adaptive_run = thermal_sim(0.55, True)
-    fixed_run = thermal_sim(0.55, False)
-    throttled_frac = adaptive_run.throttle_seconds / adaptive_run.elapsed
-    energy_ratio = adaptive_run.energy.total / fixed_run.energy.total
-    graceful = (throttled_frac >= 0.5
-                and fixed_run.drops > 0
-                and adaptive_run.drops == 0
-                and adaptive_run.degradation_steps > 0
-                and energy_ratio < 1.05)
-    add("throttled run: adaptive ladder drops below fixed RtS",
-        "0 vs >0 drops, <1.05x energy", float(adaptive_run.drops),
-        graceful)
-
-    # 2. Severity must price monotonically: revoking boost for longer
-    #    can only stretch the active window, shrink deep sleep, and
-    #    cost energy.
-    sweep = [thermal_sim(0.0, True), adaptive_run, thermal_sim(1.0, True)]
-    energies = [run.energy.total for run in sweep]
-    throttles = [run.throttle_seconds for run in sweep]
-    monotone = (all(a <= b for a, b in zip(energies, energies[1:]))
-                and all(a <= b for a, b in zip(throttles, throttles[1:]))
-                and throttles[-1] > 0)
-    add("thermal severity: energy monotone in revoked-boost duty",
-        "non-decreasing", energies[-1] / energies[0], monotone)
-
-    # 3. A killed-and-resumed matrix is bit-identical to an
-    #    uninterrupted one: the checkpoint holds exact results and the
-    #    remaining jobs are deterministic.
-    report("checkpoint")
-    import os
-    import tempfile
-
-    from .runner import run_matrix
-
-    ckpt_frames = min(frames, 32)
-    ckpt_schemes = (BASELINE, GAB)
-    with tempfile.TemporaryDirectory() as tmp:
-        ckpt = os.path.join(tmp, "matrix.json")
-        run_matrix(videos=["V1"], schemes=ckpt_schemes,
-                   n_frames=ckpt_frames, seed=seed, config=cfg,
-                   processes=1, checkpoint=ckpt)  # the "killed" run
-        resumed = run_matrix(videos=["V1", "V3"], schemes=ckpt_schemes,
-                             n_frames=ckpt_frames, seed=seed, config=cfg,
-                             processes=1, checkpoint=ckpt)
-    fresh = run_matrix(videos=["V1", "V3"], schemes=ckpt_schemes,
-                       n_frames=ckpt_frames, seed=seed, config=cfg,
-                       processes=1)
-    identical = (len(resumed.resumed) == len(ckpt_schemes)
-                 and set(resumed) == set(fresh)
-                 and all(resumed[k].energy.total == fresh[k].energy.total  # repro-lint: disable=F001 exactness is the claim: a JSON round trip must be bit-identical
-                         and (resumed[k].timeline.finish
-                              == fresh[k].timeline.finish).all()
-                         for k in fresh))
-    add("checkpoint-resumed matrix bit-identical to uninterrupted",
-        "yes", float(identical), identical)
-
-    # --- fleet: flow-level population engine ------------------------------
-    report("fleet")
-    from .fleet import (
-        DeviceClass,
-        LognormalComponent,
-        PopulationSpec,
-        RegionSpec,
-        calibrate,
-        run_fleet,
-    )
-    # A population whose every session plays exactly the calibration
-    # frame count (zero duration spread) on an unconstrained link, so
-    # the surrogate's per-title play energy is structurally the exact
-    # pipeline's — any gap is the streaming aggregation itself.
-    fleet_frames = min(frames, 32)
-    fleet_titles = ("V1", "V8")
-    pinned = fleet_frames / cfg.video.fps
-    fleet_spec = PopulationSpec(
-        device_classes=(DeviceClass(name="ref", scheme="gab"),),
-        regions=(RegionSpec(
-            name="dense", cells=3, cell_capacity=10 * MBPS,
-            bandwidth=(LognormalComponent(median=8 * MBPS, sigma=0.3),),
-        ),),
-        titles=fleet_titles,
-        zipf_exponent=0.9,
-        duration_median_seconds=pinned,
-        duration_sigma=0.0,
-        duration_min_seconds=pinned / 2,
-        duration_max_seconds=pinned * 2,
-        arrival_window_seconds=2.0,
-        epoch_seconds=0.5,
-        calib_frames=fleet_frames,
-        calib_seed=seed,
-    )
-    device_cfg = fleet_spec.device_classes[0].to_simulation_config(cfg)
-    fleet_calib = calibrate(fleet_spec, config=cfg)
-
-    # 1. Fleet online aggregates vs the exact matrix: the streamed
-    #    per-title (and overall) mean play energy must match the
-    #    run_matrix figures within the aggregation quantum.
-    matrix = run_matrix(videos=list(fleet_titles), schemes=(GAB,),
-                        n_frames=fleet_frames, seed=seed,
-                        config=device_cfg, processes=1)
-    exact = {video: matrix[(video, GAB.name)].energy.total
-             for video in fleet_titles}
-    surrogate_run = run_fleet(fleet_spec, 5000, seed=seed, shards=3,
-                              contention=False,
-                              calibration=fleet_calib, config=cfg)
-    errors: List[float] = []
-    weighted = 0.0
-    for title in fleet_titles:
-        cohort = surrogate_run.cohort(f"title:{title}")
-        measured_mean = cohort.moments["play_energy"].mean
-        errors.append(abs(measured_mean - exact[title]) / exact[title])
-        weighted += cohort.count * exact[title]
-    fleet_mean = surrogate_run.cohort("fleet").moments["play_energy"].mean
-    weighted /= surrogate_run.n_sessions
-    errors.append(abs(fleet_mean - weighted) / weighted)
-    worst = max(errors)
-    add("fleet online aggregates match exact run_matrix energies",
-        "<0.5% relative", worst, worst < 5e-3)
-
-    # 2. Shared cells must price congestion: at equal population the
-    #    cell-contention fleet dominates the private-trace fleet in
-    #    both stalls and energy (stall power + stretched radio windows).
-    contended = run_fleet(fleet_spec, 5000, seed=seed, shards=2,
-                          contention=True,
-                          calibration=fleet_calib, config=cfg)
-    private = run_fleet(fleet_spec, 5000, seed=seed, shards=2,
-                        contention=False,
-                        calibration=fleet_calib, config=cfg)
-    contended_fleet = contended.cohort("fleet")
-    private_fleet = private.cohort("fleet")
-    energy_ratio = (contended_fleet.moments["total_energy"].mean
-                    / private_fleet.moments["total_energy"].mean)
-    stall_gap = (contended_fleet.moments["stall_seconds"].mean
-                 - private_fleet.moments["stall_seconds"].mean)
-    dominates = (contended.saturated_cell_epochs > 0
-                 and energy_ratio > 1.0
-                 and stall_gap > 0.0)
-    add("cell-contention fleet dominates private-trace fleet",
-        ">1.0x energy, more stalls", energy_ratio, dominates)
-
-    # 3. Supervised shard execution under injected crashes, stalls,
-    #    and corrupt partials must reproduce the undisturbed serial
-    #    run bit for bit: retried, speculated, and re-delivered
-    #    stripes fold into the result exactly once.
-    import json as json_mod
-
-    from .faults import ShardFaultConfig
-    from .fleet import (
-        SupervisedFleetRun,
-        SupervisorConfig,
-        run_fleet_supervised,
-    )
-
-    serial_ref = run_fleet(fleet_spec, 3000, seed=seed, shards=1,
-                           contention=True,
-                           calibration=fleet_calib, config=cfg)
-    chaos_run = run_fleet_supervised(
-        fleet_spec, 3000, seed=seed, shards=4, contention=True,
-        calibration=fleet_calib, config=cfg,
-        faults=ShardFaultConfig(crash_rate=0.35, stall_rate=0.1,
-                                corrupt_rate=0.25,
-                                max_faulty_attempts=2, seed=seed + 1),
-        supervisor=SupervisorConfig(
-            workers=2, lease_seconds=0.8, heartbeat_seconds=0.1,
-            max_retries=6, backoff_base=0.02, backoff_cap=0.25))
-    absorbed = chaos_run.report.faults_absorbed
-    identical = (json_mod.dumps(serial_ref.to_jsonable(), sort_keys=True)
-                 == json_mod.dumps(chaos_run.result.to_jsonable(),
-                                   sort_keys=True))
-    add("supervised fleet under injected crashes matches serial run",
-        "bit-identical JSON, faults absorbed", float(absorbed),
-        identical and absorbed > 0)
-
-    # 4. Speculative re-execution is a latency tool, not a result
-    #    knob: under a seeded slow-worker distribution it must cut the
-    #    p99 stripe completion time without changing a bit of the
-    #    result.  (Slow workers sleep, so even a single-core CI box
-    #    shows the win.)
-    slow_faults = ShardFaultConfig(slow_rate=0.4, slow_seconds=2.0,
-                                   max_faulty_attempts=1,
-                                   seed=seed + 2)
-
-    def speculation_run(speculate: bool) -> SupervisedFleetRun:
-        return run_fleet_supervised(
-            fleet_spec, 3000, seed=seed, shards=6, contention=False,
-            calibration=fleet_calib, config=cfg, faults=slow_faults,
-            supervisor=SupervisorConfig(
-                workers=2, lease_seconds=4.0, heartbeat_seconds=0.1,
-                max_retries=3, backoff_base=0.02, backoff_cap=0.25,
-                speculate=speculate, speculation_min_seconds=0.4))
-
-    patient = speculation_run(False)
-    eager = speculation_run(True)
-    p99_patient = patient.report.p99_task_seconds("score")
-    p99_eager = eager.report.p99_task_seconds("score")
-    p99_ratio = p99_eager / max(p99_patient, 1e-9)
-    same_bits = (json_mod.dumps(patient.result.to_jsonable(),
-                                sort_keys=True)
-                 == json_mod.dumps(eager.result.to_jsonable(),
-                                   sort_keys=True))
-    add("speculation cuts p99 stripe time without changing the result",
-        "<0.7x p99, bit-identical", p99_ratio,
-        same_bits and eager.report.speculations > 0
-        and p99_ratio < 0.7)
-
-    # --- realtime: emergent impairments, recovery, and the ladder ---------
-    report("realtime")
-    from .config import RealtimeConfig
-    from .realtime import RealtimeResult, simulate_realtime
-
-    # 1. FEC beats bounded retransmission on deadline-miss fraction when
-    #    the RTT does not fit the latency budget, at comparable byte
-    #    overhead.  One-way propagation of 70 ms against a 150 ms budget
-    #    means any retransmission arrives a full RTT (~140 ms + queue)
-    #    late, while XOR parity rides along with the first pass.  Loss
-    #    backoff is disabled (loss_threshold=1) so the 20 % injected
-    #    loss prices both modes identically and only the delay half of
-    #    the controller shapes the send rate.
-    rt_profile = workload("V8")
-    rt_frames = max(frames, 240)
-
-    def recovery_run(mode: str) -> RealtimeResult:
-        rt = RealtimeConfig(
-            enabled=True, propagation_delay=0.070, latency_budget=0.150,
-            link_rate=6 * MBPS, start_rate=3 * MBPS, min_rate=1 * MBPS,
-            max_rate=4 * MBPS, ladder=False, fec_group=6, max_retx=2,
-            loss_threshold=1.0, recovery=mode, seed=seed)
-        rt_cfg = replace(cfg, realtime=rt,
-                         faults=FaultConfig(packet_loss=0.20, seed=seed))
-        return simulate_realtime(rt_cfg, n_frames=rt_frames,
-                                 profile=rt_profile)
-
-    fec_run = recovery_run("fec")
-    retx_run = recovery_run("retx")
-    overhead_ratio = fec_run.byte_overhead / max(retx_run.byte_overhead,
-                                                 1e-12)
-    miss_ratio = (fec_run.deadline_miss_fraction
-                  / max(retx_run.deadline_miss_fraction, 1e-12))
-    fec_wins = (retx_run.deadline_miss_fraction > 0
-                and miss_ratio < 0.5
-                and 1 / 1.5 < overhead_ratio < 1.5)
-    add("FEC beats retx on deadline misses at high RTT (equal overhead)",
-        "<0.5x misses, overhead within 1.5x", miss_ratio, fec_wins)
-
-    # 2. The deadline ladder converts lateness into bounded degradation:
-    #    under bandwidth cliffs it must strictly cut p99 frame lateness
-    #    versus the same session with the ladder disabled, at no more
-    #    than 5 % extra energy.
-    cliff = ((3.0, 0.22), (6.0, 1.0), (9.0, 0.22), (12.0, 1.0))
-
-    def ladder_run(ladder: bool) -> RealtimeResult:
-        rt = RealtimeConfig(enabled=True, link_rate=6 * MBPS,
-                            ladder=ladder, rate_schedule=cliff, seed=seed)
-        return simulate_realtime(replace(cfg, realtime=rt),
-                                 n_frames=max(2 * frames, 480),
-                                 profile=rt_profile)
-
-    with_ladder = ladder_run(True)
-    without_ladder = ladder_run(False)
-    rt_energy_ratio = with_ladder.total_energy / without_ladder.total_energy
-    ladder_helps = (without_ladder.p99_lateness() > 0
-                    and with_ladder.p99_lateness()
-                    < without_ladder.p99_lateness()
-                    and with_ladder.degradation_steps > 0
-                    and rt_energy_ratio <= 1.05)
-    add("deadline ladder strictly cuts p99 lateness under cliffs",
-        "lower p99, <=1.05x energy", rt_energy_ratio, ladder_helps)
-
-    return checks
+    """The claim table checked on the ledger of ``repro validate``'s
+    five videos at ``frames`` frames per run."""
+    ledger = paper_ledger(frames, RUN_SETS["validate"][1], progress)
+    return check_claims(ledger, "validate")
 
 
 def summarize(checks: List[ClaimCheck]) -> str:
-    """Human-readable report plus a verdict line."""
+    """Human-readable report, the tier-1 tests that own the system
+    claims, and a verdict line."""
     lines = [str(check) for check in checks]
+    lines.append("\nSystem claims, each asserted by a tier-1 test "
+                 "(python -m pytest <node id>):")
+    lines.extend(f"  {claim}\n    {node}" for claim, node in SYSTEM_CLAIMS)
     passed = sum(check.passed for check in checks)
     lines.append(f"\n{passed}/{len(checks)} claims reproduced")
     return "\n".join(lines)
+

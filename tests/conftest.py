@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import json
 from typing import Any, Dict, List, Optional, Tuple
 from unittest import mock
 
@@ -18,6 +19,7 @@ from repro.fleet.engine import METRICS, CohortAggregate
 from repro.fleet.population import PopulationModel, PopulationSpec, SessionChunk
 from repro.fleet.sketches import _INV_2_53, _MASK64, _splitmix64
 from repro.memory import MemoryController
+from repro.validation import RUN_SETS, paper_ledger
 from repro.video import SyntheticVideo, workload
 
 
@@ -351,3 +353,22 @@ def scalar_write_path():
     """
     return functools.partial(mock.patch.object, pipeline, "WritebackEngine",
                              ScalarWritebackEngine)
+
+
+def _ledger_of(run_set: str) -> Dict[str, Any]:
+    """The ledger of one claim-table run set, computed by the current
+    code and round-tripped through JSON as ``EXPERIMENTS.json`` is."""
+    frames, videos = RUN_SETS[run_set]
+    return json.loads(json.dumps(paper_ledger(frames, videos)))
+
+
+@pytest.fixture(scope="session")
+def tiny_ledger() -> Dict[str, Any]:
+    """The ledger of the tiny run set (2 videos, 8 frames)."""
+    return _ledger_of("tiny")
+
+
+@pytest.fixture(scope="session")
+def validate_ledger() -> Dict[str, Any]:
+    """The ledger ``repro validate`` checks at its default frames."""
+    return _ledger_of("validate")

@@ -299,6 +299,19 @@ class TestPipelineFaults:
             assert runs[-1].write_bytes >= runs[0].write_bytes, (
                 "fallbacks store full blocks")
 
+    def test_fault_drill_conceals_a_bounded_fraction(self):
+        """V8/GAB at 96 frames and seed 7 under bit errors and digest
+        collisions: some blocks, but under 5 %, are concealed, and no
+        injected collision reaches the screen as a wrong MACH block."""
+        rates = dict(block_bit_error=2e-5, digest_collision=1e-3)
+        clean = _faulted_v8(96, 7, 0)
+        run = _faulted_v8(96, 7, 0, **rates)
+        blocks = run.n_frames * SimulationConfig().video.blocks_per_frame
+        assert 0 < run.concealed_blocks / blocks < 0.05
+        assert run.injected_collisions > 0
+        assert run.fallback_writes == run.injected_collisions
+        assert run.silent_collisions == clean.silent_collisions
+
     def test_unverified_collisions_go_silent(self):
         cfg = replace(SimulationConfig(),
                       faults=FaultConfig(digest_collision=2e-3, seed=8,

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import GAB, SimulationConfig
 from repro.errors import ConfigError, FleetError, RunnerError
 from repro.fleet import (
     DeviceClass,
@@ -54,6 +55,7 @@ from repro.fleet.engine import (
 from repro.executor import Supervisor
 from repro.fleet import surrogate
 from repro.fleet.population import SessionChunk
+from repro.runner import run_matrix
 from repro.units import MBPS
 from repro.video import workload_keys
 
@@ -794,6 +796,80 @@ class TestRunFleet:
         assert "fleet" in report
         assert "title:V8" in report
         assert "p95" in report
+
+
+def pinned_spec(frames: int = 32) -> PopulationSpec:
+    """V1 and V8 on GAB, every session exactly ``frames`` frames long
+    (zero duration spread) on an unconstrained link, calibrated at
+    those frames and seed 7: the surrogate's per-title play energy is
+    then structurally the exact pipeline's."""
+    pinned = frames / SimulationConfig().video.fps
+    return PopulationSpec(
+        device_classes=(DeviceClass(name="ref", scheme="gab"),),
+        regions=(RegionSpec(
+            name="dense", cells=3, cell_capacity=10 * MBPS,
+            bandwidth=(LognormalComponent(median=8 * MBPS, sigma=0.3),),
+        ),),
+        titles=("V1", "V8"),
+        zipf_exponent=0.9,
+        duration_median_seconds=pinned,
+        duration_sigma=0.0,
+        duration_min_seconds=pinned / 2,
+        duration_max_seconds=pinned * 2,
+        arrival_window_seconds=2.0,
+        epoch_seconds=0.5,
+        calib_frames=frames,
+        calib_seed=7,
+    )
+
+
+class TestExactAgreement:
+    """5,000 sessions of :func:`pinned_spec` at seed 7 against the exact
+    pipeline."""
+
+    @pytest.fixture(scope="class")
+    def pinned(self) -> Tuple[PopulationSpec, FleetCalibration]:
+        spec = pinned_spec()
+        return spec, calibrate(spec)
+
+    def test_title_energies_match_run_matrix(self, pinned):
+        """The streamed per-title and fleet mean play energies match
+        ``run_matrix``'s exact totals within 0.5 %."""
+        spec, calibration = pinned
+        device = spec.device_classes[0].to_simulation_config(
+            SimulationConfig())
+        matrix = run_matrix(videos=list(spec.titles), schemes=(GAB,),
+                            n_frames=spec.calib_frames, seed=7,
+                            config=device, processes=1)
+        exact = {title: matrix[(title, GAB.name)].energy.total
+                 for title in spec.titles}
+        result = run_fleet(spec, 5000, seed=7, shards=3, contention=False,
+                           calibration=calibration)
+        weighted = 0.0
+        for title in spec.titles:
+            cohort = result.cohort(f"title:{title}")
+            mean = cohort.moments["play_energy"].mean
+            assert abs(mean - exact[title]) / exact[title] < 5e-3, title
+            weighted += cohort.count * exact[title]
+        weighted /= result.n_sessions
+        fleet_mean = result.cohort("fleet").moments["play_energy"].mean
+        assert abs(fleet_mean - weighted) / weighted < 5e-3
+
+    def test_contention_dominates_private_links(self, pinned):
+        """Shared cells price congestion: the contended fleet saturates
+        some cell epochs and costs more energy and stall time than the
+        same sessions on private links."""
+        spec, calibration = pinned
+        contended, private = (
+            run_fleet(spec, 5000, seed=7, shards=2, contention=contention,
+                      calibration=calibration)
+            for contention in (True, False))
+        assert contended.saturated_cell_epochs > 0
+        shared, alone = contended.cohort("fleet"), private.cohort("fleet")
+        assert (shared.moments["total_energy"].mean
+                > alone.moments["total_energy"].mean)
+        assert (shared.moments["stall_seconds"].mean
+                > alone.moments["stall_seconds"].mean)
 
 
 class TestFleetCLI:

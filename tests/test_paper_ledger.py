@@ -6,6 +6,13 @@ schemes at 120 frames, seed 7, plus the single-figure studies) and
 renders ``EXPERIMENTS.md`` from it.  These checks read the checked-in
 file, so they cost no simulation; CI regenerates the file and fails on
 any byte of drift, which keeps it the output of the current code.
+
+Every bound on a paper number lives in the claim table
+(``repro.validation.CLAIMS``): ``test_claim_holds`` checks each row on
+the checked-in ledger and, where the row is defined there, on the tiny
+ledger the ``tiny_ledger`` fixture computes.  The figure tests below
+assert the shapes the table does not hold (orderings, sweeps and keys)
+and name the table rows of their figure.
 """
 
 from __future__ import annotations
@@ -16,21 +23,17 @@ from typing import Any, Dict
 
 import pytest
 
-from repro.validation import paper_ledger, render
+from repro import validation
+from repro.validation import CLAIMS, RUN_SETS, measure, render
 
 _ROOT = Path(__file__).resolve().parent.parent
+
+_CLAIM_AT = {claim.path: claim for claim in CLAIMS}
 
 
 @pytest.fixture(scope="module")
 def ledger() -> Dict[str, Any]:
     return json.loads((_ROOT / "EXPERIMENTS.json").read_text(encoding="utf-8"))
-
-
-@pytest.fixture(scope="module")
-def tiny_ledger() -> Dict[str, Any]:
-    """The ledger of a tiny run set, computed by the current code."""
-    return json.loads(json.dumps(paper_ledger(frames=8,
-                                              videos=("V1", "V8"))))
 
 
 def _shape(value: Any) -> Any:
@@ -50,6 +53,52 @@ def _per_video_tables(ledger: Dict[str, Any]) -> Dict[str, Any]:
             "fig09": ledger["fig09"]["per_video_optimal_write_savings"],
             "fig10": ledger["fig10"]["per_video_naive_extra_reads"],
             "sec62": ledger["sec62"]["per_video_extra_write_savings"]}
+
+
+def _assert_claims(ledger: Dict[str, Any], *paths: str) -> None:
+    """The claim-table rows at ``paths`` hold on the checked-in ledger."""
+    for path in paths:
+        claim = _CLAIM_AT[path]
+        assert claim.bound and claim.holds(ledger), (
+            f"{claim.label}: {measure(ledger, path)} vs {claim.bound_text}")
+
+
+# --- the claim table --------------------------------------------------------
+
+
+@pytest.mark.parametrize("claim", [claim for claim in CLAIMS if claim.bound],
+                         ids=lambda claim: claim.path)
+def test_claim_holds(claim, ledger, tiny_ledger):
+    """Each bounded row holds on every test run set it is defined on."""
+    for run_set, data in (("committed", ledger), ("tiny", tiny_ledger)):
+        if run_set in claim.on:
+            assert claim.holds(data), (
+                f"{run_set}: {claim.label} = {measure(data, claim.path)}, "
+                f"bound {claim.bound_text}")
+
+
+def test_claim_table_is_well_formed(ledger):
+    """One row per key path (``render`` finds rows by path); every path
+    resolves on the checked-in ledger; every row is defined on the
+    committed run set, and only on known ones."""
+    assert len(_CLAIM_AT) == len(CLAIMS)
+    for claim in CLAIMS:
+        measure(ledger, claim.path)
+        assert "committed" in claim.on and claim.on <= set(RUN_SETS)
+
+
+def test_each_planned_run_plays_once(monkeypatch):
+    """No two ``simulate`` calls of a ledger share every input."""
+    calls = []
+    play = validation.simulate
+
+    def record(source, scheme, **kwargs):
+        calls.append((source.key, scheme, tuple(sorted(kwargs.items()))))
+        return play(source, scheme, **kwargs)
+
+    monkeypatch.setattr(validation, "simulate", record)
+    validation.paper_ledger(*RUN_SETS["tiny"])
+    assert calls and len(set(calls)) == len(calls)
 
 
 # --- the ledger itself ------------------------------------------------------
@@ -105,9 +154,8 @@ def test_fig01a_breakdown(ledger):
 
 
 def test_fig02b_region_mix(ledger):
-    regions = ledger["mean"]["regions"]
-    assert 0.01 < regions["I"] < 0.10
-    assert regions["III"] + regions["IV"] > 0.6
+    _assert_claims(ledger, "mean.regions.I",
+                   "mean.regions.III + mean.regions.IV", "mean.drop_rate")
 
 
 def test_fig02_cdf_series(ledger):
@@ -130,9 +178,7 @@ def test_sec22_transition_overheads(ledger):
 
 
 def test_fig04ab_batching_effect(ledger):
-    mean = ledger["mean"]
-    assert mean["transition_energy_cut"] > 0.75
-    assert mean["vd_energy_cut"] > 0.05
+    assert ledger["mean"]["vd_energy_cut"] > 0.05
 
 
 def test_fig04cd_racing_vs_rts(ledger):
@@ -145,13 +191,10 @@ def test_fig04cd_racing_vs_rts(ledger):
 
 def test_sec33_rts_takeaways(ledger):
     mean = ledger["mean"]
-    assert mean["rts_s3"] > 0.5
     assert mean["rts_s3"] > mean["baseline_s3"] * 3
-    assert mean["capacity_ratio"] > 3.0
 
 
 def test_fig05_act_pre_vs_frequency(ledger):
-    assert 0.05 < ledger["mean"]["act_pre_cut"] < 0.5
     for video, row in ledger["per_video"].items():
         hits = row["row_hit_rate"]
         assert hits["Racing"] > hits["Baseline"], (
@@ -171,12 +214,16 @@ def test_fig05_energy_exchange(ledger):
     ("v8_act_pre_saved_mj_per_frame", 1.0),
 ])
 def test_fig05_rows_in_paper_units(ledger, tiny_ledger, key, paper_mj):
-    """Each Fig. 5 row is within 10x of the paper's mJ/frame, so a
-    dropped or doubled unit conversion (1000x) cannot pass.  The tiny
-    ledger is computed here, so a slip in the ledger code fails before
-    the checked-in file is regenerated."""
+    """Each Fig. 5 row's claim is the 10x band around the paper's
+    mJ/frame, so a dropped or doubled unit conversion (1000x) cannot
+    pass.  The tiny ledger is computed by the current code, so a slip
+    in the ledger code fails before the checked-in file is
+    regenerated."""
+    claim = _CLAIM_AT[f"fig05.{key}"]
+    assert claim.paper == paper_mj
+    assert claim.bound == ((">", paper_mj / 10), ("<", paper_mj * 10))
     for name, data in (("checked-in", ledger), ("tiny", tiny_ledger)):
-        assert paper_mj / 10 < data["fig05"][key] < paper_mj * 10, name
+        assert claim.holds(data), name
 
 
 def test_fig06_batch_sweep(ledger):
@@ -204,11 +251,8 @@ def test_fig07a_vd_cache_study(ledger):
 
 
 def test_fig07b_content_census(ledger):
-    census = ledger["mean"]["census"]
-    assert 0.30 < census["intra"] < 0.55
-    assert 0.08 < census["inter"] < 0.30
-    assert 0.30 < census["none"] < 0.55
-    assert census["intra"] + census["inter"] > 0.45  # over half match
+    _assert_claims(ledger, "mean.census.intra", "mean.census.inter",
+                   "mean.census.none", "mean.census.match")
 
 
 def test_table1_workloads(ledger):
@@ -240,8 +284,6 @@ def test_table2_configuration(ledger):
 
 def test_fig09a_savings(ledger):
     savings = ledger["mean"]["write_savings"]
-    assert savings["GAB"] > savings["MAB"] + 0.1, "gab must clearly beat mab"
-    assert 0.2 < savings["GAB"] < 0.5
     fig = ledger["fig09"]
     assert fig["mean_optimal_write_savings"] > savings["GAB"], (
         "the capacity oracle must beat LRU")
@@ -266,17 +308,12 @@ def test_fig10c_display_cache_size(ledger):
 
 
 def test_fig10d_record_split(ledger):
-    mean = ledger["mean"]
-    assert 0.25 < mean["digest_fraction"] < 0.55
-    assert mean["fragmentation_rate"] > 0.45
+    _assert_claims(ledger, "mean.digest_fraction", "mean.fragmentation_rate")
 
 
 def test_fig10e_dc_savings(ledger):
-    assert ledger["mean"]["read_savings"] > 0.2
-    fig = ledger["fig10"]
-    for extra in (fig["mean_naive_extra_reads"], fig["v8_naive_extra_reads"]):
-        assert extra > 0.3, (
-            "the pointer layout without display caching must cost extra reads")
+    assert ledger["fig10"]["mean_naive_extra_reads"] > 0.3, (
+        "the pointer layout without display caching must cost extra reads")
 
 
 # --- Fig. 11 / Sec. 6.2 -----------------------------------------------------
@@ -284,22 +321,17 @@ def test_fig10e_dc_savings(ledger):
 
 def test_fig11_normalized_energy(ledger):
     avg = ledger["mean"]["normalized_energy"]
-    assert avg["Racing"] > 1.0, "racing alone must cost energy"
-    assert avg["Batching"] < 1.0
     assert avg["Race-to-Sleep"] < avg["Batching"]
-    assert avg["GAB"] < avg["MAB"] < 1.0
-    assert 0.75 < avg["GAB"] < 0.88
+    assert avg["GAB"] < avg["MAB"]
     # GAB wins on every single video (paper: "GAB outperforms all other
     # schemes in every scenario").
     for video, row in ledger["per_video"].items():
         normalized = row["normalized_energy"]
         assert normalized["GAB"] == min(normalized.values()), (
             f"GAB not best on {video}")
-    assert ledger["gab_best_everywhere"]
     # V9 is the paper's MAB regression: MAB worse than Race-to-Sleep.
     v9 = ledger["per_video"]["V9"]["normalized_energy"]
     assert v9["MAB"] > v9["Race-to-Sleep"]
-    assert ledger["v9_mab_regression"]
 
 
 def test_fig11_component_stacks(ledger):
@@ -312,11 +344,8 @@ def test_fig11_component_stacks(ledger):
 
 
 def test_sec62_gab_plus_dcc(ledger):
-    sec = ledger["sec62"]
-    assert sec["mean_extra_write_savings"] > 0.08, (
+    assert ledger["sec62"]["mean_extra_write_savings"] > 0.08, (
         "GAB must add savings on top of DCC")
-    assert sec["extra_write_savings"] > 0.08, (
-        "GAB must add savings on top of DCC on the rendered 4-video mix")
 
 
 # --- Fig. 12 / Sec. 6.3 -----------------------------------------------------
@@ -406,14 +435,14 @@ def test_sec7_slack_dvfs_vs_rts(ledger):
 
 
 def test_delivery_burst_vs_steady(ledger):
-    """Burst downloads must beat steady at an equal stall count."""
+    """Burst downloads must beat steady at an equal stall count, on
+    every trace seed (a claim row each)."""
     rows = ledger["delivery_burst"]
     assert [row["trace_seed"] for row in rows] == [0, 7, 11]
-    for row in rows:
-        assert row["steady_stalls"] == row["burst_stalls"], (
-            "modes must stall equally often")
-        assert row["burst_radio"] < row["steady_radio"], (
-            "burst radio energy must be strictly below steady")
+    for index in range(len(rows)):
+        row = f"delivery_burst.{index}"
+        _assert_claims(ledger, f"{row}.burst_radio / {row}.steady_radio",
+                       f"{row}.burst_stalls - {row}.steady_stalls")
 
 
 def test_delivery_abr_policies(ledger):

@@ -334,6 +334,44 @@ class TestSimulateRealtime:
         assert (runs["fec"].deadline_miss_fraction
                 < runs["retx"].deadline_miss_fraction)
 
+    def test_fec_beats_retx_at_high_rtt(self):
+        """70 ms one way against a 150 ms budget: a retransmission lands
+        a full RTT late, while XOR parity rides with the first pass.
+        With loss backoff off (``loss_threshold=1``) the 20 % injected
+        loss prices both modes alike, so FEC must miss under half as
+        many deadlines at a byte overhead within 1.5x of retx's."""
+        runs = {}
+        for mode in ("fec", "retx"):
+            rt = RealtimeConfig(
+                enabled=True, propagation_delay=0.070, latency_budget=0.150,
+                link_rate=6 * MBPS, start_rate=3 * MBPS, min_rate=1 * MBPS,
+                max_rate=4 * MBPS, ladder=False, fec_group=6, max_retx=2,
+                loss_threshold=1.0, recovery=mode, seed=7)
+            runs[mode] = simulate_realtime(
+                _sim(rt, faults=FaultConfig(packet_loss=0.20, seed=7)),
+                n_frames=240, profile=workload("V8"))
+        fec, retx = runs["fec"], runs["retx"]
+        assert retx.deadline_miss_fraction > 0
+        assert (fec.deadline_miss_fraction
+                < 0.5 * retx.deadline_miss_fraction)
+        overhead = fec.byte_overhead / retx.byte_overhead
+        assert 1 / 1.5 < overhead < 1.5
+
+    def test_ladder_cuts_p99_lateness_under_cliffs(self):
+        """Under bandwidth cliffs the deadline ladder strictly cuts p99
+        frame lateness against the same session without it, at no more
+        than 5 % extra energy."""
+        cliff = ((3.0, 0.22), (6.0, 1.0), (9.0, 0.22), (12.0, 1.0))
+        on, off = (simulate_realtime(
+            _sim(RealtimeConfig(enabled=True, link_rate=6 * MBPS,
+                                ladder=ladder, rate_schedule=cliff, seed=7)),
+            n_frames=480, profile=workload("V8"))
+            for ladder in (True, False))
+        assert off.p99_lateness() > 0
+        assert on.p99_lateness() < off.p99_lateness()
+        assert on.degradation_steps > 0
+        assert on.total_energy <= 1.05 * off.total_energy
+
     def test_overlay_feeds_concealment(self):
         result = simulate_realtime(_sim(_rt(**_HARSH)), n_frames=240)
         overlay = result.block_overlay()
@@ -502,6 +540,17 @@ class TestChaos:
     def test_degenerate_campaign_rejected(self, videos, sessions):
         with pytest.raises(ConfigError):
             run_chaos(videos=videos, sessions=sessions, n_frames=8)
+
+    @pytest.mark.parametrize("cap", [59, 0, -1])
+    def test_frame_cap_below_session_floor_rejected(self, cap):
+        with pytest.raises(ConfigError, match="fleet_frame_cap"):
+            run_chaos(sessions=1, n_frames=8, fleet_frame_cap=cap)
+
+    def test_frame_cap_at_session_floor_plays_sixty_frames(self):
+        result = run_chaos(regimes=CHAOS_REGIMES[:1], videos=("V1",),
+                           sessions=2, n_frames=1, fleet_frame_cap=60)
+        fleet = result.slos["calm/fleet"]
+        assert fleet.sessions == 2 and fleet.frames == 120
 
     def test_report_covers_all_cells(self):
         report = self._campaign().report()

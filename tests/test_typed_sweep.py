@@ -51,17 +51,18 @@ def calibration() -> FleetCalibration:
 
 class TestRunChaosEdges:
     @given(n_frames=st.integers(0, 3), sessions=st.integers(0, 2),
-           fleet_frame_cap=st.integers(0, 2),
+           fleet_frame_cap=st.one_of(st.integers(0, 2),
+                                     st.integers(59, 61)),
            regimes=st.lists(st.sampled_from(CHAOS_REGIMES + (DEAD_LINK,)),
                             max_size=2, unique_by=lambda regime: regime.key),
            videos=st.sampled_from([(), ("V1",)]), revoked=st.booleans(),
            seed=st.integers(0, 3))
-    @example(n_frames=1, sessions=1, fleet_frame_cap=1, regimes=[],
+    @example(n_frames=1, sessions=1, fleet_frame_cap=60, regimes=[],
              videos=("V1",), revoked=False, seed=0)
     @example(n_frames=1, sessions=0, fleet_frame_cap=1,
              regimes=list(CHAOS_REGIMES[:1]), videos=(), revoked=False,
              seed=0)
-    @example(n_frames=1, sessions=1, fleet_frame_cap=1,
+    @example(n_frames=1, sessions=1, fleet_frame_cap=60,
              regimes=[DEAD_LINK], videos=("V1",), revoked=True, seed=0)
     @settings(max_examples=30, deadline=None)
     def test_valid_result_or_typed_error(self, n_frames, sessions,

@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from repro.analysis import get_config_field, set_config_field, sweep_config
 from repro.config import BASELINE, SimulationConfig
 from repro.core.session import Pause, Play, SessionSimulator
 from repro.errors import ConfigError
-from repro.validation import ClaimCheck, summarize, validate_against_paper
+from repro import cli, validation
+from repro.validation import (
+    RUN_SETS,
+    SYSTEM_CLAIMS,
+    ClaimCheck,
+    check_claims,
+    summarize,
+)
 from repro.video import workload
 
 
@@ -62,17 +71,44 @@ class TestValidationMachinery:
         assert "1/2 claims reproduced" in text
 
     @pytest.mark.slow
-    def test_full_suite_reproduces(self):
-        """The conformance suite itself (a long-ish integration test)."""
-        checks = validate_against_paper(frames=48)
-        failed = [check for check in checks if not check.passed]
-        # At a reduced frame count a borderline check may wobble;
-        # require the overwhelming majority and zero hard failures on
-        # the structural claims.
-        assert len(failed) <= 2, summarize(checks)
-        structural = [c for c in checks
-                      if "drops" in c.claim or "best" in c.claim]
-        assert all(c.passed for c in structural), summarize(checks)
+    def test_full_suite_reproduces(self, validate_ledger):
+        """Every bounded claim row defined on validate's run set holds
+        on the ledger ``repro validate`` computes at its defaults."""
+        checks = check_claims(validate_ledger, "validate")
+        assert checks and all(check.passed for check in checks), (
+            summarize(checks))
+
+    @pytest.mark.slow
+    def test_cli_checks_the_validate_run_set(self, validate_ledger,
+                                             monkeypatch, capsys):
+        """``repro validate`` plays validate's run set at its default
+        frames, checks the claim table on it and exits 0."""
+        asked = []
+
+        def ledger(frames, videos, progress=None):
+            asked.append((frames, videos))
+            return validate_ledger
+
+        monkeypatch.setattr(validation, "paper_ledger", ledger)
+        assert cli.main(["validate"]) == 0
+        assert asked == [RUN_SETS["validate"]]
+        out = capsys.readouterr().out
+        assert "FAIL" not in out
+        for _claim, node in SYSTEM_CLAIMS:
+            assert node in out
+
+    @pytest.mark.parametrize("claim, node", SYSTEM_CLAIMS,
+                             ids=[node.rsplit("::", 1)[1]
+                                  for _claim, node in SYSTEM_CLAIMS])
+    def test_system_claims_name_real_tests(self, claim, node):
+        """Each system claim points at a test that exists."""
+        path, *names = node.split("::")
+        module = importlib.import_module(
+            path.removesuffix(".py").replace("/", "."))
+        target = module
+        for name in names:
+            target = getattr(target, name)
+        assert callable(target), claim
 
 
 class TestPanelSelfRefresh:

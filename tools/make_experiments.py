@@ -2,11 +2,12 @@
 
 Run:  PYTHONPATH=src python tools/make_experiments.py [--frames N]
 
-Plays the paper's run set once (``repro.validation.paper_ledger``,
-about half a minute at the default 120 frames), writes the
-full-precision ledger to EXPERIMENTS.json at the repo root, and renders
-EXPERIMENTS.md from that file alone.  The checked-in pair is the
-120-frame output; regenerating it must leave both files byte-identical.
+Plays the paper's run plan, each distinct run once
+(``repro.validation.paper_ledger``, about half a minute at the default
+120 frames), writes the full-precision ledger to EXPERIMENTS.json at
+the repo root, and renders EXPERIMENTS.md from that file alone.  The
+checked-in pair is the 120-frame output; regenerating it must leave
+both files byte-identical.
 
 The JSON also records ``float_canary``, the host's floating-point
 fingerprint from ``benchmarks/perf/workloads.py``.  Full-precision
@@ -35,7 +36,7 @@ def main() -> None:
     args = parser.parse_args()
     ledger = paper_ledger(
         frames=args.frames,
-        progress=lambda name: print(f"running {name} ...", file=sys.stderr))
+        progress=lambda name: print(f"{name} ...", file=sys.stderr))
     ledger["float_canary"] = float_canary()
     text = json.dumps(ledger, indent=1) + "\n"
     (ROOT / "EXPERIMENTS.json").write_text(text, encoding="utf-8")
