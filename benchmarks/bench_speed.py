@@ -16,9 +16,9 @@ itself rather than content synthesis.  Three reference points live in
 
 * ``full.configs`` — vectorized frames/sec per configuration;
 * ``scalar_reference`` — the same matrix with the pipeline's write
-  engine built on the scalar per-block walk (patched in, as the
-  equivalence suite does; re-measurable at any commit — the suite
-  proves the two paths bit-identical);
+  engine built on the scalar per-block walk of ``tests/mach_oracle.py``
+  (patched in, as the equivalence suite does; re-measurable at any
+  commit — the suite proves the two paths bit-identical);
 * ``pre_pr`` — a frozen anchor measured on the pre-vectorization tree
   (regenerate with ``--emit-anchor`` from a checkout of that commit).
 
@@ -37,9 +37,11 @@ from __future__ import annotations
 import json
 import math
 import platform
+import sys
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Any, Callable, ContextManager, Dict, List, Optional, Sequence
 from unittest import mock
 
@@ -58,7 +60,6 @@ from repro.config import (
     ThermalConfig,
 )
 from repro.core import pipeline
-from repro.core.writeback import WritebackEngine, WritebackResult
 from repro.video.frame import DecodedFrame
 from repro.video.synthesis import SyntheticVideo
 
@@ -101,22 +102,22 @@ MATRIX = (
 )
 
 
-class _ScalarWritebackEngine(WritebackEngine):
-    """The write engine with the batched kernel off (scalar walk)."""
-
-    def _process_mach(self, frame: DecodedFrame,
-                      slot_base: int) -> WritebackResult:
-        tags, aux, dcc_sizes = self._content_features(frame.blocks)
-        return self._process_mach_scalar(frame, slot_base, tags, aux,
-                                         dcc_sizes)
-
-
 def _write_path(vectorized: bool) -> ContextManager[Any]:
-    """Inside the block, ``simulate`` writes through the chosen path."""
+    """Inside the block, ``simulate`` writes through the chosen path.
+
+    The scalar path is the per-block walk kept as the write kernel's
+    test oracle (``tests/mach_oracle.py``), imported from the checkout
+    this file belongs to.
+    """
     if vectorized:
         return nullcontext()
+    root = str(Path(__file__).resolve().parents[1])
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    from tests.mach_oracle import ScalarWritebackEngine
+
     return mock.patch.object(pipeline, "WritebackEngine",
-                             _ScalarWritebackEngine)
+                             ScalarWritebackEngine)
 
 
 def _materialize(cfg: SimulationConfig, n_frames: int) -> List[DecodedFrame]:

@@ -442,9 +442,6 @@ class _Playback:
         # faulted run is exactly as deterministic as a clean one.
         self.fault_plan = FaultPlan.from_config(cfg.faults)
         self.block_loss_overlay = block_loss_overlay or {}
-        # The engine picks its write path per frame: the SoA kernel,
-        # or the per-block walk under injected digest collisions and
-        # CRC16-disagreeing CRC32 collisions.
         self.writeback = WritebackEngine(
             cfg.video, sim_mach, scheme, cfg.dram.line_bytes,
             unbounded_mach=unbounded_mach, fault_plan=self.fault_plan)

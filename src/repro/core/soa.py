@@ -1,8 +1,8 @@
 """Structure-of-arrays kernels for the per-frame hot path.
 
 The write path classifies every decoded block against a per-frame LRU
-set-associative MACH (:mod:`repro.core.mach`).  The scalar reference
-walks blocks one at a time; the write kernel computes the *identical*
+set-associative MACH (:mod:`repro.core.mach`).  Its test oracle walks
+blocks one at a time; the write kernel computes the *identical*
 classification from **one stable sort of the frame's tags**
 (:func:`stable_sort`), whose runs of equal tags every step reads.
 
@@ -36,8 +36,8 @@ for an arbitrary ``(sets, keys)`` touch sequence.
 
 Everything here is exact: :func:`lru_touch_classify` is
 property-tested against the scalar :class:`~repro.cache.setassoc.\
-SetAssociativeCache` replay, and the write engine asserts bit-identical
-frame layouts in the equivalence suite.
+SetAssociativeCache` replay, and the equivalence suite holds the write
+engine's frame layouts bit-identical to the walk's.
 """
 
 from __future__ import annotations

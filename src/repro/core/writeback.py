@@ -35,7 +35,8 @@ from ..video.frame import DecodedFrame
 from .coalesce import sequential_lines, uncoalesced_stream_lines
 from .gradient import to_gradient
 from .layout import FrameLayout, LayoutMode, RecordKind
-from .mach import FrozenMach, MachRing, MachStats, MatchKind
+from .collisions import classify_collisions
+from .mach import FrozenMach, MachOutcome, MachRing, MachStats
 from .soa import chain_providers, lru_chain_classify, stable_sort
 
 _DUMP_ENTRY_BYTES = 8  # digest (4) + pointer (4)
@@ -86,7 +87,7 @@ class TagRuns(NamedTuple):
     """A frame's tags after one stable sort: runs of equal tags.
 
     The sort keeps block order within a run, so a run lists one tag's
-    blocks in the order the per-block walk meets them.
+    blocks in block order.
     """
 
     order: np.ndarray  # stable argsort of the tags
@@ -185,7 +186,8 @@ class WritebackEngine:
         # verification on, the engine compares the actual bytes (a
         # cheap on-chip compare the paper's CRC32 scheme omits),
         # detects the lie, and stores the full block instead of a
-        # wrong pointer — content caching is never silently incorrect.
+        # wrong pointer — content caching is never silently incorrect
+        # (repro.core.collisions).
         self._fault_plan = (fault_plan if fault_plan is not None
                             and fault_plan.config.digest_collision > 0
                             else None)
@@ -300,23 +302,27 @@ class WritebackEngine:
         ring = self.ring
         tags, aux, dcc_sizes = self._content_features(frame.blocks)
         assert tags is not None and aux is not None
-        # The SoA kernel serves every frame it models bit-exactly; a
-        # frame under injected digest collisions, or with a CRC16
-        # disagreement within itself or against the ring, takes the
-        # per-block walk.  A natural CRC32 collision would send the
-        # walk down a collision path (silent match or CO-MACH spill).
-        if self._fault_plan is None:
-            ring.ensure_idle()
-            runs = TagRuns.of(tags, aux)
-            if runs.aux_consistent():
-                found, addresses, clean = ring.lookup_batch(
-                    runs.tags[runs.starts], runs.aux[runs.starts])
-                if clean:
-                    return self._process_mach_kernel(
-                        frame, slot_base, tags, dcc_sizes, runs, found,
-                        addresses)
-        return self._process_mach_scalar(
-            frame, slot_base, tags, aux, dcc_sizes)
+        runs = TagRuns.of(tags, aux)
+        head_aux = runs.aux[runs.starts]
+        heads = ring.lookup_batch(runs.tags[runs.starts], head_aux)
+        injected = (np.zeros(frame.n_blocks, dtype=bool)
+                    if self._fault_plan is None
+                    else self._fault_plan.digest_collisions(
+                        frame.index, frame.n_blocks))
+        groups: Optional[DigestGroups] = None
+        # A frame holds a collision when a match may be declared one, or
+        # when a tag meets two CRC16 auxes, within the frame or against
+        # the frozen ring; otherwise one sort of its tags classifies it.
+        if (not injected.any() and runs.aux_consistent()
+                and heads.agree(head_aux)):
+            outcome, groups = self._classify(tags, runs, heads.found,
+                                             heads.addresses)
+        else:
+            outcome = classify_collisions(ring, tags, aux, runs.order,
+                                          runs.new_run, injected,
+                                          self._verify)
+        return self._lay_out(frame, slot_base, tags, dcc_sizes, runs,
+                             outcome, groups)
 
     def _layout_bases(self, frame: DecodedFrame,
                       slot_base: int) -> Tuple[int, int, int]:
@@ -331,100 +337,29 @@ class WritebackEngine:
         data_base = bases_base + bases_bytes
         return table_base, bases_base, data_base
 
-    def _process_mach_scalar(self, frame: DecodedFrame, slot_base: int,
-                             tags: np.ndarray, aux: np.ndarray,
-                             dcc_sizes: Optional[np.ndarray]) -> WritebackResult:
-        """Reference per-block walk (also the fault/collision path)."""
-        assert self.ring is not None
-        ring = self.ring
-        n = frame.n_blocks
-        block_bytes = frame.block_bytes
-        table_base, bases_base, data_base = self._layout_bases(
-            frame, slot_base)
-
-        kinds = np.empty(n, dtype=np.uint8)
-        pointers = np.empty(n, dtype=np.int64)
-        digests_out = np.zeros(n, dtype=np.uint64)
-
-        before = (ring.stats.intra, ring.stats.inter, ring.stats.none)
-        ring.begin_frame(frame.index)
-        cursor = data_base
-        digest_mode = self._digest_layout is LayoutMode.POINTER_DIGEST
-        fault_plan = self._fault_plan
-        for i in range(n):
-            digest = int(tags[i])
-            kind, address = ring.lookup(digest, int(aux[i]))
-            if (kind is not MatchKind.NONE and fault_plan is not None
-                    and fault_plan.digest_collision(frame.index, i)):
-                # Injected collision: the digest matched but the bytes
-                # would not have.
-                ring.stats.injected_collisions += 1
-                if self._verify:
-                    ring.stats.fallback_writes += 1
-                    kind, address = MatchKind.NONE, None
-                else:
-                    ring.stats.silent_collisions += 1
-            ring.stats.record(kind, digest)
-            if kind is MatchKind.NONE:
-                kinds[i] = int(RecordKind.STORED)
-                pointers[i] = cursor
-                ring.insert(digest, cursor, int(aux[i]))
-                cursor += (int(dcc_sizes[i]) if dcc_sizes is not None
-                           else block_bytes)
-            elif kind is MatchKind.INTRA or not digest_mode:
-                kinds[i] = int(RecordKind.POINTER)
-                pointers[i] = address
-            else:
-                kinds[i] = int(RecordKind.DIGEST)
-                pointers[i] = address  # kept for MACH-buffer miss fallback
-                digests_out[i] = digest
-            # Only stored (unique) blocks enter the frame's MACH —
-            # "the decoder only needs to write the unique content and
-            # the pointers" (Sec. 1).  Recurring content therefore keeps
-            # matching in *older* frames' MACHs (inter), which is what
-            # makes the digest-indexed share of Fig. 10d large.
-        dump = ring.end_frame()
-        after = (ring.stats.intra, ring.stats.inter, ring.stats.none)
-        matches = FrameMatches(
-            intra=after[0] - before[0],
-            inter=after[1] - before[1],
-            none=after[2] - before[2],
-        )
-        return self._finish_mach(
-            frame, kinds, pointers, digests_out,
-            table_base, bases_base, data_base,
-            cursor - data_base, dump, matches,
-            DigestGroups.of_records(kinds, digests_out))
-
-    def _process_mach_kernel(self, frame: DecodedFrame, slot_base: int,
-                             tags: np.ndarray,
-                             dcc_sizes: Optional[np.ndarray],
-                             runs: TagRuns, found: np.ndarray,
-                             addresses: np.ndarray) -> WritebackResult:
-        """SoA classification of a whole frame from one sort of its tags.
+    def _classify(self, tags: np.ndarray, runs: TagRuns, found: np.ndarray,
+                  addresses: np.ndarray
+                  ) -> Tuple[MachOutcome, Optional[DigestGroups]]:
+        """SoA classification of a clean frame from one sort of its tags.
 
         ``found`` and ``addresses`` are the frozen-ring lookup of each
-        run of equal tags.  Preconditions (checked by the dispatcher):
-        no fault plan, no CRC16 aux disagreement against the frozen
-        ring or within the frame.  Ring membership is a property of the
-        tag, so a run is either all INTER (a frozen digest can never
-        also be resident in the current MACH) or all touches of the
-        current MACH, and a touched run is its key's LRU chain in block
-        order.  :func:`repro.core.soa.lru_chain_classify` replays those
-        chains in closed form — bit-identical to the scalar walk.
+        run of equal tags.  Ring membership is a property of the tag,
+        so a run is either all INTER (a frozen digest can never also be
+        resident in the current MACH) or all touches of the current
+        MACH, and a touched run is its key's LRU chain in block order.
+        :func:`repro.core.soa.lru_chain_classify` replays those chains
+        in closed form.  Under the digest layout, the frame's DIGEST
+        groups come off the inter runs too.
+
+        Only stored (unique) blocks enter the frame's MACH — "the
+        decoder only needs to write the unique content and the
+        pointers" (Sec. 1).  Recurring content therefore keeps matching
+        in *older* frames' MACHs (inter), which is what makes the
+        digest-indexed share of Fig. 10d large.
         """
         assert self.ring is not None
-        ring = self.ring
-        n = frame.n_blocks
+        n = len(tags)
         mach = self.mach_config
-        table_base, bases_base, data_base = self._layout_bases(
-            frame, slot_base)
-        digest_mode = self._digest_layout is LayoutMode.POINTER_DIGEST
-
-        kinds = np.empty(n, dtype=np.uint8)
-        pointers = np.empty(n, dtype=np.int64)
-        digests_out = np.zeros(n, dtype=np.uint64)
-
         order = runs.order
         found_s = found[runs.run_id]
         inter_s = np.flatnonzero(found_s)
@@ -433,7 +368,7 @@ class WritebackEngine:
         # are the touched keys in ascending tag order.
         block_c = order[touch_s]
         new_key = runs.new_run[touch_s]
-        if ring.unbounded:
+        if self.ring.unbounded:
             # Oracle MACH: first occurrence stores, the rest hit it,
             # and every key stays resident.
             hits_c = ~new_key
@@ -446,11 +381,43 @@ class WritebackEngine:
                 tags[touched] & np.int64(mach.sets_per_mach - 1),
                 touch_rank[block_c], new_key, mach.ways)
         provider_c = chain_providers(hits_c)
-
-        # Stored blocks pack into the data region in block order.
         stored = np.zeros(n, dtype=bool)
         stored[block_c[~hits_c]] = True
-        stored_idx = np.flatnonzero(stored)
+        groups = None
+        if self._digest_layout is LayoutMode.POINTER_DIGEST:
+            # Each inter run is one digest's records, its start the
+            # first of them; the runs ascend by tag.
+            inter_runs = np.flatnonzero(found)
+            heads = runs.starts[inter_runs]
+            lengths = np.diff(runs.starts, append=n)[inter_runs]
+            groups = DigestGroups(runs.tags[heads].astype(np.uint64),
+                                  order[heads], lengths)
+        # Residents in chain order are already in ascending digest order.
+        resident = np.flatnonzero(resident_c)
+        resident_s = touch_s[resident]
+        return MachOutcome(
+            stored, block_c[hits_c], block_c[provider_c[hits_c]],
+            order[inter_s], addresses[runs.run_id[inter_s]],
+            runs.tags[resident_s], block_c[provider_c[resident]],
+            runs.aux[resident_s]), groups
+
+    def _lay_out(self, frame: DecodedFrame, slot_base: int,
+                 tags: np.ndarray, dcc_sizes: Optional[np.ndarray],
+                 runs: TagRuns, outcome: MachOutcome,
+                 groups: Optional[DigestGroups]) -> WritebackResult:
+        """Place a classified frame in its slot, count it, and freeze its
+        MACH into the ring."""
+        assert self.ring is not None
+        ring = self.ring
+        n = frame.n_blocks
+        table_base, bases_base, data_base = self._layout_bases(
+            frame, slot_base)
+        kinds = np.empty(n, dtype=np.uint8)
+        pointers = np.empty(n, dtype=np.int64)
+        digests_out = np.zeros(n, dtype=np.uint64)
+
+        # Stored blocks pack into the data region in block order.
+        stored_idx = np.flatnonzero(outcome.stored)
         stored_sizes = (dcc_sizes[stored_idx].astype(np.int64)
                         if dcc_sizes is not None
                         else np.full(len(stored_idx), frame.block_bytes,
@@ -460,34 +427,28 @@ class WritebackEngine:
         pointers[stored_idx] = data_base + ends - stored_sizes
         kinds[stored_idx] = int(RecordKind.STORED)
 
-        intra_idx = block_c[hits_c]
+        intra_idx = outcome.intra
         kinds[intra_idx] = int(RecordKind.POINTER)
-        pointers[intra_idx] = pointers[block_c[provider_c[hits_c]]]
+        pointers[intra_idx] = pointers[outcome.intra_source]
 
-        inter_idx = order[inter_s]
-        pointers[inter_idx] = addresses[runs.run_id[inter_s]]
-        groups = _NO_DIGESTS
-        if digest_mode:
+        inter_idx = outcome.inter
+        pointers[inter_idx] = outcome.inter_address
+        if self._digest_layout is LayoutMode.POINTER_DIGEST:
             kinds[inter_idx] = int(RecordKind.DIGEST)
-            digests_out[inter_idx] = runs.tags[inter_s].astype(np.uint64)
-            # Each inter run is one digest's records, its start the
-            # first of them; the runs ascend by tag.
-            inter_runs = np.flatnonzero(found)
-            heads = runs.starts[inter_runs]
-            lengths = np.diff(runs.starts, append=n)[inter_runs]
-            groups = DigestGroups(runs.tags[heads].astype(np.uint64),
-                                  order[heads], lengths)
+            digests_out[inter_idx] = tags[inter_idx].astype(np.uint64)
+            if groups is None:
+                groups = DigestGroups.of_records(kinds, digests_out)
         else:
             kinds[inter_idx] = int(RecordKind.POINTER)
+            groups = _NO_DIGESTS
 
-        # Stats, reproducing the scalar loop's Counter insertion order:
-        # matched tags ordered by their first matched block, which the
-        # stable sort puts first among the tag's matched positions.
+        # Matched tags ordered by their first matched block, which the
+        # stable sort puts first among the tag's matched positions: the
+        # Counter insertion order of counting block by block.
         n_intra = len(intra_idx)
         n_inter = len(inter_idx)
-        matched_s = found_s.copy()
-        matched_s[touch_s[hits_c]] = True
-        matched_pos = np.flatnonzero(matched_s)
+        order = runs.order
+        matched_pos = np.flatnonzero(~outcome.stored[order])
         matched_run = runs.run_id[matched_pos]
         first = np.flatnonzero(np.diff(matched_run, prepend=-1))
         counts = np.diff(np.append(first, len(matched_pos)))
@@ -500,12 +461,9 @@ class WritebackEngine:
             runs.tags[first_pos[by_first]].tolist(),
             counts[by_first].tolist())
 
-        # Residents in chain order are already in ascending digest order.
-        resident = np.flatnonzero(resident_c)
-        resident_s = touch_s[resident]
-        dump = FrozenMach(frame.index, runs.tags[resident_s],
-                          pointers[block_c[provider_c[resident]]],
-                          runs.aux[resident_s])
+        dump = FrozenMach(frame.index, outcome.resident_tags,
+                          pointers[outcome.resident_source],
+                          outcome.resident_aux)
         ring.ingest_frozen(dump)
 
         matches = FrameMatches(

@@ -13,11 +13,7 @@ surrogate's per-title calibration
   the executor seals under a sha256 checksum of the canonical JSON of
   key and payload.  A parent-side ``accept(task, payload)`` validates
   and folds it: it returns False for a duplicate and raises on a
-  payload it cannot trust.  An optional parent-side ``prepare(task)``
-  runs before each attempt's fork and its result is what the worker
-  executes: a task's heavy inputs (a calibration title's frames) are
-  built in the parent, reach the worker through fork without
-  pickling, and are dropped by the parent as soon as the worker runs.
+  payload it cannot trust.
 * **Leases with heartbeat deadlines** — every attempt runs in a forked
   worker whose heartbeats renew its lease; a worker that stops
   heartbeating (wedged, stalled, swapped out) is killed and its task
@@ -596,10 +592,6 @@ class Supervisor(Generic[T]):
         checkpoint: where completed payloads persist; its entries for
             these tasks are accepted instead of run.
         report: the report to extend (several runs may share one).
-        prepare: optional parent side, ``task -> task`` run before each
-            attempt (retries and speculation included, so it must be
-            deterministic); the worker executes its result, inherited
-            through fork.  The parent keeps no reference to it.
     """
 
     def __init__(self, tasks: Sequence[T], execute: Callable[[T], Payload],
@@ -607,11 +599,9 @@ class Supervisor(Generic[T]):
                  config: SupervisorConfig, seed: int = 0,
                  plan: Optional[ShardFaultPlan] = None,
                  checkpoint: Optional[Checkpoint] = None,
-                 report: Optional[SupervisionReport] = None,
-                 prepare: Optional[Callable[[T], T]] = None) -> None:
+                 report: Optional[SupervisionReport] = None) -> None:
         self.execute = execute
         self.accept = accept
-        self.prepare = prepare
         self.config = config
         self.seed = seed
         self.plan = plan
@@ -669,16 +659,12 @@ class Supervisor(Generic[T]):
                 speculative: bool = False) -> None:
         index = state.next_attempt
         state.next_attempt += 1
-        task = (self.prepare(state.task) if self.prepare is not None
-                else state.task)
         recv_conn, send_conn = _CTX.Pipe(duplex=False)
         process = _CTX.Process(
             target=_worker_main,
-            args=(send_conn, self.execute, task, state.index, index,
+            args=(send_conn, self.execute, state.task, state.index, index,
                   self.plan, self.config.heartbeat_seconds),
             daemon=True)
-        # start() drops the process's arguments once forked, so this
-        # frame holds the parent's last reference to the prepared task.
         process.start()
         send_conn.close()
         state.attempts[index] = _Attempt(

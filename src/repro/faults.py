@@ -172,13 +172,13 @@ class FaultPlan:
 
     # -- MACH -------------------------------------------------------------
 
-    def digest_collision(self, frame_index: int, block_index: int) -> bool:
-        """Is this MACH match actually an injected hash collision?"""
-        rate = self.config.digest_collision
-        if rate <= 0.0:
-            return False
-        return _hash_u01(self.config.seed, _SITE_COLLISION, frame_index,
-                         block_index) < rate
+    def digest_collisions(self, frame_index: int,
+                          n_blocks: int) -> np.ndarray:
+        """Per block of a frame: is its MACH match, if it has one,
+        actually an injected hash collision?"""
+        u = _hash_u01_vector(self.config.seed, _SITE_COLLISION, frame_index,
+                             n_blocks)
+        return u < self.config.digest_collision
 
 
 class ShardFault(Enum):

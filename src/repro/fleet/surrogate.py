@@ -22,13 +22,11 @@ The surrogate's error budget, which `repro validate` enforces:
   amortized once, not per frame).
 
 Calibration runs the titles in parallel on the supervised executor
-(:mod:`repro.executor`), one task per title.  The parent synthesises a
-title's frames just before forking its worker, which inherits them
-without pickling and plays them on every device class; the parent
-drops its copy once the worker runs, so it holds one title's frames at
-a time.  The workers' coefficients come back as sealed JSON, whose
-floats round-trip exactly, so the table is bit-identical to a serial
-loop over the pairs.
+(:mod:`repro.executor`), one task per title.  Each worker synthesises
+its title's frames once and plays them on every device class, so the
+parent holds no frames.  The workers' coefficients come back as sealed
+JSON, whose floats round-trip exactly, so the table is bit-identical to
+a serial loop over the pairs.
 
 Calibration is expensive (it runs the real pipeline), so it caches to
 JSON keyed by the spec fingerprint and, on every load, re-runs one
@@ -41,7 +39,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -222,14 +220,9 @@ def _calibrate_pair(spec: PopulationSpec, device_index: int, title: str,
 
 @dataclass(frozen=True)
 class _TitleJob:
-    """One calibration task: a title played on every device class.
-
-    ``frames`` is None in the task list and filled in by the parent just
-    before an attempt forks its worker.
-    """
+    """One calibration task: a title played on every device class."""
 
     title: str
-    frames: Optional[FrameList] = None
 
     @property
     def key(self) -> Tuple[str, str]:
@@ -243,9 +236,9 @@ def calibrate(spec: PopulationSpec,
     """Calibrate every (device class, title) pair from scratch.
 
     One executor task per title, on as many workers as there are usable
-    CPUs: the parent synthesises the title once, and its forked worker
-    plays those frames on every device class.  ``progress`` is called in
-    the parent, once per title as its coefficients are accepted.
+    CPUs: each worker synthesises its title once and plays those frames
+    on every device class.  ``progress`` is called in the parent, once
+    per title as its coefficients are accepted.
 
     Raises:
         Exception: what a pair raised, as its own type (a
@@ -257,13 +250,10 @@ def calibrate(spec: PopulationSpec,
     n_devices = len(spec.device_classes)
     rows: Dict[str, List[CalibEntry]] = {}
 
-    def prepare(job: _TitleJob) -> _TitleJob:
-        return replace(job, frames=_title_frames(spec, job.title, base))
-
     def execute(job: _TitleJob) -> Payload:
-        assert job.frames is not None
+        frames = _title_frames(spec, job.title, base)
         return {"entries": [
-            _calibrate_pair(spec, d_idx, job.title, job.frames,
+            _calibrate_pair(spec, d_idx, job.title, frames,
                             base).to_jsonable()
             for d_idx in range(n_devices)]}
 
@@ -282,7 +272,7 @@ def calibrate(spec: PopulationSpec,
     outcomes = Supervisor(
         jobs, execute, accept,
         SupervisorConfig(workers=usable_workers(len(jobs))),
-        seed=spec.calib_seed, prepare=prepare).run()
+        seed=spec.calib_seed).run()
     for job in jobs:
         error = outcomes[job.key].error
         if error is not None:

@@ -5,7 +5,6 @@ from .address import AddressMapper, Region, RegionMap
 from .controller import AccessStats, MemoryController
 from .energy import MemoryEnergy, memory_energy
 from .lpddr3 import burst_duration, peak_bandwidth
-from .rowbuffer import BankState
 
 __all__ = [
     "AddressMapper",
@@ -17,5 +16,4 @@ __all__ = [
     "memory_energy",
     "burst_duration",
     "peak_bandwidth",
-    "BankState",
 ]

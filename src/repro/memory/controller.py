@@ -11,8 +11,9 @@ FR-FCFS batching, then by quantum and row) and time; within each bank's
 run an access hits iff the previous access in
 that bank touched the same row within the timeout.  Only the first
 access of each bank run consults the carried-over bank state — one
-gather and one scatter over SoA per-bank arrays.  Equivalence with the scalar
-:class:`~repro.memory.rowbuffer.RowBufferModel` is asserted in tests.
+gather and one scatter over SoA per-bank arrays.  Tests hold it equal,
+access by access, to a scalar per-bank state machine in
+``tests/mach_oracle.py``.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class MemoryController:
         self.stats = AccessStats()
         # Per-bank state as SoA arrays (open row, last-touch time) so
         # window boundaries are one gather + one scatter, not a Python
-        # loop of :class:`BankState` calls.
+        # loop over banks.
         self._open_rows = np.full(config.total_banks, -1, dtype=np.int64)
         self._last_access = np.full(
             config.total_banks, -np.inf, dtype=np.float64)

@@ -12,7 +12,6 @@ import pytest
 
 from repro.config import SimulationConfig, VideoConfig
 from repro.core import pipeline
-from repro.core.writeback import WritebackEngine
 from repro.display import MachBuffer
 from repro.fleet import population, surrogate
 from repro.fleet.engine import METRICS, CohortAggregate
@@ -22,15 +21,7 @@ from repro.memory import MemoryController
 from repro.validation import RUN_SETS, paper_ledger
 from repro.video import SyntheticVideo, workload
 
-
-class ScalarWritebackEngine(WritebackEngine):
-    """The write engine with the batched kernel off: every frame takes
-    the scalar per-block walk, the reference the kernel must match."""
-
-    def _process_mach(self, frame: Any, slot_base: int) -> Any:
-        tags, aux, dcc_sizes = self._content_features(frame.blocks)
-        return self._process_mach_scalar(frame, slot_base, tags, aux,
-                                         dcc_sizes)
+from .mach_oracle import ScalarWritebackEngine
 
 
 class RecordMachBuffer(MachBuffer):

@@ -57,6 +57,15 @@ def test_matrix(digest_matrix):
     assert {f.get("verify_digests", True) for f in faults} == {True, False}
     machs = [c["mach"] for c in options if "mach" in c]
     assert {"co_mach": True} in machs
+    # Injected collisions under CO-MACH and the unbounded MACH, and
+    # unverified ones under thermal throttling.
+    collision = {"digest_collision": 0.01}
+    assert {"video": "V8", "scheme": "GAB", "thermal": False,
+            "mach": {"co_mach": True}, "faults": collision} in options
+    assert {"video": "V8", "scheme": "GAB", "thermal": False,
+            "unbounded_mach": True, "faults": collision} in options
+    assert {"video": "V3", "scheme": "GAB_DCC", "thermal": True,
+            "faults": {**collision, "verify_digests": False}} in options
     assert {"digest_scheme": "weak-sum"} in machs
     # The DRAM replay without an FR-FCFS quantum (cut at time
     # boundaries), and over raw_dram's 600-frame run of ~20 windows:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.config import DisplayConfig, MachConfig, VideoConfig
-from repro.core.mach import FrameMach
 from repro.display import (
     DisplayController,
     FrameBufferPool,
@@ -15,6 +14,7 @@ from repro.display import (
 from repro.errors import ConfigError, SchedulingError
 
 from .conftest import serve_records
+from .mach_oracle import FrameMach
 
 
 class TestFrameBufferPool:

@@ -6,10 +6,7 @@ schedule the accepted payloads are exactly the undisturbed run's, and
 an exception raised by a task is its outcome, not a retry.
 """
 
-import multiprocessing
-import weakref
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -87,78 +84,6 @@ class TestExecutor:
     def test_workers_must_be_positive(self):
         with pytest.raises(ShardError, match="workers"):
             SupervisorConfig(workers=0)
-
-
-@dataclass(frozen=True)
-class Tagged:
-    """A toy task whose ``tag`` only ``prepare`` fills in."""
-
-    n: int
-    tag: Optional[str] = None
-
-    @property
-    def key(self):
-        return ("tagged", self.n)
-
-
-def echo_tag(task):
-    return {"n": task.n, "tag": task.tag}
-
-
-class TestPrepare:
-    def run_prepared(self, tasks, plan=None):
-        """(accepted payloads, outcomes, supervisor, prepare calls,
-        weakrefs to every prepared task)."""
-        accepted, calls, prepared = {}, [], []
-
-        def prepare(task):
-            calls.append(task.key)
-            where = multiprocessing.current_process().name
-            ready = replace(task, tag=f"prepared in {where}")
-            prepared.append(weakref.ref(ready))
-            return ready
-
-        def accept(task, payload):
-            accepted[task.key] = payload
-            return True
-
-        supervisor = Supervisor(tasks, echo_tag, accept, fast_config(),
-                                plan=plan, prepare=prepare)
-        outcomes = supervisor.run()
-        return accepted, outcomes, supervisor, calls, prepared
-
-    def test_result_reaches_execute(self):
-        tasks = [Tagged(n) for n in range(3)]
-        accepted, _, _, calls, _ = self.run_prepared(tasks)
-        parent = multiprocessing.current_process().name
-        assert accepted == {("tagged", n): {"n": n,
-                                            "tag": f"prepared in {parent}"}
-                            for n in range(3)}
-        assert sorted(calls) == [task.key for task in tasks]
-
-    def test_runs_in_the_parent_once_per_attempt(self):
-        """Every first attempt crashes: each task is prepared twice, and
-        the parent's own call list sees both calls."""
-        plan = ShardFaultPlan.from_config(ShardFaultConfig(
-            crash_rate=1.0, max_faulty_attempts=1, seed=0))
-        tasks = [Tagged(n) for n in range(3)]
-        accepted, outcomes, supervisor, calls, _ = self.run_prepared(
-            tasks, plan)
-        assert supervisor.report.crashes == 3
-        assert sorted(calls) == sorted([task.key for task in tasks] * 2)
-        assert all(outcome.error is None and outcome.failures == 1
-                   for outcome in outcomes.values())
-        assert len(accepted) == 3
-
-    def test_parent_drops_prepared_tasks(self):
-        plan = ShardFaultPlan.from_config(ShardFaultConfig(
-            crash_rate=0.5, max_faulty_attempts=1, seed=4))
-        _, _, supervisor, _, prepared = self.run_prepared(
-            [Tagged(n) for n in range(4)], plan)
-        # The supervisor itself is still alive; it holds none of them.
-        assert supervisor.states and len(prepared) > 4
-        assert all(ref() is None for ref in prepared)
-        assert multiprocessing.active_children() == []
 
 
 class TestWorkers:

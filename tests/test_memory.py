@@ -22,9 +22,9 @@ from repro.memory import (
     memory_energy,
     peak_bandwidth,
 )
-from repro.memory.rowbuffer import BankState, RowBufferModel
 
 from .conftest import replay_whole_run
+from .mach_oracle import BankState, RowBufferModel
 
 
 def small_dram(**overrides) -> DramConfig:

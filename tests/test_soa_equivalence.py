@@ -41,12 +41,12 @@ from repro.display import (
 )
 from repro.hashing.crc import crc16, crc32, crc16_blocks, crc32_blocks, crc_pair_blocks
 from repro.memory.controller import MemoryController
-from repro.memory.rowbuffer import RowBufferModel
 from repro.video.frame import DecodedFrame, FrameType
 from repro.video.synthesis import SyntheticVideo
 from repro.video.workloads import workload
 
-from .conftest import RecordMachBuffer, ScalarWritebackEngine, serve_records
+from .conftest import RecordMachBuffer, serve_records
+from .mach_oracle import RowBufferModel, ScalarWritebackEngine
 
 _TINY = SimulationConfig(video=VideoConfig(width=64, height=32))
 
@@ -402,14 +402,18 @@ class TestWritebackEquivalence:
 
 class _ScriptedTags:
     """Engine mixin: frame ``i`` carries the tags ``script[i]`` instead
-    of digests of its bytes, so a test can shape the MACH's input."""
+    of digests of its bytes, so a test can shape the MACH's input.  A
+    ``(tags, aux)`` pair scripts the CRC16 auxes too (zeros otherwise)."""
 
     script: list
 
     def _content_features(self, blocks):
-        tags = np.asarray(self.script.pop(0), dtype=np.int64)
-        return ContentFeatures(tags, np.zeros(len(tags), dtype=np.int64),
-                               None)
+        entry = self.script.pop(0)
+        tags, aux = entry if isinstance(entry, tuple) else (entry, 0)
+        tags = np.asarray(tags, dtype=np.int64)
+        return ContentFeatures(
+            tags, np.broadcast_to(np.asarray(aux, dtype=np.int64),
+                                  tags.shape).copy(), None)
 
 
 class _ScriptedKernel(_ScriptedTags, WritebackEngine):
@@ -437,8 +441,10 @@ class TestKernelAtScale:
         _assert_kernel_matches_walk(fast, slow, stream, walks)
 
     @staticmethod
-    def _run_script(walks, script, scheme_name, unbounded):
+    def _run_script(walks, script, scheme_name, unbounded, mach=None):
         cfg = SimulationConfig()
+        if mach is not None:
+            cfg = dataclasses.replace(cfg, mach=mach)
         n = cfg.video.blocks_per_frame
         frames = [DecodedFrame(i, FrameType.P,
                                np.zeros((n, cfg.video.block_bytes),
@@ -448,7 +454,7 @@ class TestKernelAtScale:
         for cls in (_ScriptedKernel, _ScriptedWalk):
             engine = cls(cfg.video, cfg.mach, _MACH_SCHEMES[scheme_name],
                          cfg.dram.line_bytes, unbounded_mach=unbounded)
-            engine.script = [np.asarray(tags) for tags in script]
+            engine.script = list(script)
             engines.append(engine)
         fast, slow = engines
         _assert_kernel_matches_walk(fast, slow, frames, walks)
@@ -490,17 +496,72 @@ class TestKernelAtScale:
         assert list(stats.match_counter.items()) == [(77, 3 * n - 1)]
 
 
+class TestCollisionsAtScale:
+    """Kernel against walk on frames that hold CRC16 disagreements, at
+    the default geometry (1,296 blocks a frame, 4 ways, a one-set
+    CO-MACH)."""
+
+    _run_script = staticmethod(TestKernelAtScale._run_script)
+
+    @staticmethod
+    def _mach(co_mach):
+        return dataclasses.replace(SimulationConfig().mach, co_mach=co_mach)
+
+    @pytest.mark.parametrize("co_mach", [False, True])
+    @pytest.mark.parametrize("unbounded", [False, True])
+    def test_two_auxes_within_a_frame(self, walks, co_mach, unbounded):
+        n = SimulationConfig().video.blocks_per_frame
+        rng = np.random.default_rng(21)
+        # Tag 9 under two auxes, interleaved with tags of its own set.
+        tags = np.where(rng.random(n) < 0.3, 9, 9 + 8 * rng.integers(1, 9, n))
+        aux = np.where(tags == 9, rng.integers(1, 3, n), 0)
+        stats = self._run_script(walks, [(tags, aux)] * 3, "GAB", unbounded,
+                                 self._mach(co_mach))
+        if co_mach:
+            assert stats.detected_collisions > 0
+            assert stats.silent_collisions == 0
+        else:
+            assert stats.silent_collisions > 0
+            assert stats.detected_collisions == 0
+
+    @pytest.mark.parametrize("co_mach", [False, True])
+    def test_other_aux_in_the_ring(self, walks, co_mach):
+        n = SimulationConfig().video.blocks_per_frame
+        tags = np.arange(n) % 64 + 100
+        # Frame 1 meets frame 0's tags under another aux for half of them.
+        script = [(tags, 1), (tags, np.where(tags % 2 == 0, 2, 1)),
+                  (tags, 2)]
+        stats = self._run_script(walks, script, "MAB", False,
+                                 self._mach(co_mach))
+        assert (stats.detected_collisions if co_mach
+                else stats.silent_collisions) > 0
+
+    @pytest.mark.parametrize("scheme_name", ["MAB", "GAB"])
+    def test_co_mach_spill_and_hit(self, walks, scheme_name):
+        n = SimulationConfig().video.blocks_per_frame
+        rng = np.random.default_rng(23)
+        # Tags 5 and 13 under two auxes each: the second aux of a
+        # resident tag spills into the CO-MACH and hits there next time;
+        # the other tags of their set evict them now and then.
+        tags = rng.choice([5, 13, 21, 29, 37, 45], size=n)
+        aux = np.where(tags < 20, rng.integers(1, 3, n), 0)
+        stats = self._run_script(walks, [(tags, aux)] * 4, scheme_name,
+                                 False, self._mach(True))
+        assert stats.co_mach_hits > 0
+        assert stats.detected_collisions > stats.co_mach_hits
+
+
 @pytest.fixture
 def walks(monkeypatch):
     """Every engine that runs a frame through the scalar walk, once per frame."""
     walked = []
-    scalar_walk = WritebackEngine._process_mach_scalar
+    scalar_walk = ScalarWritebackEngine._walk
 
     def counting(engine, *args):
         walked.append(engine)
         return scalar_walk(engine, *args)
 
-    monkeypatch.setattr(WritebackEngine, "_process_mach_scalar", counting)
+    monkeypatch.setattr(ScalarWritebackEngine, "_walk", counting)
     return walked
 
 

@@ -10,8 +10,9 @@ Racing, Race-to-Sleep, MAB, GAB, GAB+DCC and DCC alone) x thermal
 throttling off/on, plus Baseline with bit errors, the eager MACH-buffer
 policy,
 the display cache and the MACH buffer switched off, digest-collision
-faults with and without verification, CO-MACH, the ``weak-sum`` digest,
-the unbounded MACH, and the DRAM scheduler with no FR-FCFS quantum, and
+faults with and without verification (also under CO-MACH, the unbounded
+MACH and thermal throttling), CO-MACH, the ``weak-sum`` digest, the
+unbounded MACH, and the DRAM scheduler with no FR-FCFS quantum, and
 three 600-frame runs, whose DRAM replay spans about 20 windows: V8
 Baseline with and without the quantum, and V8 GAB with bit errors,
 whose concealment reads are deferred draws too.  It adds ``run_fleet``
@@ -22,9 +23,11 @@ x 1 and 3 shards, on one ``calibrate`` per side, and that
 population) at calibration seeds 7 and 11, so a last-bit change in a
 coefficient shows even where the fleet's quantised aggregates hide it.
 Each run is reduced to the sha256 of its ``to_jsonable()`` with sorted
-keys, alongside the number of frames whose writeback took the scalar
-per-block walk (0 for a fleet or calibration run).  Prints one line
-per run and exits 1 when any digest or walked-frame count differs.
+keys.  Where a checkout's write engine still has a scalar per-block
+walk (``WritebackEngine._process_mach_scalar``), the side also counts
+the frames that took it; the counts are printed (``-`` for a checkout
+without the walk, 0 for a fleet or calibration run) but not compared.
+Prints one line per run and exits 1 when any digest differs.
 """
 
 from __future__ import annotations
@@ -98,6 +101,10 @@ def matrix() -> List[Dict[str, Any]]:
         _case("V8", "GAB", mach={"co_mach": True}),
         _case("V1", "MAB", mach={"co_mach": True}),
         _case("V8", "GAB", mach={"co_mach": True}, buffer_policy="eager"),
+        _case("V8", "GAB", mach={"co_mach": True}, faults=collision),
+        _case("V8", "GAB", unbounded_mach=True, faults=collision),
+        _case("V3", "GAB_DCC", thermal=True,
+              faults={**collision, "verify_digests": False}),
         _case("V8", "GAB", mach={"digest_scheme": "weak-sum"}),
         _case("V3", "GAB_DCC", mach={"digest_scheme": "weak-sum"}),
         _case("V8", "BASELINE", dram={"scheduler_quantum": 0.0}),
@@ -133,7 +140,8 @@ def case_name(case: Dict[str, Any]) -> str:
 
 #: Runs in each checkout with its own ``src`` first on the path, so it
 #: may use only API both sides have.  Reads the cases as JSON on stdin
-#: and prints ``[digest, walked frames]`` per case as JSON.
+#: and prints ``[digest, walked frames]`` per case as JSON, the count
+#: None where the checkout has no walk.
 _WORKER = """
 import hashlib, json, sys
 from dataclasses import replace
@@ -144,12 +152,14 @@ from repro.fleet import calibrate, default_population, run_fleet
 from repro.video import workload
 
 frames, seed, cases = json.load(sys.stdin)
-walked = [0]
-walk = WritebackEngine._process_mach_scalar
-def counting(engine, *args):
-    walked[0] += 1
-    return walk(engine, *args)
-WritebackEngine._process_mach_scalar = counting
+walk = getattr(WritebackEngine, "_process_mach_scalar", None)
+unwalked = None if walk is None else 0
+walked = [unwalked]
+if walk is not None:
+    def counting(engine, *args):
+        walked[0] += 1
+        return walk(engine, *args)
+    WritebackEngine._process_mach_scalar = counting
 
 def digest(result):
     canonical = json.dumps(result.to_jsonable(), sort_keys=True,
@@ -167,14 +177,14 @@ population = default_population()
 out = []
 for case in cases:
     if "calibration" in case:
-        out.append([digest(calibrated(case["calib_seed"])), 0])
+        out.append([digest(calibrated(case["calib_seed"])), unwalked])
         continue
     if "population" in case:
         result = run_fleet(population, case["sessions"], seed=seed,
                            shards=case["shards"],
                            contention=case["contention"],
                            calibration=calibrated(population.calib_seed))
-        out.append([digest(result), 0])
+        out.append([digest(result), unwalked])
         continue
     case = dict(case)
     video, scheme = case.pop("video"), getattr(C, case.pop("scheme"))
@@ -186,7 +196,7 @@ for case in cases:
     config = replace(config, mach=replace(config.mach, **case.pop("mach", {})),
                      faults=replace(config.faults, **case.pop("faults", {})),
                      dram=replace(config.dram, **case.pop("dram", {})))
-    walked[0] = 0
+    walked[0] = unwalked
     result = pipeline.simulate(workload(video), scheme,
                                n_frames=case.pop("frames", frames),
                                config=config, seed=seed, **case)
@@ -196,7 +206,8 @@ print(json.dumps(out))
 
 
 def run_side(checkout: Path, cases: List[Dict[str, Any]]) -> List[List[Any]]:
-    """``[digest, walked frames]`` of every case, simulated in ``checkout``."""
+    """``[digest, walked frames or None]`` of every case, simulated in
+    ``checkout``."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     done = subprocess.run(
         [sys.executable, "-c", _WORKER], cwd=checkout, env=env, check=False,
@@ -222,6 +233,10 @@ def export(rev: str, dest: Path) -> None:
         tar.extractall(dest, **safe)
 
 
+def _count(walked: Optional[int]) -> str:
+    return "-" if walked is None else str(walked)
+
+
 def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="python tools/digest_matrix.py",
@@ -241,10 +256,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     change = run_side(ROOT, cases)
     differ = 0
     for case, want, got in zip(cases, parent, change):
-        same = want == got
+        same = want[0] == got[0]
         differ += not same
         print(f"{'identical' if same else 'DIFFERS  '} walked "
-              f"{got[1]:>3} {got[0][:16]} {case_name(case)}", flush=True)
+              f"{_count(want[1]):>3} -> {_count(got[1]):>3} {got[0][:16]} "
+              f"{case_name(case)}", flush=True)
     print(f"{len(cases) - differ}/{len(cases)} runs identical to "
           f"{args.parent} ({FRAMES} frames unless a case sets its own, "
           f"seed {SEED})")
